@@ -16,12 +16,14 @@ from dataclasses import dataclass, field
 from .errors import (
     DiscriminantNegative,
     HypothesisViolated,
+    InvariantViolated,
     IsolatedVertex,
     NoEdges,
 )
 from .graphs import Graph, _bits
 
 DEFAULT_EPS = 1e-7
+LEDGER_EPS = 1e-9
 
 
 def adjacency_bound(n: int, s: int, t: int) -> float:
@@ -111,7 +113,7 @@ def q_bound_window(n: int, s: int) -> tuple[float, float]:
     return (float(n), n + 2.0 * s / (n - 2 * s))
 
 
-def q_cap_ledger(s: int, n: int, eps: float = 1e-9) -> dict[str, bool]:
+def q_cap_ledger(s: int, n: int, eps: float = LEDGER_EPS) -> dict[str, bool]:
     """Named inequality checks certifying q(G) < n for K_{2,s+1}-free graphs
     of order n >= s^2 + 6s + 6 without a dominating vertex.
 
@@ -170,7 +172,8 @@ class BoundReport:
     def __post_init__(self):
         if self.n > 2 * self.s:
             lo, hi = q_bound_window(self.n, self.s)
-            assert lo < self.q_t2 < hi, "t=2 cap escaped its bracketing window"
+            if not lo < self.q_t2 < hi:
+                raise InvariantViolated("t=2 cap escaped its bracketing window")
 
 
 def bound_report(n: int, s: int, t: int, graph: Graph | None = None) -> BoundReport:

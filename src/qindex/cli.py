@@ -4,7 +4,13 @@ Every subcommand emits one machine-readable report on stdout: JSON by
 default (schema: command, parameters, results, tolerances, seed,
 runtime_ms, version), CSV for bounds sweeps, or plain text.  Numeric
 output is limited to 10 significant digits so slack-level discrepancies
-stay visible without drowning in noise.
+stay visible without drowning in noise.  ``tolerances`` lists exactly the
+tolerances the command used.
+
+A command takes only the flags it honours: ``--tol`` (eigensolver
+residual) on ``qindex`` and ``construct``, ``--eps`` (slack against
+closed-form bounds) on ``verify``, ``prop4`` and ``hunt``, and
+``--format csv`` on ``bounds``.
 
 Exit codes: 0 success, 1 usage error, 2 computation error (message on
 stderr), 3 a verified bound violation was found.
@@ -14,21 +20,18 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
+from dataclasses import asdict
 
 from . import __version__
-from .bounds import bound_report, conjecture_bound, merris_bound, q_cap_ledger
+from .bounds import DEFAULT_EPS, LEDGER_EPS, bound_report, conjecture_bound, merris_bound, q_cap_ledger
 from .constructions import ExtremalSpec, build_extremal
 from .errors import NoEdges, QxError
 from .forbidden import ForbiddenPattern, find_kst
 from .graphs import Graph, graph6_decode, graph6_encode
-from .search import exhaustive_max_q, heuristic_max_q, join_cap_scan
-from .spectral import adjacency_radius, full_spectrum, q_index
-
-DEFAULT_TOL = 1e-10
-DEFAULT_EPS = 1e-7
+from .search import REPORT_TOL, SEARCH_TOL, exhaustive_max_q, heuristic_max_q, join_cap_scan
+from .spectral import DEFAULT_TOL, adjacency_radius, full_spectrum, q_index
 
 
 class _Parser(argparse.ArgumentParser):
@@ -45,33 +48,31 @@ def _build_parser() -> _Parser:
     p.add_argument("--version", action="version", version=f"qx {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--format", choices=("json", "csv", "text"), default="json")
+    def tol(sp):
         sp.add_argument("--tol", type=float, default=DEFAULT_TOL,
                         help="eigensolver residual tolerance")
+
+    def eps(sp):
         sp.add_argument("--eps", type=float, default=DEFAULT_EPS,
                         help="slack for comparisons against closed-form bounds")
 
     sp = sub.add_parser("qindex", help="per-graph q, lambda, degrees, Merris bound")
     sp.add_argument("file", metavar="FILE", help="graph6 lines; '-' for stdin")
-    common(sp)
+    tol(sp)
 
     sp = sub.add_parser("spectrum", help="full eigenvalue lists")
     sp.add_argument("file", metavar="FILE")
     sp.add_argument("--matrix", choices=("Q", "A"), default="Q")
-    common(sp)
 
     sp = sub.add_parser("free-check", help="K_{t,s+1}-freeness verdict and witness")
     sp.add_argument("file", metavar="FILE")
     sp.add_argument("--t", type=int, required=True)
     sp.add_argument("--s", type=int, required=True)
-    common(sp)
 
     sp = sub.add_parser("bounds", help="closed-form bound report over a parameter grid")
     sp.add_argument("--n", type=int, nargs="+", required=True)
     sp.add_argument("--s", type=int, nargs="+", required=True)
     sp.add_argument("--t", type=int, nargs="+", required=True)
-    common(sp)
 
     sp = sub.add_parser("construct", help="build the extremal join and certify freeness")
     sp.add_argument("--n", type=int, required=True)
@@ -79,19 +80,19 @@ def _build_parser() -> _Parser:
     sp.add_argument("--t", type=int, required=True)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--strategy", choices=("circulant", "random_regular"), default="circulant")
-    common(sp)
+    tol(sp)
 
     sp = sub.add_parser("verify", help="exhaustive max-q search at one order")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--t", type=int, required=True)
     sp.add_argument("--s", type=int, required=True)
     sp.add_argument("--stream", help="graph6 file replacing the builtin enumerator")
-    common(sp)
+    eps(sp)
 
     sp = sub.add_parser("prop4", help="scan q(K_1 v H) over all H with max degree <= s")
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--s", type=int, required=True)
-    common(sp)
+    eps(sp)
 
     sp = sub.add_parser("hunt", help="simulated-annealing lower-bound search")
     sp.add_argument("--n", type=int, required=True)
@@ -99,13 +100,15 @@ def _build_parser() -> _Parser:
     sp.add_argument("--s", type=int, required=True)
     sp.add_argument("--budget", type=int, required=True)
     sp.add_argument("--seed", type=int, default=0)
-    common(sp)
+    eps(sp)
 
     sp = sub.add_parser("ledger", help="inequality checks behind the q < n cap")
     sp.add_argument("--s", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
-    common(sp)
 
+    for name, sp in sub.choices.items():
+        formats = ("json", "csv", "text") if name == "bounds" else ("json", "text")
+        sp.add_argument("--format", choices=formats, default="json")
     return p
 
 
@@ -127,19 +130,6 @@ def _read_graphs(path: str) -> list[tuple[str, Graph]]:
     return out
 
 
-def _threads() -> int | None:
-    raw = os.environ.get("QX_THREADS")
-    if raw is None:
-        return None
-    try:
-        val = int(raw)
-    except ValueError:
-        raise QxError(f"QX_THREADS must be an integer, got {raw!r}") from None
-    if val < 1:
-        raise QxError(f"QX_THREADS must be >= 1, got {val}")
-    return val
-
-
 def _round10(obj):
     """Clamp every float in a JSON-ready structure to 10 significant digits."""
     if isinstance(obj, float):
@@ -151,8 +141,9 @@ def _round10(obj):
     return obj
 
 
-def _run(args) -> tuple[dict, list, bool]:
-    """Execute one subcommand; returns (parameters, results, violation_flag)."""
+def _run(args) -> tuple[dict, list, dict, bool]:
+    """Execute one subcommand; returns (parameters, results, tolerances used,
+    violation_flag)."""
     cmd = args.command
     violation = False
 
@@ -177,7 +168,7 @@ def _run(args) -> tuple[dict, list, bool]:
                 "lambda": lam.value,
                 "merris_bound": mb,
             })
-        return {"file": args.file}, results, violation
+        return {"file": args.file}, results, {"tol": args.tol}, violation
 
     if cmd == "spectrum":
         results = []
@@ -187,7 +178,7 @@ def _run(args) -> tuple[dict, list, bool]:
                 "matrix": args.matrix,
                 "eigenvalues": full_spectrum(g, args.matrix),
             })
-        return {"file": args.file, "matrix": args.matrix}, results, violation
+        return {"file": args.file, "matrix": args.matrix}, results, {}, violation
 
     if cmd == "free-check":
         pat = ForbiddenPattern.from_ts(args.t, args.s)
@@ -203,7 +194,7 @@ def _run(args) -> tuple[dict, list, bool]:
                     "right": list(witness[1]),
                 },
             })
-        return {"file": args.file, "t": args.t, "s": args.s}, results, violation
+        return {"file": args.file, "t": args.t, "s": args.s}, results, {}, violation
 
     if cmd == "bounds":
         results = []
@@ -219,7 +210,7 @@ def _run(args) -> tuple[dict, list, bool]:
                         "conjecture_bound": rep.conjecture,
                         "applicability": rep.applicability,
                     })
-        return {"n": args.n, "s": args.s, "t": args.t}, results, violation
+        return {"n": args.n, "s": args.s, "t": args.t}, results, {}, violation
 
     if cmd == "construct":
         spec = ExtremalSpec(args.n, args.s, args.t, args.strategy)
@@ -240,7 +231,8 @@ def _run(args) -> tuple[dict, list, bool]:
             "bound": bound,
             "gap": bound - q,
         }]
-        return {"n": args.n, "s": args.s, "t": args.t, "strategy": args.strategy}, results, violation
+        parameters = {"n": args.n, "s": args.s, "t": args.t, "strategy": args.strategy}
+        return parameters, results, {"tol": args.tol}, violation
 
     if cmd == "verify":
         pat = ForbiddenPattern.from_ts(args.t, args.s)
@@ -252,23 +244,27 @@ def _run(args) -> tuple[dict, list, bool]:
         else:
             report = exhaustive_max_q(args.n, pat, eps=args.eps)
         violation = report.verdict == "bound_violated"
-        return {"n": args.n, "s": args.s, "t": args.t, "stream": args.stream}, [report.to_dict()], violation
+        parameters = {"n": args.n, "s": args.s, "t": args.t, "stream": args.stream}
+        return parameters, [asdict(report)], {"tol": REPORT_TOL, "eps": args.eps}, violation
 
     if cmd == "prop4":
         report = join_cap_scan(args.m, args.s, eps=args.eps)
         violation = report.verdict == "bound_violated"
-        return {"m": args.m, "s": args.s}, [report.to_dict()], violation
+        results = [{**asdict(report), "verdict": report.verdict}]
+        return {"m": args.m, "s": args.s}, results, {"tol": REPORT_TOL, "eps": args.eps}, violation
 
     if cmd == "hunt":
         pat = ForbiddenPattern.from_ts(args.t, args.s)
         report = heuristic_max_q(args.n, pat, budget=args.budget, seed=args.seed, eps=args.eps)
         violation = report.verdict == "bound_violated"
-        return {"n": args.n, "s": args.s, "t": args.t, "budget": args.budget}, [report.to_dict()], violation
+        parameters = {"n": args.n, "s": args.s, "t": args.t, "budget": args.budget}
+        tolerances = {"walk_tol": SEARCH_TOL, "tol": REPORT_TOL, "eps": args.eps}
+        return parameters, [asdict(report)], tolerances, violation
 
     if cmd == "ledger":
         checks = q_cap_ledger(args.s, args.n)
         results = [{"s": args.s, "n": args.n, "checks": checks, "all_passed": all(checks.values())}]
-        return {"s": args.s, "n": args.n}, results, violation
+        return {"s": args.s, "n": args.n}, results, {"eps": LEDGER_EPS}, violation
 
     raise AssertionError(f"unhandled command {cmd}")
 
@@ -317,36 +313,24 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        threads = _threads()
-        parameters, results, violation = _run(args)
+        parameters, results, tolerances, violation = _run(args)
     except QxError as exc:
         sys.stderr.write(f"qx: error: {exc}\n")
         return 2
     except OSError as exc:
         sys.stderr.write(f"qx: error: {exc}\n")
         return 2
-    parameters = dict(parameters)
-    if threads is not None:
-        parameters["threads"] = threads
-    seed = getattr(args, "seed", None)
-    fmt = getattr(args, "format", "json")
-    if fmt == "csv":
-        if args.command != "bounds":
-            sys.stderr.write("qx: error: csv output is only available for bounds sweeps\n")
-            return 1
+    if args.format == "csv":
         sys.stdout.write(_render_csv(_round10(results)))
-    elif fmt == "text":
+    elif args.format == "text":
         sys.stdout.write(_render_text(args.command, _round10(results)))
     else:
         payload = {
             "command": args.command,
             "parameters": _round10(parameters),
             "results": _round10(results),
-            "tolerances": {
-                "tol": getattr(args, "tol", DEFAULT_TOL),
-                "eps": getattr(args, "eps", DEFAULT_EPS),
-            },
-            "seed": seed,
+            "tolerances": tolerances,
+            "seed": getattr(args, "seed", None),
             "runtime_ms": int((time.time() - t0) * 1000),
             "version": __version__,
         }

@@ -18,6 +18,8 @@ from .errors import (
     GenerationFailed,
     HypothesisViolated,
     InvalidOffsets,
+    InvalidParameter,
+    InvariantViolated,
     NoRegularGraphExists,
 )
 from .forbidden import ForbiddenPattern, Witness, find_kst
@@ -41,7 +43,7 @@ class ExtremalSpec:
         if self.s < 1:
             raise HypothesisViolated(f"need s >= 1, got {self.s}")
         if self.strategy not in STRATEGIES:
-            raise ValueError(f"strategy must be one of {STRATEGIES}")
+            raise InvalidParameter(f"strategy must be one of {STRATEGIES}")
 
     @property
     def m(self) -> int:
@@ -131,7 +133,8 @@ def build_extremal(
     clique = complete_graph(spec.t - 1)
 
     def assemble(h: Graph) -> Graph:
-        assert h.regular_degree() == spec.s, "regular part failed its degree check"
+        if h.regular_degree() != spec.s:
+            raise InvariantViolated("regular part failed its degree check")
         return join(clique, h)
 
     attempts = []

@@ -5,6 +5,14 @@ class QxError(Exception):
     """Base class for all toolkit errors."""
 
 
+class InvalidParameter(QxError, ValueError):
+    """Scalar or named parameter outside its allowed range."""
+
+
+class InvariantViolated(QxError):
+    """An internal consistency check failed; the result would be wrong."""
+
+
 # graph construction / codecs
 
 class InvalidEdge(QxError):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import PatternLargerThanGraph
+from .errors import InvalidParameter, InvariantViolated, PatternLargerThanGraph
 from .graphs import Graph, _bits
 
 
@@ -24,9 +24,9 @@ class ForbiddenPattern:
 
     def __post_init__(self):
         if self.t < 2:
-            raise ValueError(f"small side must have t >= 2, got {self.t}")
+            raise InvalidParameter(f"small side must have t >= 2, got {self.t}")
         if self.s_plus_1 < 2:
-            raise ValueError(f"large side must have s+1 >= 2, got {self.s_plus_1}")
+            raise InvalidParameter(f"large side must have s+1 >= 2, got {self.s_plus_1}")
 
     @property
     def s(self) -> int:
@@ -111,10 +111,12 @@ def find_kst(g: Graph, pat: ForbiddenPattern) -> Witness | None:
 
 def _checked(g: Graph, left: tuple[int, ...], right: tuple[int, ...]) -> Witness:
     """Re-verify a witness induces a complete bipartite subgraph."""
-    assert len(set(left) & set(right)) == 0
+    if set(left) & set(right):
+        raise InvariantViolated(f"witness sides {left} and {right} overlap")
     for u in left:
         for v in right:
-            assert g.has_edge(u, v), f"witness edge ({u},{v}) missing"
+            if not g.has_edge(u, v):
+                raise InvariantViolated(f"witness edge ({u},{v}) missing")
     return (left, right)
 
 

@@ -31,6 +31,7 @@ from .errors import (
     HypothesisViolated,
     InvalidBudget,
     InvalidVertexSet,
+    InvariantViolated,
     MalformedGraph6,
     UseStreamSource,
 )
@@ -39,7 +40,7 @@ from .graphs import Graph, _bits, empty_graph, graph6_decode, induced, join
 from .spectral import _jacobi, _power_largest, q_index, q_matrix
 
 BUILTIN_MAX_ORDER = 9
-SEARCH_TOL = 1e-8
+SEARCH_TOL = 1e-8  # annealing walk only; every reported q is scored at REPORT_TOL
 REPORT_TOL = 1e-10
 
 
@@ -84,10 +85,8 @@ def enumerate_levels(max_n: int, keep=None):
 
 def enumerate_graphs(n: int, keep=None) -> list[Graph]:
     """Canonical representatives of all order-n classes passing ``keep``."""
-    for order, kept, _ in enumerate_levels(n, keep):
-        if order == n:
-            return kept
-    raise AssertionError("unreachable")
+    *_, (_, kept, _) = enumerate_levels(n, keep)
+    return kept
 
 
 def _free_predicate(pat: ForbiddenPattern):
@@ -142,26 +141,6 @@ class SearchReport:
     seed: int | None = None
     budget: int | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "s": self.s,
-            "t": self.t,
-            "graphs_seen": self.graphs_seen,
-            "free_graphs": self.free_graphs,
-            "max_q": self.max_q,
-            "argmax": list(self.argmax),
-            "bound_value": self.bound_value,
-            "bound_applicable": self.bound_applicable,
-            "verdict": self.verdict,
-            "argmax_is_extremal_join": self.argmax_is_extremal_join,
-            "exhaustive": self.exhaustive,
-            "eps": self.eps,
-            "seed": self.seed,
-            "budget": self.budget,
-            "runtime_ms": self.runtime_ms,
-        }
-
 
 def _verdict(max_q: float, pat: ForbiddenPattern, n: int, eps: float):
     """Compare a maximum against the conjectured cap, minding its hypothesis."""
@@ -174,41 +153,32 @@ def _verdict(max_q: float, pat: ForbiddenPattern, n: int, eps: float):
     return bound, applicable, verdict
 
 
+def _argmax(scored: list[tuple[float, Graph]], eps: float) -> tuple[float, list[Graph]]:
+    """Top score (0.0 when empty) and every graph scoring within ``eps`` of it."""
+    best = max((q for q, _ in scored), default=0.0)
+    return best, [g for q, g in scored if q >= best - eps]
+
+
 def _finish_report(n, pat, free_list, graphs_seen, free_count, eps, t0, exhaustive,
                    seed=None, budget=None) -> SearchReport:
     """Score free graphs, pick argmaxes, re-verify them, and compare bounds."""
-    best_q = 0.0
-    scored = []
-    for g in free_list:
-        q = q_index(g, SEARCH_TOL).value
-        scored.append((q, g))
-        if q > best_q:
-            best_q = q
-    argmax = []
-    final_max = 0.0
-    for q, g in scored:
-        if q >= best_q - eps:
-            exact = q_index(g, REPORT_TOL).value
-            assert g.n < pat.order or not contains_kst(g, pat), "argmax is not pattern-free"
-            final_max = max(final_max, exact)
-            argmax.append(canonical_graph6(g))
-    argmax = sorted(set(argmax))
-    bound, applicable, verdict = _verdict(final_max, pat, n, eps)
-    join_flag = any(
-        is_extremal_join(graph6_decode(a6), pat.s, pat.t) for a6 in argmax
-    )
+    max_q, top = _argmax([(q_index(g, REPORT_TOL).value, g) for g in free_list], eps)
+    for g in top:
+        if g.n >= pat.order and contains_kst(g, pat):
+            raise InvariantViolated("argmax is not pattern-free")
+    bound, applicable, verdict = _verdict(max_q, pat, n, eps)
     return SearchReport(
         n=n,
         s=pat.s,
         t=pat.t,
         graphs_seen=graphs_seen,
         free_graphs=free_count,
-        max_q=final_max,
-        argmax=argmax,
+        max_q=max_q,
+        argmax=sorted({canonical_graph6(g) for g in top}),
         bound_value=bound,
         bound_applicable=applicable,
         verdict=verdict,
-        argmax_is_extremal_join=join_flag,
+        argmax_is_extremal_join=any(is_extremal_join(g, pat.s, pat.t) for g in top),
         exhaustive=exhaustive,
         eps=eps,
         runtime_ms=int((time.time() - t0) * 1000),
@@ -242,12 +212,12 @@ def exhaustive_max_q(
     relabeling because every line is canonically deduplicated.
     """
     t0 = time.time()
+    keep = _free_predicate(pat)
     if stream is None:
         if n > BUILTIN_MAX_ORDER:
             raise UseStreamSource(f"builtin enumeration capped at order {BUILTIN_MAX_ORDER}")
-        *_, last = exhaustive_scan(n, pat, eps)
-        return last
-    keep = _free_predicate(pat)
+        *_, (_, kept, classes) = enumerate_levels(n, keep)
+        return _finish_report(n, pat, kept, classes, len(kept), eps, t0, True)
     seen: set = set()
     free: dict = {}
     for lineno, line in enumerate(stream, start=1):
@@ -297,22 +267,6 @@ class JoinCapReport:
     def verdict(self) -> str:
         ok = self.all_capped and self.equality_all_regular and self.regular_all_equality
         return "bound_holds" if ok else "bound_violated"
-
-    def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "s": self.s,
-            "classes": self.classes,
-            "bound": self.bound,
-            "max_q": self.max_q,
-            "all_capped": self.all_capped,
-            "equality_graph6": list(self.equality_graph6),
-            "equality_all_regular": self.equality_all_regular,
-            "regular_all_equality": self.regular_all_equality,
-            "verdict": self.verdict,
-            "eps": self.eps,
-            "runtime_ms": self.runtime_ms,
-        }
 
 
 def join_cap_scan(m: int, s: int, eps: float = DEFAULT_EPS) -> JoinCapReport:
@@ -390,25 +344,6 @@ class DominatingScanReport:
     eps: float
     runtime_ms: int
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "s": self.s,
-            "dominating_count": self.dominating_count,
-            "dominating_max_q": self.dominating_max_q,
-            "dominating_argmax": list(self.dominating_argmax),
-            "dominating_capped": self.dominating_capped,
-            "equality_matches_regular_join": self.equality_matches_regular_join,
-            "rest_count": self.rest_count,
-            "rest_max_q": self.rest_max_q,
-            "rest_argmax": list(self.rest_argmax),
-            "rest_below_n": self.rest_below_n,
-            "cap_applicable": self.cap_applicable,
-            "bound": self.bound,
-            "eps": self.eps,
-            "runtime_ms": self.runtime_ms,
-        }
-
 
 def dominating_vertex_scan(n: int, s: int, eps: float = DEFAULT_EPS) -> DominatingScanReport:
     if n > BUILTIN_MAX_ORDER:
@@ -421,10 +356,8 @@ def dominating_vertex_scan(n: int, s: int, eps: float = DEFAULT_EPS) -> Dominati
     for g in enumerate_graphs(n, _free_predicate(pat)):
         q = q_index(g, REPORT_TOL).value
         (dom if g.max_degree() == n - 1 else rest).append((q, g))
-    dom_max = max((q for q, _ in dom), default=0.0)
-    rest_max = max((q for q, _ in rest), default=0.0)
-    dom_argmax = sorted(canonical_graph6(g) for q, g in dom if q >= dom_max - eps)
-    rest_argmax = sorted(canonical_graph6(g) for q, g in rest if q >= rest_max - eps)
+    dom_max, dom_top = _argmax(dom, eps)
+    rest_max, rest_top = _argmax(rest, eps)
     capped = all(q <= bound + eps for q, _ in dom)
     eq_ok = all(
         (abs(q - bound) <= eps) == is_extremal_join(g, s, 2) for q, g in dom
@@ -434,12 +367,12 @@ def dominating_vertex_scan(n: int, s: int, eps: float = DEFAULT_EPS) -> Dominati
         s=s,
         dominating_count=len(dom),
         dominating_max_q=dom_max,
-        dominating_argmax=dom_argmax,
+        dominating_argmax=sorted(canonical_graph6(g) for g in dom_top),
         dominating_capped=capped,
         equality_matches_regular_join=eq_ok,
         rest_count=len(rest),
         rest_max_q=rest_max,
-        rest_argmax=rest_argmax,
+        rest_argmax=sorted(canonical_graph6(g) for g in rest_top),
         rest_below_n=rest_max < n,
         cap_applicable=q_bound_t2_applicable(n, s),
         bound=bound,
@@ -501,6 +434,8 @@ def heuristic_max_q(
     proposal but is never evaluated or accepted.  Deterministic per seed.
     Returns a lower-bound report (``exhaustive=False``).
     """
+    if n < 2:
+        raise InvalidVertexSet(f"an edge-toggle walk needs n >= 2, got {n}")
     if budget < 1:
         raise InvalidBudget(f"budget must be >= 1, got {budget}")
     t0 = time.time()

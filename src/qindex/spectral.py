@@ -1,12 +1,12 @@
-"""Largest-eigenvalue solvers for the signless Laplacian Q = A + D and the
+"""Eigenvalue solvers for the signless Laplacian Q = A + D and the
 adjacency matrix A.
 
-Fast path: power iteration on the entrywise-nonnegative matrix, per
-connected component (so the iteration always acts on a primitive matrix
-and converges geometrically).  Convergence is certified by the residual
-||Mx - qx||; on hitting the iteration cap the solver falls back to a full
-cyclic-Jacobi decomposition rather than failing silently.  The Jacobi
-routine doubles as the independent oracle for the whole spectrum.
+Largest eigenvalue: power iteration on the entrywise-nonnegative matrix,
+per connected component (so the iteration always acts on a primitive
+matrix and converges geometrically).  Convergence is certified by the
+residual ||Mx - qx||; on hitting the iteration cap the solver falls back to
+a full cyclic-Jacobi decomposition rather than failing silently.  The whole
+spectrum comes from LAPACK (``numpy.linalg.eigvalsh``).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidVector, Unsupported
+from .errors import InvalidParameter, InvalidVector, Unsupported
 from .graphs import Graph, _bits
 
 DEFAULT_TOL = 1e-10
@@ -79,8 +79,8 @@ def _power_largest(m: np.ndarray, tol: float, max_iter: int, x0=None):
     return lam, x, res, it, False
 
 
-def _jacobi(m: np.ndarray, with_vectors: bool = True):
-    """Cyclic Jacobi sweeps; returns (eigenvalues ascending, vectors or None).
+def _jacobi(m: np.ndarray):
+    """Cyclic Jacobi sweeps; returns (eigenvalues ascending, eigenvectors).
 
     Sweeps run until the off-diagonal Frobenius mass drops below 1e-14
     relative to the matrix scale; quadratic convergence makes that a
@@ -88,7 +88,7 @@ def _jacobi(m: np.ndarray, with_vectors: bool = True):
     """
     a = np.array(m, dtype=float)
     k = a.shape[0]
-    v = np.eye(k) if with_vectors else None
+    v = np.eye(k)
     if k == 1:
         return a.diagonal().copy(), v
     scale = max(1.0, float(np.linalg.norm(a)))
@@ -117,18 +117,15 @@ def _jacobi(m: np.ndarray, with_vectors: bool = True):
                 cq = a[:, q].copy()
                 a[:, p] = c * cp - s * cq
                 a[:, q] = s * cp + c * cq
-                if with_vectors:
-                    vp = v[:, p].copy()
-                    vq = v[:, q].copy()
-                    v[:, p] = c * vp - s * vq
-                    v[:, q] = s * vp + c * vq
+                vp = v[:, p].copy()
+                vq = v[:, q].copy()
+                v[:, p] = c * vp - s * vq
+                v[:, q] = s * vp + c * vq
     else:
         raise RuntimeError("Jacobi sweeps failed to reduce off-diagonal mass")
     w = a.diagonal().copy()
     order = np.argsort(w, kind="stable")
-    if with_vectors:
-        return w[order], v[:, order]
-    return w[order], None
+    return w[order], v[:, order]
 
 
 def _component_matrix(g: Graph, comp_mask: int, which: str) -> tuple[np.ndarray, list[int]]:
@@ -186,27 +183,24 @@ def _largest_per_component(g: Graph, which: str, tol: float, max_iter: int) -> S
 
 def q_index(g: Graph, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> SpectralResult:
     """Largest eigenvalue of the signless Laplacian A + D."""
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    if not tol > 0:  # also rejects NaN, which no residual can ever meet
+        raise InvalidParameter(f"tolerance must be positive, got {tol}")
     return _largest_per_component(g, "Q", tol, max_iter)
 
 
 def adjacency_radius(g: Graph, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> SpectralResult:
     """Largest eigenvalue (spectral radius) of the adjacency matrix."""
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    if not tol > 0:  # also rejects NaN, which no residual can ever meet
+        raise InvalidParameter(f"tolerance must be positive, got {tol}")
     return _largest_per_component(g, "A", tol, max_iter)
 
 
 def full_spectrum(g: Graph, matrix: str = "Q") -> list[float]:
-    """All n eigenvalues of Q or A, ascending, via the Jacobi oracle."""
+    """All n eigenvalues of Q or A, ascending, from LAPACK."""
     if matrix not in ("Q", "A"):
         raise Unsupported(f"matrix must be 'Q' or 'A', got {matrix!r}")
-    if g.n > 64:
-        raise Unsupported("full decomposition capped at order 64")
     m = q_matrix(g) if matrix == "Q" else adjacency_matrix(g)
-    w, _ = _jacobi(m, with_vectors=False)
-    return [float(x) for x in w]
+    return np.linalg.eigvalsh(m).tolist()
 
 
 def rayleigh_edge_form(g: Graph, x) -> float:

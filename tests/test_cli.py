@@ -1,5 +1,7 @@
+import ast
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -173,14 +175,66 @@ class TestExitCodes:
         assert code == 3
         assert json.loads(out)["results"][0]["verdict"] == "bound_violated"
 
-
-class TestThreads:
-    def test_threads_recorded(self, capsys, monkeypatch):
-        monkeypatch.setenv("QX_THREADS", "4")
-        _, out, _ = run(capsys, "ledger", "--s", "1", "--n", "13")
-        assert json.loads(out)["parameters"]["threads"] == 4
-
-    def test_bad_threads(self, capsys, monkeypatch):
-        monkeypatch.setenv("QX_THREADS", "zero")
-        code, _, err = run(capsys, "ledger", "--s", "1", "--n", "13")
+    @pytest.mark.parametrize("argv", [
+        ("hunt", "--n", "1", "--t", "2", "--s", "1", "--budget", "10"),
+        ("free-check", "FILE", "--t", "1", "--s", "1"),
+        ("verify", "--n", "5", "--t", "2", "--s", "0"),
+        ("construct", "--n", "6", "--s", "2", "--t", "2", "--tol", "0"),
+        ("qindex", "FILE", "--tol", "nan"),
+    ])
+    def test_bad_input_is_a_computation_error(self, capsys, g6_file, argv):
+        argv = [g6_file if a == "FILE" else a for a in argv]
+        code, _, err = run(capsys, *argv)
         assert code == 2
+        assert "qx: error:" in err
+        assert "Traceback" not in err
+
+
+class TestFlags:
+    @pytest.mark.parametrize("argv", [
+        ("hunt", "--n", "6", "--t", "2", "--s", "1", "--budget", "10", "--tol", "1e-3"),
+        ("spectrum", "FILE", "--eps", "1"),
+        ("verify", "--n", "5", "--t", "2", "--s", "1", "--format", "csv"),
+    ])
+    def test_flag_a_command_ignores_is_a_usage_error(self, capsys, g6_file, argv):
+        argv = [g6_file if a == "FILE" else a for a in argv]
+        assert run(capsys, *argv)[0] == 1
+
+    def test_tolerances_are_the_ones_used(self, capsys, g6_file):
+        _, out, _ = run(capsys, "qindex", g6_file, "--tol", "1e-9")
+        assert json.loads(out)["tolerances"] == {"tol": 1e-9}
+        _, out, _ = run(capsys, "verify", "--n", "5", "--t", "2", "--s", "1", "--eps", "1e-6")
+        assert json.loads(out)["tolerances"] == {"tol": 1e-10, "eps": 1e-6}
+
+
+SEARCH_KEYS = {
+    "n", "s", "t", "graphs_seen", "free_graphs", "max_q", "argmax", "bound_value",
+    "bound_applicable", "verdict", "argmax_is_extremal_join", "exhaustive", "eps",
+    "runtime_ms", "seed", "budget",
+}
+JOIN_CAP_KEYS = {
+    "m", "s", "classes", "bound", "max_q", "all_capped", "equality_graph6",
+    "equality_all_regular", "regular_all_equality", "verdict", "eps", "runtime_ms",
+}
+
+
+@pytest.mark.parametrize("argv, keys", [
+    (("verify", "--n", "5", "--t", "2", "--s", "1"), SEARCH_KEYS),
+    (("prop4", "--m", "5", "--s", "2"), JOIN_CAP_KEYS),
+    (("hunt", "--n", "6", "--t", "2", "--s", "1", "--budget", "50"), SEARCH_KEYS),
+])
+def test_report_keys_pinned(capsys, argv, keys):
+    _, out, _ = run(capsys, *argv)
+    assert set(json.loads(out)["results"][0]) == keys
+
+
+def test_no_assert_statements_in_src():
+    # invariant checks must survive ``python -O``
+    src = Path(cli.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -102,6 +103,13 @@ class TestExhaustive:
         report = exhaustive_max_q(3, ForbiddenPattern(2, 2))
         assert report.free_graphs == 4
         assert report.max_q == pytest.approx(4.0, abs=1e-9)
+
+    @pytest.mark.parametrize("t, s", [(2, 1), (2, 2), (3, 2)])
+    def test_max_q_matches_scan_at_each_order(self, t, s):
+        pat = ForbiddenPattern.from_ts(t, s)
+        for n, scanned in enumerate(exhaustive_scan(6, pat), start=1):
+            direct = exhaustive_max_q(n, pat)
+            assert replace(direct, runtime_ms=0) == replace(scanned, runtime_ms=0)
 
     def test_builtin_cap(self):
         with pytest.raises(UseStreamSource):
