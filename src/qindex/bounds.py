@@ -2,10 +2,9 @@
 of numeric inequality steps behind the q(G) < n cap for graphs without a
 dominating vertex.
 
-Everything here is pure double-precision arithmetic.  Comparisons against
+The closed forms are double-precision arithmetic.  Comparisons against
 computed eigenvalues belong to the callers, who must bring an explicit
-slack; the only epsilons used internally are the ledger's, documented on
-``q_cap_ledger``.
+slack; the ledger's steps are rational and are checked exactly, with none.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from .errors import (
 from .graphs import Graph, _bits
 
 DEFAULT_EPS = 1e-7
-LEDGER_EPS = 1e-9
 
 
 def adjacency_bound(n: int, s: int, t: int) -> float:
@@ -113,7 +111,7 @@ def q_bound_window(n: int, s: int) -> tuple[float, float]:
     return (float(n), n + 2.0 * s / (n - 2 * s))
 
 
-def q_cap_ledger(s: int, n: int, eps: float = LEDGER_EPS) -> dict[str, bool]:
+def q_cap_ledger(s: int, n: int) -> dict[str, bool]:
     """Named inequality checks certifying q(G) < n for K_{2,s+1}-free graphs
     of order n >= s^2 + 6s + 6 without a dominating vertex.
 
@@ -121,9 +119,10 @@ def q_cap_ledger(s: int, n: int, eps: float = LEDGER_EPS) -> dict[str, bool]:
     n-s-2, the convex majorant g(x) = x + 1 + (n-1)s/x is evaluated at the
     interval ends; for the near-dominating regime, the two branch values of
     x + 2s/(x - 2s) are compared and the tail terms are relaxed to the
-    constants 2/5 and 24/49.  Non-strict steps in the chain attain equality
-    at the threshold order, so they are tested with slack ``eps``; the
-    strict ``< n`` steps have real margin and are tested as written.
+    constants 2/5 and 24/49.  Every step is rational, so each is checked
+    exactly in ``Fraction`` arithmetic; non-strict steps that attain
+    equality at the threshold order (``tail_linear`` does, for every s)
+    pass without any slack.
     """
     if s < 1:
         raise HypothesisViolated(f"need s >= 1, got {s}")
@@ -131,7 +130,11 @@ def q_cap_ledger(s: int, n: int, eps: float = LEDGER_EPS) -> dict[str, bool]:
     if n < threshold:
         raise HypothesisViolated(f"ledger needs n >= s^2+6s+6 = {threshold}, got n={n}")
 
-    def g_of(x: float) -> float:
+    from fractions import Fraction  # here, not at the top: it adds ~8 ms to every qx start
+
+    s, n = Fraction(s), Fraction(n)
+
+    def g_of(x: Fraction) -> Fraction:
         return x + 1 + (n - 1) * s / x
 
     checks: dict[str, bool] = {}
@@ -139,13 +142,11 @@ def q_cap_ledger(s: int, n: int, eps: float = LEDGER_EPS) -> dict[str, bool]:
     checks["majorant_at_high_degree"] = g_of(n - s - 2) < n
     branch_max = max(s + 3 + (n - 1) * s / (s + 2), n - s - 1 + (n - 1) * s / (n - s - 2))
     checks["degree_branch_max"] = branch_max < n
-    checks["regime_comparison"] = (
-        n - s + 2 * s / (n - 3 * s) <= n - 1 + 2 * s / (n - 1 - 2 * s) + eps
-    )
-    checks["tail_linear"] = 2 * s / (n - 1 - 2 * s) <= 2 / (s + 4 + 5 / s) + eps
-    checks["tail_quadratic"] = 24 * s * s / (n * n) <= 24 / (s + 6 + 6 / s) ** 2 + eps
-    checks["relax_linear"] = 2 / (s + 4 + 5 / s) <= 2 / 5 + eps
-    checks["relax_quadratic"] = 24 / (s + 6 + 6 / s) ** 2 <= 24 / 49 + eps
+    checks["regime_comparison"] = n - s + 2 * s / (n - 3 * s) <= n - 1 + 2 * s / (n - 1 - 2 * s)
+    checks["tail_linear"] = 2 * s / (n - 1 - 2 * s) <= 2 / (s + 4 + 5 / s)
+    checks["tail_quadratic"] = 24 * s * s / (n * n) <= 24 / (s + 6 + 6 / s) ** 2
+    checks["relax_linear"] = 2 / (s + 4 + 5 / s) <= Fraction(2, 5)
+    checks["relax_quadratic"] = 24 / (s + 6 + 6 / s) ** 2 <= Fraction(24, 49)
     checks["final_chain"] = n - 1 + 2 * s / (n - 1 - 2 * s) + 24 * s * s / (n * n) < n
     return checks
 

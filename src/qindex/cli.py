@@ -25,7 +25,7 @@ import time
 from dataclasses import asdict
 
 from . import __version__
-from .bounds import DEFAULT_EPS, LEDGER_EPS, bound_report, conjecture_bound, merris_bound, q_cap_ledger
+from .bounds import DEFAULT_EPS, bound_report, conjecture_bound, merris_bound, q_cap_ledger
 from .constructions import ExtremalSpec, build_extremal
 from .errors import NoEdges, QxError
 from .forbidden import ForbiddenPattern, find_kst
@@ -264,7 +264,7 @@ def _run(args) -> tuple[dict, list, dict, bool]:
     if cmd == "ledger":
         checks = q_cap_ledger(args.s, args.n)
         results = [{"s": args.s, "n": args.n, "checks": checks, "all_passed": all(checks.values())}]
-        return {"s": args.s, "n": args.n}, results, {"eps": LEDGER_EPS}, violation
+        return {"s": args.s, "n": args.n}, results, {}, violation
 
     raise AssertionError(f"unhandled command {cmd}")
 

@@ -22,7 +22,7 @@ from .errors import (
     InvariantViolated,
     NoRegularGraphExists,
 )
-from .forbidden import ForbiddenPattern, Witness, find_kst
+from .forbidden import ForbiddenPattern, Witness, contains_kst, find_kst
 from .graphs import Graph, complete_graph, empty_graph, from_edge_list, join
 
 STRATEGIES = ("circulant", "random_regular")
@@ -180,10 +180,5 @@ def is_design_graph(g: Graph, s: int) -> bool:
     k = g.regular_degree()
     if k is None or k * (k - 1) != s * (n - 1):
         return False
-    for u in range(n):
-        au = g.adj[u]
-        for v in range(u + 1, n):
-            common = (au & g.adj[v] & ~(1 << u) & ~(1 << v)).bit_count()
-            if common != s:
-                return False
-    return True
+    # pairs share n*C(k,2) = s*C(n,2) common neighbors in all, so none above s means all exactly s
+    return not contains_kst(g, ForbiddenPattern.from_ts(2, s))

@@ -1,15 +1,20 @@
 """Complete-bipartite subgraph detection via codegree counting.
 
 A graph contains K_{t,s+1} as a subgraph exactly when some t vertices have
-at least s+1 common neighbors outside the t-set, so detection reduces to a
-max-codegree computation over t-subsets.  Pairs (t = 2) go through a direct
-bitset-intersection pass; larger t walks t-subsets lexicographically,
-pruning branches whose running intersection is already too small.
+at least s+1 common neighbors outside the t-set.  Every question asked here
+(a witness, a yes/no answer, the largest codegree, whether some copy has a
+given vertex on its t-side) is answered by one walk over the t-subsets of
+raw adjacency masks, in lexicographic order, that cuts a branch as soon as
+the running intersection of neighborhoods is too small.  The walk takes a
+sequence of masks rather than a ``Graph`` so that the annealing search can
+run it on its mutable state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
+from typing import Sequence
 
 from .errors import InvalidParameter, InvariantViolated, PatternLargerThanGraph
 from .graphs import Graph, _bits
@@ -47,66 +52,48 @@ class ForbiddenPattern:
 Witness = tuple[tuple[int, ...], tuple[int, ...]]
 
 
+def _walk(adj: Sequence[int], t: int, need: int, anchor: int | None = None) -> Witness | None:
+    """First t-set in lexicographic order (among those containing ``anchor``,
+    when given) with at least ``need`` common neighbors outside itself,
+    paired with the ``need`` smallest of them; None when there is none.
+
+    Masks carry no loops, so an intersection of neighborhoods never meets
+    the t-set itself.  Removing the anchor from every t-set keeps their
+    lexicographic order, so the anchored walk runs over (t-1)-sets of the
+    other vertices, starting from the anchor's neighborhood.
+    """
+    n = len(adj)
+    chosen = [] if anchor is None else [anchor]
+    base = (1 << n) - 1 if anchor is None else adj[anchor]
+
+    def extend(start: int, inter: int) -> Witness | None:
+        if len(chosen) == t:
+            return tuple(sorted(chosen)), tuple(islice(_bits(inter), need))
+        for v in range(start, n):
+            nxt = inter & adj[v]
+            # the intersection only shrinks as the t-set grows
+            if v == anchor or nxt.bit_count() < need:
+                continue
+            chosen.append(v)
+            found = extend(v + 1, nxt)
+            chosen.pop()
+            if found is not None:
+                return found
+        return None
+
+    return extend(0, base) if base.bit_count() >= need else None
+
+
 def find_kst(g: Graph, pat: ForbiddenPattern) -> Witness | None:
     """First witness of K_{t,s+1} in lexicographic order, or None.
 
     A witness is (t-set, (s+1)-set): the smallest t-subset with codegree
     >= s+1, paired with its s+1 smallest common neighbors off the t-set.
     """
-    t, need = pat.t, pat.s_plus_1
-    if t > g.n:
-        raise PatternLargerThanGraph(f"{pat} needs {t} left vertices, graph has {g.n}")
-    if pat.order > g.n:
-        return None
-    adj = g.adj
-    n = g.n
-    if t == 2:
-        for u in range(n - 1):
-            au = adj[u]
-            for v in range(u + 1, n):
-                common = au & adj[v] & ~(1 << u) & ~(1 << v)
-                if common.bit_count() >= need:
-                    right = []
-                    for w in _bits(common):
-                        right.append(w)
-                        if len(right) == need:
-                            break
-                    return _checked(g, (u, v), tuple(right))
-        return None
-
-    found: Witness | None = None
-
-    def extend(start: int, chosen: list[int], inter: int):
-        nonlocal found
-        if found is not None:
-            return
-        if len(chosen) == t:
-            mask = 0
-            for c in chosen:
-                mask |= 1 << c
-            outside = inter & ~mask
-            if outside.bit_count() >= need:
-                right = []
-                for w in _bits(outside):
-                    right.append(w)
-                    if len(right) == need:
-                        break
-                found = _checked(g, tuple(chosen), tuple(right))
-            return
-        remaining = t - len(chosen)
-        for v in range(start, n - remaining + 1):
-            nxt = inter & adj[v] if chosen else adj[v]
-            # the final outside-count can never exceed the running intersection
-            if nxt.bit_count() < need:
-                continue
-            chosen.append(v)
-            extend(v + 1, chosen, nxt)
-            chosen.pop()
-            if found is not None:
-                return
-
-    extend(0, [], (1 << n) - 1)
-    return found
+    if pat.t > g.n:
+        raise PatternLargerThanGraph(f"{pat} needs {pat.t} left vertices, graph has {g.n}")
+    found = _walk(g.adj, pat.t, pat.s_plus_1)
+    return None if found is None else _checked(g, *found)
 
 
 def _checked(g: Graph, left: tuple[int, ...], right: tuple[int, ...]) -> Witness:
@@ -125,37 +112,17 @@ def contains_kst(g: Graph, pat: ForbiddenPattern) -> bool:
     return find_kst(g, pat) is not None
 
 
+def _contains_through(adj: Sequence[int], pat: ForbiddenPattern, anchor: int) -> bool:
+    """Whether some K_{t,s+1} in the graph with masks ``adj`` has ``anchor``
+    on its t-side."""
+    return _walk(adj, pat.t, pat.s_plus_1, anchor) is not None
+
+
 def max_codegree(g: Graph, t: int) -> int:
     """max over t-subsets X of |common neighborhood of X outside X|."""
     if not 2 <= t <= g.n:
         raise PatternLargerThanGraph(f"subset size {t} outside 2..{g.n}")
-    adj = g.adj
-    n = g.n
-    best = 0
-    if t == 2:
-        for u in range(n - 1):
-            au = adj[u]
-            for v in range(u + 1, n):
-                c = (au & adj[v] & ~(1 << u) & ~(1 << v)).bit_count()
-                if c > best:
-                    best = c
-        return best
-
-    def extend(start: int, chosen: list[int], inter: int, mask: int):
-        nonlocal best
-        if len(chosen) == t:
-            c = (inter & ~mask).bit_count()
-            if c > best:
-                best = c
-            return
-        remaining = t - len(chosen)
-        for v in range(start, n - remaining + 1):
-            nxt = inter & adj[v] if chosen else adj[v]
-            if nxt.bit_count() <= best:
-                continue  # intersection only shrinks; cannot beat best
-            chosen.append(v)
-            extend(v + 1, chosen, nxt, mask | (1 << v))
-            chosen.pop()
-
-    extend(0, [], (1 << n) - 1, 0)
-    return best
+    need = 1
+    while _walk(g.adj, t, need) is not None:
+        need += 1
+    return need - 1

@@ -30,14 +30,16 @@ from .errors import (
     DiscriminantNegative,
     HypothesisViolated,
     InvalidBudget,
+    InvalidParameter,
     InvalidVertexSet,
     InvariantViolated,
     MalformedGraph6,
+    OrderOverflow,
     UseStreamSource,
 )
-from .forbidden import ForbiddenPattern, contains_kst
-from .graphs import Graph, _bits, empty_graph, graph6_decode, induced, join
-from .spectral import _jacobi, _power_largest, q_index, q_matrix
+from .forbidden import ForbiddenPattern, _contains_through, contains_kst
+from .graphs import MAX_ORDER, Graph, _bits, empty_graph, graph6_decode, induced, join
+from .spectral import _jacobi, _power_largest, q_index
 
 BUILTIN_MAX_ORDER = 9
 SEARCH_TOL = 1e-8  # annealing walk only; every reported q is scored at REPORT_TOL
@@ -142,6 +144,13 @@ class SearchReport:
     budget: int | None = None
 
 
+def _check_eps(eps: float) -> None:
+    """Reject a slack that is negative, NaN or infinite: any of them would
+    turn the comparison with the cap into a made-up verdict."""
+    if not 0 <= eps < math.inf:
+        raise InvalidParameter(f"eps must be finite and >= 0, got {eps}")
+
+
 def _verdict(max_q: float, pat: ForbiddenPattern, n: int, eps: float):
     """Compare a maximum against the conjectured cap, minding its hypothesis."""
     try:
@@ -189,6 +198,7 @@ def _finish_report(n, pat, free_list, graphs_seen, free_count, eps, t0, exhausti
 
 def exhaustive_scan(max_n: int, pat: ForbiddenPattern, eps: float = DEFAULT_EPS) -> list[SearchReport]:
     """One SearchReport per order 1..max_n from a single builtin enumeration."""
+    _check_eps(eps)
     if max_n > BUILTIN_MAX_ORDER:
         raise UseStreamSource(f"builtin enumeration capped at order {BUILTIN_MAX_ORDER}")
     reports = []
@@ -211,6 +221,7 @@ def exhaustive_max_q(
     enumerator (required for n > 9); the scan is invariant under input
     relabeling because every line is canonically deduplicated.
     """
+    _check_eps(eps)
     t0 = time.time()
     keep = _free_predicate(pat)
     if stream is None:
@@ -271,6 +282,7 @@ class JoinCapReport:
 
 def join_cap_scan(m: int, s: int, eps: float = DEFAULT_EPS) -> JoinCapReport:
     """Exhaustively verify the hub-join cap over every H with max degree <= s."""
+    _check_eps(eps)
     if m > 8:
         raise UseStreamSource("join scan enumerates H internally; capped at order 8")
     if s < 1:
@@ -346,6 +358,7 @@ class DominatingScanReport:
 
 
 def dominating_vertex_scan(n: int, s: int, eps: float = DEFAULT_EPS) -> DominatingScanReport:
+    _check_eps(eps)
     if n > BUILTIN_MAX_ORDER:
         raise UseStreamSource(f"builtin enumeration capped at order {BUILTIN_MAX_ORDER}")
     t0 = time.time()
@@ -383,41 +396,6 @@ def dominating_vertex_scan(n: int, s: int, eps: float = DEFAULT_EPS) -> Dominati
 
 # simulated annealing
 
-def _contains_through(g: Graph, pat: ForbiddenPattern, anchor: int) -> bool:
-    """Whether some K_{t,s+1} has ``anchor`` on its t-side."""
-    t, need = pat.t, pat.s_plus_1
-    n = g.n
-    if pat.order > n:
-        return False
-    adj = g.adj
-    base = adj[anchor]
-    if base.bit_count() < need:
-        return False
-    if t == 2:
-        for w in range(n):
-            if w == anchor:
-                continue
-            common = base & adj[w] & ~(1 << anchor) & ~(1 << w)
-            if common.bit_count() >= need:
-                return True
-        return False
-
-    def extend(start: int, depth: int, inter: int, mask: int) -> bool:
-        if depth == t:
-            return (inter & ~mask).bit_count() >= need
-        for v in range(start, n):
-            if v == anchor:
-                continue
-            nxt = inter & adj[v]
-            if nxt.bit_count() < need:
-                continue
-            if extend(v + 1, depth + 1, nxt, mask | (1 << v)):
-                return True
-        return False
-
-    return extend(0, 1, base, 1 << anchor)
-
-
 def heuristic_max_q(
     n: int,
     pat: ForbiddenPattern,
@@ -436,18 +414,21 @@ def heuristic_max_q(
     """
     if n < 2:
         raise InvalidVertexSet(f"an edge-toggle walk needs n >= 2, got {n}")
+    if n > MAX_ORDER:
+        raise OrderOverflow(f"graph order {n} exceeds the ceiling of {MAX_ORDER}")
     if budget < 1:
         raise InvalidBudget(f"budget must be >= 1, got {budget}")
+    _check_eps(eps)
     t0 = time.time()
     rng = random.Random(seed)
     alpha = (t_end / t_start) ** (1.0 / budget)
     temp = t_start
-    g = empty_graph(n)
-    m = q_matrix(g)
+    adj = [0] * n  # the walk's graph as neighbor masks, toggled in place
+    m = np.zeros((n, n))  # its Q matrix, kept in step with adj
     x = np.full(n, 1.0 / math.sqrt(n))
     q_cur = 0.0
     best_q = -1.0
-    best_g = g
+    best_adj = tuple(adj)
     evaluated = 0
     for _ in range(budget):
         temp *= alpha
@@ -455,9 +436,12 @@ def heuristic_max_q(
         v = rng.randrange(n - 1)
         if v >= u:
             v += 1
-        adding = not g.has_edge(u, v)
-        g2 = g.with_toggled_edge(u, v)
-        if adding and (_contains_through(g2, pat, u) or _contains_through(g2, pat, v)):
+        adding = not adj[u] >> v & 1
+        adj[u] ^= 1 << v
+        adj[v] ^= 1 << u
+        if adding and (_contains_through(adj, pat, u) or _contains_through(adj, pat, v)):
+            adj[u] ^= 1 << v
+            adj[v] ^= 1 << u
             continue
         delta = 1.0 if adding else -1.0
         m[u, v] += delta
@@ -473,17 +457,18 @@ def heuristic_max_q(
         evaluated += 1
         dq = q_new - q_cur
         if dq >= 0 or rng.random() < math.exp(dq / temp):
-            g = g2
             q_cur = q_new
             x = x_new
             if q_new > best_q:
                 best_q = q_new
-                best_g = g2
+                best_adj = tuple(adj)
         else:
+            adj[u] ^= 1 << v
+            adj[v] ^= 1 << u
             m[u, v] -= delta
             m[v, u] -= delta
             m[u, u] -= delta
             m[v, v] -= delta
     return _finish_report(
-        n, pat, [best_g], budget, evaluated, eps, t0, False, seed=seed, budget=budget
+        n, pat, [Graph(n, best_adj)], budget, evaluated, eps, t0, False, seed=seed, budget=budget
     )

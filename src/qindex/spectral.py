@@ -183,15 +183,15 @@ def _largest_per_component(g: Graph, which: str, tol: float, max_iter: int) -> S
 
 def q_index(g: Graph, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> SpectralResult:
     """Largest eigenvalue of the signless Laplacian A + D."""
-    if not tol > 0:  # also rejects NaN, which no residual can ever meet
-        raise InvalidParameter(f"tolerance must be positive, got {tol}")
+    if not 0 < tol < np.inf:  # also rejects NaN, which no residual can ever meet
+        raise InvalidParameter(f"tolerance must be finite and positive, got {tol}")
     return _largest_per_component(g, "Q", tol, max_iter)
 
 
 def adjacency_radius(g: Graph, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> SpectralResult:
     """Largest eigenvalue (spectral radius) of the adjacency matrix."""
-    if not tol > 0:  # also rejects NaN, which no residual can ever meet
-        raise InvalidParameter(f"tolerance must be positive, got {tol}")
+    if not 0 < tol < np.inf:  # also rejects NaN, which no residual can ever meet
+        raise InvalidParameter(f"tolerance must be finite and positive, got {tol}")
     return _largest_per_component(g, "A", tol, max_iter)
 
 

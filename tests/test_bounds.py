@@ -176,8 +176,11 @@ class TestCapLedger:
             q_cap_ledger(1, 4)
 
     def test_full_grid(self):
-        for s in range(1, 7):
-            for n in range(s * s + 6 * s + 6, 201):
+        # exact arithmetic: every check holds with no slack, also where the
+        # chain is tight (tail_linear at the threshold order)
+        for s in range(1, 40):
+            threshold = s * s + 6 * s + 6
+            for n in range(threshold, max(201, threshold + 60)):
                 checks = q_cap_ledger(s, n)
                 assert all(checks.values()), (s, n, checks)
 

@@ -181,6 +181,11 @@ class TestExitCodes:
         ("verify", "--n", "5", "--t", "2", "--s", "0"),
         ("construct", "--n", "6", "--s", "2", "--t", "2", "--tol", "0"),
         ("qindex", "FILE", "--tol", "nan"),
+        ("qindex", "FILE", "--tol", "inf"),
+        ("verify", "--n", "3", "--t", "2", "--s", "1", "--eps", "-5"),
+        ("verify", "--n", "3", "--t", "2", "--s", "1", "--eps", "nan"),
+        ("prop4", "--m", "4", "--s", "1", "--eps", "-1"),
+        ("hunt", "--n", "6", "--t", "2", "--s", "1", "--budget", "10", "--eps", "inf"),
     ])
     def test_bad_input_is_a_computation_error(self, capsys, g6_file, argv):
         argv = [g6_file if a == "FILE" else a for a in argv]
@@ -205,6 +210,8 @@ class TestFlags:
         assert json.loads(out)["tolerances"] == {"tol": 1e-9}
         _, out, _ = run(capsys, "verify", "--n", "5", "--t", "2", "--s", "1", "--eps", "1e-6")
         assert json.loads(out)["tolerances"] == {"tol": 1e-10, "eps": 1e-6}
+        _, out, _ = run(capsys, "ledger", "--s", "2", "--n", "22")
+        assert json.loads(out)["tolerances"] == {}
 
 
 SEARCH_KEYS = {

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from qindex.errors import PatternLargerThanGraph
-from qindex.forbidden import ForbiddenPattern, contains_kst, find_kst, max_codegree
+from qindex.forbidden import ForbiddenPattern, _contains_through, contains_kst, find_kst, max_codegree
 from qindex.graphs import complete_graph, cycle_graph, from_edge_list
 from conftest import random_graph
 
@@ -18,6 +18,18 @@ def brute_force_contains(g, t, s_plus_1):
         for right in itertools.combinations(rest, s_plus_1):
             if all(g.has_edge(u, v) for u in left for v in right):
                 return True
+    return False
+
+
+def brute_force_contains_through(g, t, s_plus_1, anchor):
+    """Independent oracle: some t-set holding ``anchor`` has s+1 common
+    neighbors outside itself."""
+    others = [v for v in range(g.n) if v != anchor]
+    for rest in itertools.combinations(others, t - 1):
+        left = {anchor, *rest}
+        common = set.intersection(*[set(g.neighbors(x)) for x in left]) - left
+        if len(common) >= s_plus_1:
+            return True
     return False
 
 
@@ -69,6 +81,22 @@ class TestOracleEquivalence:
                 for s in (1, 2, 3):
                     pat = ForbiddenPattern.from_ts(t, s)
                     assert contains_kst(g, pat) == brute_force_contains(g, t, s + 1)
+
+    def test_anchored_walk_at_every_anchor(self):
+        rng = random.Random(909)
+        hits = checks = 0
+        for _ in range(150):
+            n = rng.randint(3, 10)
+            g = random_graph(rng, n, rng.choice([0.3, 0.5, 0.7]))
+            for t in (2, 3):
+                for s in (1, 2):
+                    pat = ForbiddenPattern.from_ts(t, s)
+                    for anchor in range(n):
+                        got = _contains_through(g.adj, pat, anchor)
+                        assert got == brute_force_contains_through(g, t, s + 1, anchor)
+                        hits += got
+                        checks += 1
+        assert 500 < hits < checks - 500  # both answers are exercised
 
     def test_consistency_with_max_codegree(self):
         rng = random.Random(17)

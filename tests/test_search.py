@@ -5,9 +5,10 @@ from dataclasses import replace
 
 import pytest
 
+import qindex.search as search
 from qindex.bounds import q_bound_t2
 from qindex.canonical import canonical_graph6, canonical_key, refinement_cells
-from qindex.errors import InvalidBudget, InvalidVertexSet, MalformedGraph6, UseStreamSource
+from qindex.errors import InvalidBudget, InvalidVertexSet, MalformedGraph6, OrderOverflow, UseStreamSource
 from qindex.forbidden import ForbiddenPattern
 from qindex.graphs import (
     complete_graph,
@@ -231,6 +232,14 @@ class TestHeuristic:
     def test_bad_budget(self):
         with pytest.raises(InvalidBudget):
             heuristic_max_q(5, ForbiddenPattern(2, 2), budget=0, seed=0)
+
+    def test_order_above_ceiling_fails_before_walking(self, monkeypatch):
+        def walked(*args):
+            raise AssertionError("the walk ran before the order was checked")
+
+        monkeypatch.setattr(search, "_contains_through", walked)
+        with pytest.raises(OrderOverflow):
+            heuristic_max_q(63, ForbiddenPattern(2, 2), budget=10 ** 6, seed=0)
 
 
 class TestHuntAtProvedThreshold:
