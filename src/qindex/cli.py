@@ -30,7 +30,7 @@ from .constructions import ExtremalSpec, build_extremal
 from .errors import NoEdges, QxError
 from .forbidden import ForbiddenPattern, find_kst
 from .graphs import Graph, graph6_decode, graph6_encode
-from .search import REPORT_TOL, SEARCH_TOL, exhaustive_max_q, heuristic_max_q, join_cap_scan
+from .search import SEARCH_TOL, exhaustive_max_q, heuristic_max_q, join_cap_scan
 from .spectral import DEFAULT_TOL, adjacency_radius, full_spectrum, q_index
 
 
@@ -116,7 +116,8 @@ def _read_graphs(path: str) -> list[tuple[str, Graph]]:
     if path == "-":
         lines = sys.stdin.read().splitlines()
     else:
-        with open(path, "r", encoding="ascii") as fh:
+        # like stdin, a byte >= 0x80 becomes a lone surrogate that graph6_decode rejects
+        with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
             lines = fh.read().splitlines()
     out = []
     for i, line in enumerate(lines, start=1):
@@ -239,26 +240,26 @@ def _run(args) -> tuple[dict, list, dict, bool]:
         if args.stream == "-":
             report = exhaustive_max_q(args.n, pat, stream=sys.stdin, eps=args.eps)
         elif args.stream:
-            with open(args.stream, "r", encoding="ascii") as fh:
+            with open(args.stream, "r", encoding="ascii", errors="surrogateescape") as fh:
                 report = exhaustive_max_q(args.n, pat, stream=fh, eps=args.eps)
         else:
             report = exhaustive_max_q(args.n, pat, eps=args.eps)
         violation = report.verdict == "bound_violated"
         parameters = {"n": args.n, "s": args.s, "t": args.t, "stream": args.stream}
-        return parameters, [asdict(report)], {"tol": REPORT_TOL, "eps": args.eps}, violation
+        return parameters, [asdict(report)], {"tol": DEFAULT_TOL, "eps": args.eps}, violation
 
     if cmd == "prop4":
         report = join_cap_scan(args.m, args.s, eps=args.eps)
         violation = report.verdict == "bound_violated"
         results = [{**asdict(report), "verdict": report.verdict}]
-        return {"m": args.m, "s": args.s}, results, {"tol": REPORT_TOL, "eps": args.eps}, violation
+        return {"m": args.m, "s": args.s}, results, {"tol": DEFAULT_TOL, "eps": args.eps}, violation
 
     if cmd == "hunt":
         pat = ForbiddenPattern.from_ts(args.t, args.s)
         report = heuristic_max_q(args.n, pat, budget=args.budget, seed=args.seed, eps=args.eps)
         violation = report.verdict == "bound_violated"
         parameters = {"n": args.n, "s": args.s, "t": args.t, "budget": args.budget}
-        tolerances = {"walk_tol": SEARCH_TOL, "tol": REPORT_TOL, "eps": args.eps}
+        tolerances = {"walk_tol": SEARCH_TOL, "tol": DEFAULT_TOL, "eps": args.eps}
         return parameters, [asdict(report)], tolerances, violation
 
     if cmd == "ledger":
@@ -306,7 +307,7 @@ def _render_csv(results: list) -> str:
 
 
 def main(argv=None) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -331,7 +332,7 @@ def main(argv=None) -> int:
             "results": _round10(results),
             "tolerances": tolerances,
             "seed": getattr(args, "seed", None),
-            "runtime_ms": int((time.time() - t0) * 1000),
+            "runtime_ms": int((time.perf_counter() - t0) * 1000),
             "version": __version__,
         }
         sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")

@@ -26,6 +26,7 @@ from .forbidden import ForbiddenPattern, Witness, contains_kst, find_kst
 from .graphs import Graph, complete_graph, empty_graph, from_edge_list, join
 
 STRATEGIES = ("circulant", "random_regular")
+MAX_ATTEMPTS = 20  # random regular graphs tried after the spec's strategy
 
 
 @dataclass(frozen=True)
@@ -42,6 +43,8 @@ class ExtremalSpec:
             raise HypothesisViolated(f"need t >= 2, got {self.t}")
         if self.s < 1:
             raise HypothesisViolated(f"need s >= 1, got {self.s}")
+        if self.n < self.t:
+            raise HypothesisViolated(f"need n >= t, got n={self.n}, t={self.t}")
         if self.strategy not in STRATEGIES:
             raise InvalidParameter(f"strategy must be one of {STRATEGIES}")
 
@@ -112,7 +115,6 @@ def _circulant_offsets(m: int, s: int) -> list[int]:
 def build_extremal(
     spec: ExtremalSpec,
     seed: int = 0,
-    max_attempts: int = 20,
     require_free: bool = True,
 ) -> BuildResult:
     """Join a (t-1)-clique with an s-regular graph of order n-t+1 and certify
@@ -120,7 +122,7 @@ def build_extremal(
 
     Tries the spec's strategy first; if the join contains the pattern,
     retries with random regular graphs under seeds seed, seed+1, ... up to
-    ``max_attempts``.  With ``require_free`` (the default) a run that never
+    ``MAX_ATTEMPTS``.  With ``require_free`` (the default) a run that never
     certifies raises CannotCertifyFreeness; otherwise the first attempt is
     returned with its failing certificate.
     """
@@ -140,7 +142,7 @@ def build_extremal(
     attempts = []
     if spec.strategy == "circulant":
         attempts.append(("circulant", None, circulant(m, _circulant_offsets(m, spec.s))))
-    for k in range(max_attempts):
+    for k in range(MAX_ATTEMPTS):
         attempts.append(("random_regular", seed + k, None))
 
     first: BuildResult | None = None

@@ -100,10 +100,6 @@ class Graph:
             for v in _bits(rest):
                 yield (u, v)
 
-    def is_regular(self) -> bool:
-        degs = self.degrees()
-        return min(degs) == max(degs)
-
     def regular_degree(self) -> int | None:
         """The common degree, or None when the graph is irregular."""
         degs = self.degrees()

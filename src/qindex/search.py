@@ -23,6 +23,8 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+# bench/spans.py wraps this name as spectral.full; the rename waits for ROADMAP item 2
+from numpy.linalg import eigh as _jacobi
 
 from .bounds import DEFAULT_EPS, conjecture_bound, q_bound_t2, q_bound_t2_applicable
 from .canonical import canonical_graph6, canonical_key
@@ -39,11 +41,11 @@ from .errors import (
 )
 from .forbidden import ForbiddenPattern, _contains_through, contains_kst
 from .graphs import MAX_ORDER, Graph, _bits, empty_graph, graph6_decode, induced, join
-from .spectral import _jacobi, _power_largest, q_index
+from .spectral import _power_largest, q_index
 
 BUILTIN_MAX_ORDER = 9
-SEARCH_TOL = 1e-8  # annealing walk only; every reported q is scored at REPORT_TOL
-REPORT_TOL = 1e-10
+SEARCH_TOL = 1e-8  # annealing walk only; every reported q is scored at spectral.DEFAULT_TOL
+T_START, T_END = 1.0, 1e-3  # annealing temperatures, cooled geometrically over the budget
 
 
 def _extend(g: Graph, mask: int) -> Graph:
@@ -171,7 +173,7 @@ def _argmax(scored: list[tuple[float, Graph]], eps: float) -> tuple[float, list[
 def _finish_report(n, pat, free_list, graphs_seen, free_count, eps, t0, exhaustive,
                    seed=None, budget=None) -> SearchReport:
     """Score free graphs, pick argmaxes, re-verify them, and compare bounds."""
-    max_q, top = _argmax([(q_index(g, REPORT_TOL).value, g) for g in free_list], eps)
+    max_q, top = _argmax([(q_index(g).value, g) for g in free_list], eps)
     for g in top:
         if g.n >= pat.order and contains_kst(g, pat):
             raise InvariantViolated("argmax is not pattern-free")
@@ -190,7 +192,7 @@ def _finish_report(n, pat, free_list, graphs_seen, free_count, eps, t0, exhausti
         argmax_is_extremal_join=any(is_extremal_join(g, pat.s, pat.t) for g in top),
         exhaustive=exhaustive,
         eps=eps,
-        runtime_ms=int((time.time() - t0) * 1000),
+        runtime_ms=int((time.perf_counter() - t0) * 1000),
         seed=seed,
         budget=budget,
     )
@@ -202,10 +204,10 @@ def exhaustive_scan(max_n: int, pat: ForbiddenPattern, eps: float = DEFAULT_EPS)
     if max_n > BUILTIN_MAX_ORDER:
         raise UseStreamSource(f"builtin enumeration capped at order {BUILTIN_MAX_ORDER}")
     reports = []
-    t_prev = time.time()
+    t_prev = time.perf_counter()
     for order, kept, seen in enumerate_levels(max_n, _free_predicate(pat)):
         reports.append(_finish_report(order, pat, kept, seen, len(kept), eps, t_prev, True))
-        t_prev = time.time()
+        t_prev = time.perf_counter()
     return reports
 
 
@@ -222,7 +224,7 @@ def exhaustive_max_q(
     relabeling because every line is canonically deduplicated.
     """
     _check_eps(eps)
-    t0 = time.time()
+    t0 = time.perf_counter()
     keep = _free_predicate(pat)
     if stream is None:
         if n > BUILTIN_MAX_ORDER:
@@ -287,7 +289,7 @@ def join_cap_scan(m: int, s: int, eps: float = DEFAULT_EPS) -> JoinCapReport:
         raise UseStreamSource("join scan enumerates H internally; capped at order 8")
     if s < 1:
         raise HypothesisViolated(f"need s >= 1, got {s}")
-    t0 = time.time()
+    t0 = time.perf_counter()
     k1 = empty_graph(1)
     bound = q_bound_t2(m + 1, s)
     all_capped = True
@@ -299,7 +301,7 @@ def join_cap_scan(m: int, s: int, eps: float = DEFAULT_EPS) -> JoinCapReport:
     for h in enumerate_graphs(m, keep=lambda g: g.max_degree() <= s):
         classes += 1
         g = join(k1, h)
-        q = q_index(g, REPORT_TOL).value
+        q = q_index(g).value
         max_q = max(max_q, q)
         if q > bound + eps:
             all_capped = False
@@ -322,7 +324,7 @@ def join_cap_scan(m: int, s: int, eps: float = DEFAULT_EPS) -> JoinCapReport:
         equality_all_regular=eq_all_regular,
         regular_all_equality=reg_all_eq,
         eps=eps,
-        runtime_ms=int((time.time() - t0) * 1000),
+        runtime_ms=int((time.perf_counter() - t0) * 1000),
     )
 
 
@@ -361,13 +363,13 @@ def dominating_vertex_scan(n: int, s: int, eps: float = DEFAULT_EPS) -> Dominati
     _check_eps(eps)
     if n > BUILTIN_MAX_ORDER:
         raise UseStreamSource(f"builtin enumeration capped at order {BUILTIN_MAX_ORDER}")
-    t0 = time.time()
+    t0 = time.perf_counter()
     pat = ForbiddenPattern.from_ts(2, s)
     bound = q_bound_t2(n, s)
     dom: list[tuple[float, Graph]] = []
     rest: list[tuple[float, Graph]] = []
     for g in enumerate_graphs(n, _free_predicate(pat)):
-        q = q_index(g, REPORT_TOL).value
+        q = q_index(g).value
         (dom if g.max_degree() == n - 1 else rest).append((q, g))
     dom_max, dom_top = _argmax(dom, eps)
     rest_max, rest_top = _argmax(rest, eps)
@@ -390,7 +392,7 @@ def dominating_vertex_scan(n: int, s: int, eps: float = DEFAULT_EPS) -> Dominati
         cap_applicable=q_bound_t2_applicable(n, s),
         bound=bound,
         eps=eps,
-        runtime_ms=int((time.time() - t0) * 1000),
+        runtime_ms=int((time.perf_counter() - t0) * 1000),
     )
 
 
@@ -402,12 +404,10 @@ def heuristic_max_q(
     budget: int,
     seed: int,
     eps: float = DEFAULT_EPS,
-    t_start: float = 1.0,
-    t_end: float = 1e-3,
 ) -> SearchReport:
     """Annealed edge-toggle walk through the pattern-free graphs of order n.
 
-    Geometric cooling from ``t_start`` down to ``t_end`` over exactly
+    Geometric cooling from ``T_START`` down to ``T_END`` over exactly
     ``budget`` proposals; an edge insertion creating the pattern costs its
     proposal but is never evaluated or accepted.  Deterministic per seed.
     Returns a lower-bound report (``exhaustive=False``).
@@ -419,10 +419,10 @@ def heuristic_max_q(
     if budget < 1:
         raise InvalidBudget(f"budget must be >= 1, got {budget}")
     _check_eps(eps)
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = random.Random(seed)
-    alpha = (t_end / t_start) ** (1.0 / budget)
-    temp = t_start
+    alpha = (T_END / T_START) ** (1.0 / budget)
+    temp = T_START
     adj = [0] * n  # the walk's graph as neighbor masks, toggled in place
     m = np.zeros((n, n))  # its Q matrix, kept in step with adj
     x = np.full(n, 1.0 / math.sqrt(n))

@@ -5,8 +5,8 @@ Largest eigenvalue: power iteration on the entrywise-nonnegative matrix,
 per connected component (so the iteration always acts on a primitive
 matrix and converges geometrically).  Convergence is certified by the
 residual ||Mx - qx||; on hitting the iteration cap the solver falls back to
-a full cyclic-Jacobi decomposition rather than failing silently.  The whole
-spectrum comes from LAPACK (``numpy.linalg.eigvalsh``).
+a full LAPACK decomposition (``numpy.linalg.eigh``) rather than failing
+silently.  The whole spectrum comes from LAPACK (``numpy.linalg.eigvalsh``).
 """
 
 from __future__ import annotations
@@ -31,7 +31,8 @@ class SpectralResult:
     residual  ||M @ vector - value * vector||_2 at return
     iterations  total power-iteration steps spent (all components)
     method    'iterative' if the winning component converged by power
-              iteration, 'full' if it needed the Jacobi fallback
+              iteration, 'full' if it hit the iteration cap and was
+              solved by LAPACK instead
     """
 
     value: float
@@ -79,55 +80,6 @@ def _power_largest(m: np.ndarray, tol: float, max_iter: int, x0=None):
     return lam, x, res, it, False
 
 
-def _jacobi(m: np.ndarray):
-    """Cyclic Jacobi sweeps; returns (eigenvalues ascending, eigenvectors).
-
-    Sweeps run until the off-diagonal Frobenius mass drops below 1e-14
-    relative to the matrix scale; quadratic convergence makes that a
-    handful of sweeps at these orders.
-    """
-    a = np.array(m, dtype=float)
-    k = a.shape[0]
-    v = np.eye(k)
-    if k == 1:
-        return a.diagonal().copy(), v
-    scale = max(1.0, float(np.linalg.norm(a)))
-    for _ in range(60):
-        strict = a - np.diag(a.diagonal())
-        off = float(np.sqrt(np.sum(np.square(strict))))
-        if off <= 1e-14 * scale:
-            break
-        for p in range(k - 1):
-            for q in range(p + 1, k):
-                apq = a[p, q]
-                if abs(apq) <= 1e-18 * scale:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp = a[:, p].copy()
-                cq = a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    else:
-        raise RuntimeError("Jacobi sweeps failed to reduce off-diagonal mass")
-    w = a.diagonal().copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]
-
-
 def _component_matrix(g: Graph, comp_mask: int, which: str) -> tuple[np.ndarray, list[int]]:
     verts = list(_bits(comp_mask))
     pos = {u: i for i, u in enumerate(verts)}
@@ -161,7 +113,7 @@ def _largest_per_component(g: Graph, which: str, tol: float, max_iter: int) -> S
         total_iters += iters
         method = "iterative"
         if not ok:
-            w, vmat = _jacobi(m)
+            w, vmat = np.linalg.eigh(m)
             val = float(w[-1])
             vec = vmat[:, -1]
             if vec.sum() < 0:

@@ -1,21 +1,29 @@
 """The benchmark's span tracer wraps module globals of ``qindex`` by name
-(``bench/spans.py``); a rename in ``src/`` must fail here, not only in a
-traced benchmark run."""
+(``bench/spans.py``) and reads fields of what they return; a rename in
+``src/`` must fail here, not only in a traced benchmark run."""
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
+SPANS = ROOT / "bench" / "spans.py"
 
 
-def _wrapped_targets():
+def _load_spans():
     spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    targets = [pair for pairs in spans.WRAPPED.values() for pair in pairs]
+    return spans
+
+
+def _wrapped_targets():
+    targets = [pair for pairs in _load_spans().WRAPPED.values() for pair in pairs]
     return targets + [("search", "enumerate_levels"), ("graphs", "Graph.__init__")]
 
 
@@ -25,3 +33,25 @@ def test_traced_name_resolves(module, name):
     for part in name.split("."):
         obj = getattr(obj, part)
     assert callable(obj)
+
+
+@pytest.mark.parametrize("argv, counters", [
+    (["qindex", "FILE"], ["spectral.q_iters"]),
+    (["hunt", "--n", "8", "--t", "2", "--s", "1", "--budget", "50"],
+     ["spectral.q_iters", "spectral.power_iters"]),
+])
+def test_traced_run_fills_its_counters(tmp_path, argv, counters):
+    # the observers read SpectralResult.iterations/.method and the
+    # iteration count in _power_largest's tuple
+    graphs = tmp_path / "graphs.g6"
+    graphs.write_text("DQc\nI?h]@eOWG\n")
+    out = tmp_path / "trace.npz"
+    argv = [str(graphs) if a == "FILE" else a for a in argv]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, str(SPANS), str(out), "run", *argv],
+                          env=env, cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    saved = _load_spans().load(str(out))["counters"]
+    assert saved["spectral.fallbacks"] == 0
+    for name in counters:
+        assert saved[name] > 0

@@ -1,6 +1,9 @@
 import ast
+import io
 import json
 import math
+import random
+import time
 from pathlib import Path
 
 import pytest
@@ -8,6 +11,7 @@ import pytest
 import qindex.cli as cli
 from qindex.graphs import graph6_encode, cycle_graph
 from qindex.search import SearchReport
+from conftest import random_graph
 
 
 @pytest.fixture()
@@ -186,6 +190,7 @@ class TestExitCodes:
         ("verify", "--n", "3", "--t", "2", "--s", "1", "--eps", "nan"),
         ("prop4", "--m", "4", "--s", "1", "--eps", "-1"),
         ("hunt", "--n", "6", "--t", "2", "--s", "1", "--budget", "10", "--eps", "inf"),
+        ("construct", "--n", "5", "--s", "1", "--t", "9"),
     ])
     def test_bad_input_is_a_computation_error(self, capsys, g6_file, argv):
         argv = [g6_file if a == "FILE" else a for a in argv]
@@ -193,6 +198,130 @@ class TestExitCodes:
         assert code == 2
         assert "qx: error:" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ("qindex", "FILE"),
+        ("spectrum", "FILE"),
+        ("free-check", "FILE", "--t", "2", "--s", "1"),
+        ("verify", "--n", "5", "--t", "2", "--s", "1", "--stream", "FILE"),
+    ])
+    def test_non_ascii_graph6_file_is_a_computation_error(self, capsys, tmp_path, argv):
+        path = tmp_path / "bad.g6"
+        path.write_bytes(b"DQc\nD\xffw\n")
+        code, _, err = run(capsys, *[str(path) if a == "FILE" else a for a in argv])
+        assert code == 2
+        assert "line 2" in err
+
+
+class TestRuntime:
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--n", "5", "--t", "2", "--s", "1"),
+        ("prop4", "--m", "4", "--s", "1"),
+        ("hunt", "--n", "6", "--t", "2", "--s", "1", "--budget", "50"),
+    ])
+    def test_runtime_ignores_a_wall_clock_running_backwards(self, capsys, monkeypatch, argv):
+        ticks = iter(range(10 ** 6, 0, -1000))
+        monkeypatch.setattr(time, "time", lambda: float(next(ticks)))
+        code, out, _ = run(capsys, *argv)
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["runtime_ms"] >= 0
+        assert payload["results"][0]["runtime_ms"] >= 0
+
+
+def _ints(lo, hi):
+    return lambda rng: str(rng.randint(lo, hi))
+
+
+def _pick(*values):
+    return lambda rng: rng.choice(values)
+
+
+_FLOATS = _pick(None, None, "1e-10", "1e-6", "0", "-1", "1e300", "nan", "inf", "x")
+
+# per command: flag -> value drawer, ranges small enough that each call
+# finishes well under a second; "FILE" is the positional graph6 file and a
+# drawn None leaves the flag out
+FUZZ_ARGS = {
+    "qindex": {"FILE": None, "--tol": _FLOATS},
+    "spectrum": {"FILE": None, "--matrix": _pick(None, "Q", "A", "L")},
+    "free-check": {"FILE": None, "--t": _ints(-1, 4), "--s": _ints(-1, 3)},
+    "bounds": {"--n": _ints(-2, 40), "--s": _ints(-1, 5), "--t": _ints(-1, 5),
+               "--format": _pick(None, "json", "csv", "text")},
+    "construct": {"--n": _ints(0, 20), "--s": _ints(0, 3), "--t": _ints(1, 4),
+                  "--seed": _ints(-1, 9), "--tol": _FLOATS,
+                  "--strategy": _pick(None, None, "circulant", "random_regular", "x")},
+    "verify": {"--n": _ints(-1, 6), "--t": _ints(-1, 3), "--s": _ints(-1, 3),
+               "--stream": _pick(None, None, "FILE", "-"), "--eps": _FLOATS},
+    "prop4": {"--m": _ints(-1, 5), "--s": _ints(-1, 3), "--eps": _FLOATS},
+    "hunt": {"--n": _ints(-1, 14), "--t": _ints(-1, 3), "--s": _ints(-1, 3),
+             "--budget": _ints(-1, 50), "--seed": _ints(-1, 9), "--eps": _FLOATS},
+    "ledger": {"--s": _ints(-1, 6), "--n": _ints(-1, 80)},
+}
+_JUNK = ("--bogus", "-", "7", "x", "--format", "text", "--help")
+
+
+def _fuzz_argv(rng, path):
+    command = rng.choice(sorted(FUZZ_ARGS))
+    args = []
+    for flag, draw in FUZZ_ARGS[command].items():
+        if rng.random() < 0.05:
+            continue  # a missing required flag is a usage error
+        if draw is None:
+            args.append([path])
+        elif (value := draw(rng)) is not None:
+            args.append([flag, path if value == "FILE" else value])
+    rng.shuffle(args)
+    argv = [command] + [a for pair in args for a in pair]
+    if rng.random() < 0.15:
+        argv.insert(rng.randrange(len(argv) + 1), rng.choice(_JUNK))
+    return argv
+
+
+def _fuzz_line(rng) -> bytes:
+    """A graph6 line of order <= 10, with up to three bytes replaced,
+    inserted or deleted."""
+    line = bytearray(graph6_encode(random_graph(rng, rng.randint(1, 10), rng.random())).encode())
+    for _ in range(rng.randint(0, 3)):
+        pos = rng.randrange(len(line) + 1)
+        byte = rng.randrange(128, 256) if rng.random() < 0.3 else rng.randrange(256)
+        kind = rng.random()
+        if kind < 0.4 and pos < len(line):
+            line[pos] = byte
+        elif kind < 0.7:
+            line.insert(pos, byte)
+        elif pos < len(line):
+            del line[pos]
+    return bytes(line)
+
+
+class TestFuzz:
+    """Seeded random input: every run ends in an exit code, never in an
+    escaping exception."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_argv(self, capsys, monkeypatch, g6_file, seed):
+        rng = random.Random(seed)
+        for _ in range(100):
+            monkeypatch.setattr("sys.stdin", io.StringIO("DQc\n"))
+            argv = _fuzz_argv(rng, g6_file)
+            assert run(capsys, *argv)[0] in (0, 1, 2, 3), argv
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_graph6_bytes(self, capsys, tmp_path, seed):
+        rng = random.Random(seed)
+        path = tmp_path / "fuzz.g6"
+        for _ in range(60):
+            lines = [_fuzz_line(rng) for _ in range(rng.randint(1, 4))]
+            path.write_bytes(b"\n".join(lines) + b"\n")
+            order = str(max(lines[0][0] - 63, 1)) if lines[0] else "1"
+            for argv in (
+                ("qindex", str(path)),
+                ("spectrum", str(path), "--matrix", rng.choice("QA")),
+                ("free-check", str(path), "--t", "2", "--s", "1"),
+                ("verify", "--n", order, "--t", "2", "--s", "1", "--stream", str(path)),
+            ):
+                assert run(capsys, *argv)[0] in (0, 1, 2, 3), (argv, lines)
 
 
 class TestFlags:

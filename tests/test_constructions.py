@@ -14,6 +14,7 @@ from qindex.constructions import (
 from qindex.errors import (
     CannotCertifyFreeness,
     GenerationFailed,
+    HypothesisViolated,
     InvalidOffsets,
     NoRegularGraphExists,
 )
@@ -160,6 +161,8 @@ class TestBuildExtremal:
     def test_spec_validation(self):
         with pytest.raises(NoRegularGraphExists):
             build_extremal(ExtremalSpec(3, 2, 2))  # H order 2 cannot be 2-regular
+        with pytest.raises(HypothesisViolated, match="n=5, t=9"):
+            ExtremalSpec(5, 1, 9)  # the clique side alone needs t-1 = 8 vertices
 
 
 class TestDesignGraph:

@@ -4,6 +4,7 @@ import random
 from dataclasses import replace
 
 import pytest
+from numpy.linalg import eigh
 
 import qindex.search as search
 from qindex.bounds import q_bound_t2
@@ -232,6 +233,25 @@ class TestHeuristic:
     def test_bad_budget(self):
         with pytest.raises(InvalidBudget):
             heuristic_max_q(5, ForbiddenPattern(2, 2), budget=0, seed=0)
+
+    def test_lapack_fallback_on_every_proposal(self, monkeypatch):
+        # power iteration that never converges sends every evaluated
+        # proposal through the full eigendecomposition
+        def stalled(m, tol, max_iter, x0=None):
+            return 0.0, x0, math.inf, max_iter, False
+
+        calls = []
+
+        def full(m):
+            calls.append(1)
+            return eigh(m)
+
+        monkeypatch.setattr(search, "_power_largest", stalled)
+        monkeypatch.setattr(search, "_jacobi", full)
+        pat = ForbiddenPattern.from_ts(2, 1)
+        hunt = heuristic_max_q(5, pat, budget=1000, seed=0)
+        assert len(calls) == hunt.free_graphs > 0
+        assert hunt.max_q == pytest.approx(exhaustive_max_q(5, pat).max_q, abs=1e-8)
 
     def test_order_above_ceiling_fails_before_walking(self, monkeypatch):
         def walked(*args):

@@ -65,6 +65,18 @@ class TestQIndexExamples:
         assert r.method == "full"
         assert r.value == pytest.approx(max(full_spectrum(g, "Q")), abs=1e-9)
 
+    @pytest.mark.parametrize("g", [
+        path_graph(12),
+        disjoint_union(path_graph(5), cycle_graph(3)),
+        path_graph(62),
+    ], ids=["P12", "P5+C3", "P62"])
+    def test_iteration_cap_returns_a_perron_vector(self, g):
+        r = q_index(g, tol=1e-12, max_iter=3)
+        assert np.linalg.norm(r.vector) == pytest.approx(1.0, abs=1e-12)
+        assert (r.vector >= 0).all()
+        assert r.residual <= 1e-12
+        assert r.value == pytest.approx(max(full_spectrum(g, "Q")), abs=1e-12)
+
     def test_bad_tolerance(self):
         with pytest.raises(ValueError):
             q_index(complete_graph(3), tol=0.0)
