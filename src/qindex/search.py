@@ -41,7 +41,7 @@ from .errors import (
 )
 from .forbidden import ForbiddenPattern, _contains_through, contains_kst
 from .graphs import MAX_ORDER, Graph, _bits, empty_graph, graph6_decode, induced, join
-from .spectral import _power_largest, q_index
+from .spectral import DEFAULT_TOL, _power_largest, q_index
 
 BUILTIN_MAX_ORDER = 9
 SEARCH_TOL = 1e-8  # annealing walk only; every reported q is scored at spectral.DEFAULT_TOL
@@ -153,6 +153,18 @@ def _check_eps(eps: float) -> None:
         raise InvalidParameter(f"eps must be finite and >= 0, got {eps}")
 
 
+def _above(q: float, bound: float, eps: float) -> bool:
+    """Whether q exceeds the cap by more than ``eps``.  Every q is certified
+    to a residual of at most ``DEFAULT_TOL``, which bounds its error, so a
+    float within that of the cap is not counted as above it."""
+    return q > bound + eps + DEFAULT_TOL
+
+
+def _at_cap(q: float, bound: float) -> bool:
+    """Whether q meets the cap within its certified error, whatever eps is."""
+    return abs(q - bound) <= DEFAULT_TOL
+
+
 def _verdict(max_q: float, pat: ForbiddenPattern, n: int, eps: float):
     """Compare a maximum against the conjectured cap, minding its hypothesis."""
     try:
@@ -160,7 +172,7 @@ def _verdict(max_q: float, pat: ForbiddenPattern, n: int, eps: float):
     except (HypothesisViolated, DiscriminantNegative):
         return None, False, "bound_inapplicable"
     applicable = True
-    verdict = "bound_holds" if max_q <= bound + eps else "bound_violated"
+    verdict = "bound_violated" if _above(max_q, bound, eps) else "bound_holds"
     return bound, applicable, verdict
 
 
@@ -303,9 +315,9 @@ def join_cap_scan(m: int, s: int, eps: float = DEFAULT_EPS) -> JoinCapReport:
         g = join(k1, h)
         q = q_index(g).value
         max_q = max(max_q, q)
-        if q > bound + eps:
+        if _above(q, bound, eps):
             all_capped = False
-        is_eq = abs(q - bound) <= eps
+        is_eq = _at_cap(q, bound)
         is_reg = h.regular_degree() == s
         if is_eq:
             equality.append(canonical_graph6(h))
@@ -373,10 +385,8 @@ def dominating_vertex_scan(n: int, s: int, eps: float = DEFAULT_EPS) -> Dominati
         (dom if g.max_degree() == n - 1 else rest).append((q, g))
     dom_max, dom_top = _argmax(dom, eps)
     rest_max, rest_top = _argmax(rest, eps)
-    capped = all(q <= bound + eps for q, _ in dom)
-    eq_ok = all(
-        (abs(q - bound) <= eps) == is_extremal_join(g, s, 2) for q, g in dom
-    )
+    capped = not any(_above(q, bound, eps) for q, _ in dom)
+    eq_ok = all(_at_cap(q, bound) == is_extremal_join(g, s, 2) for q, g in dom)
     return DominatingScanReport(
         n=n,
         s=s,

@@ -39,19 +39,25 @@ def test_traced_name_resolves(module, name):
     (["qindex", "FILE"], ["spectral.q_iters"]),
     (["hunt", "--n", "8", "--t", "2", "--s", "1", "--budget", "50"],
      ["spectral.q_iters", "spectral.power_iters"]),
+    (["verify", "--n", "6", "--t", "2", "--s", "2", "--stream", "FILE6"], ["canonical.classes"]),
 ])
 def test_traced_run_fills_its_counters(tmp_path, argv, counters):
-    # the observers read SpectralResult.iterations/.method and the
-    # iteration count in _power_largest's tuple
+    # the observers read SpectralResult.iterations/.method, the iteration
+    # count in _power_largest's tuple and the keys search.canonical_key returns
     graphs = tmp_path / "graphs.g6"
     graphs.write_text("DQc\nI?h]@eOWG\n")
+    # K6, K_{2,4} twice (relabeled) and K_{3,3}: each contains K_{2,3}, so the
+    # argmax is empty and every class the tracer sees comes from canonical_key
+    order6 = tmp_path / "order6.g6"
+    order6.write_text("E~~w\nE]r?\nE?~o\nEFz_\n")
     out = tmp_path / "trace.npz"
-    argv = [str(graphs) if a == "FILE" else a for a in argv]
+    files = {"FILE": str(graphs), "FILE6": str(order6)}
+    argv = [files.get(a, a) for a in argv]
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run([sys.executable, str(SPANS), str(out), "run", *argv],
                           env=env, cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     saved = _load_spans().load(str(out))["counters"]
-    assert saved["spectral.fallbacks"] == 0
+    assert saved.get("spectral.fallbacks", 0) == 0  # absent when nothing was scored
     for name in counters:
         assert saved[name] > 0

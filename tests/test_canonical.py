@@ -1,0 +1,128 @@
+"""Canonical labeling on the symmetric graphs the paper is about, and on
+random graphs of every order the package takes.
+
+The labeled brute-force oracle and the class counts live in
+``test_search.py::TestCanonical`` and ``TestEnumeration``."""
+
+import random
+import time
+
+import networkx as nx
+import pytest
+
+from qindex.canonical import canonical_graph, canonical_graph6, canonical_key, canonical_permutation
+from qindex.graphs import (
+    MAX_ORDER,
+    complete_graph,
+    cycle_graph,
+    disjoint_union,
+    from_edge_list,
+    graph6_decode,
+    join,
+)
+from conftest import random_graph
+
+CALL_LIMIT_S = 5.0  # generous: the slowest family takes well under 0.1 s per call
+
+
+def circulant(m, steps):
+    return from_edge_list(m, [(i, (i + d) % m) for i in range(m) for d in steps])
+
+
+def matching(k):
+    return from_edge_list(2 * k, [(2 * i, 2 * i + 1) for i in range(k)])
+
+
+def hub_join(h):
+    return join(complete_graph(1), h)
+
+
+FAMILIES = {
+    "K1 v C(n-1)": lambda n: hub_join(cycle_graph(n - 1)),
+    "K1 v kK2": lambda n: hub_join(matching((n - 1) // 2)),
+    "K1 v circulant(n-1, {1, 2})": lambda n: hub_join(circulant(n - 1, (1, 2))),
+}
+ORDERS = {
+    "K1 v C(n-1)": (6, 14, 18, 22, 31, 46, 62),
+    "K1 v kK2": (5, 15, 19, 31, 45, 61),
+    "K1 v circulant(n-1, {1, 2})": (7, 15, 19, 30, 47, 62),
+}
+
+
+def timed_key(g):
+    t0 = time.perf_counter()
+    key = canonical_key(g)
+    return key, time.perf_counter() - t0
+
+
+def shuffled(rng, g):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return g.relabel(perm)
+
+
+@pytest.mark.parametrize("family, n", [(f, n) for f, orders in ORDERS.items() for n in orders])
+def test_symmetric_hub_joins_under_relabeling(family, n):
+    g = FAMILIES[family](n)
+    assert g.n == n
+    rng = random.Random(n)
+    key, elapsed = timed_key(g)
+    assert elapsed < CALL_LIMIT_S
+    for _ in range(3):
+        other, elapsed = timed_key(shuffled(rng, g))
+        assert other == key
+        assert elapsed < CALL_LIMIT_S
+
+
+def test_relabel_invariance_at_every_order():
+    rng = random.Random(2014)
+    for n in range(2, MAX_ORDER + 1):
+        for p in (0.1, 0.5, rng.random()):
+            g = random_graph(rng, n, p)
+            assert canonical_key(shuffled(rng, g)) == canonical_key(g), (n, p)
+
+
+def test_strongly_regular_union_under_relabeling(rook_4x4):
+    # Shrikhande and the 4x4 rook graph are both srg(16, 6, 2, 2), so the root
+    # refinement cannot split their union; pruning a child by a generator
+    # that moves the node's prefix (not only by those fixing it) loses the
+    # least leaf on this graph
+    diffs = {(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)}
+    shrikhande = from_edge_list(16, [
+        (u, v) for u in range(16) for v in range(u + 1, 16)
+        if ((u // 4 - v // 4) % 4, (u % 4 - v % 4) % 4) in diffs
+    ])
+    g = disjoint_union(shrikhande, rook_4x4)
+    rng = random.Random(16)
+    key = canonical_key(g)
+    for _ in range(10):
+        assert canonical_key(shuffled(rng, g)) == key
+
+
+def test_canonical_form_is_a_fixed_point():
+    rng = random.Random(7)
+    graphs = [random_graph(rng, rng.randint(1, MAX_ORDER), rng.random()) for _ in range(40)]
+    graphs += [FAMILIES[f](n) for f, orders in ORDERS.items() for n in orders]
+    for g in graphs:
+        c = canonical_graph6(g)
+        assert canonical_graph6(graph6_decode(c)) == c
+        assert g.relabel(canonical_permutation(g)) == canonical_graph(g)
+
+
+def test_hub_joins_of_cycle_unions_are_distinct():
+    hs = [cycle_graph(13)] + [disjoint_union(cycle_graph(a), cycle_graph(13 - a)) for a in range(3, 7)]
+    keys = {canonical_key(hub_join(h)) for h in hs}
+    assert len(keys) == 5
+
+
+def test_agrees_with_networkx_on_regular_graphs():
+    # cubic graphs of one order share every degree-based invariant, so the
+    # key must tell them apart by search alone; order 10 has 21 classes,
+    # so 30 samples hold isomorphic pairs too
+    rng = random.Random(3)
+    graphs = [nx.random_regular_graph(3, 10, seed=rng.randrange(1 << 30)) for _ in range(30)]
+    keys = [canonical_key(from_edge_list(10, list(h.edges()))) for h in graphs]
+    assert len(set(keys)) < len(keys)
+    for i in range(len(graphs)):
+        for j in range(i + 1, len(graphs)):
+            assert (keys[i] == keys[j]) == nx.is_isomorphic(graphs[i], graphs[j])

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import qindex.cli as cli
-from qindex.graphs import graph6_encode, cycle_graph
+from qindex.graphs import complete_graph, cycle_graph, disjoint_union, from_edge_list, graph6_encode, join
 from qindex.search import SearchReport
 from conftest import random_graph
 
@@ -123,6 +123,31 @@ class TestCommands:
         assert code == 0
         assert json.loads(out)["results"][0]["n"] == 5
 
+    def test_verify_stream_of_symmetric_hub_joins(self, capsys, tmp_path):
+        # relabeled copies of the two extremal hub joins collapse to one
+        # class each; the other lines have distinct edge counts (the joins
+        # have 34), so the file holds exactly six classes
+        rng = random.Random(18)
+        hub = complete_graph(1)
+        joins = [join(hub, cycle_graph(17)), join(hub, disjoint_union(cycle_graph(8), cycle_graph(9)))]
+        pairs = [(u, v) for u in range(18) for v in range(u + 1, 18)]
+        others = [from_edge_list(18, rng.sample(pairs, m)) for m in (5, 12, 20, 27)]
+        lines = []
+        for g in joins + others:
+            for _ in range(3 if g in joins else 1):
+                perm = list(range(18))
+                rng.shuffle(perm)
+                lines.append(graph6_encode(g.relabel(perm)))
+        rng.shuffle(lines)
+        path = tmp_path / "order18.g6"
+        path.write_text("\n".join(lines) + "\n")
+        code, out, _ = run(capsys, "verify", "--n", "18", "--t", "2", "--s", "2", "--stream", str(path))
+        res = json.loads(out)["results"][0]
+        assert code == 0
+        assert res["graphs_seen"] == 6
+        assert res["argmax_is_extremal_join"] is True
+        assert res["verdict"] == "bound_holds"
+
 
 class TestFormats:
     def test_csv_bounds(self, capsys):
@@ -198,6 +223,16 @@ class TestExitCodes:
         assert code == 2
         assert "qx: error:" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ("prop4", "--m", "4", "--s", "1", "--eps", "0"),
+        ("prop4", "--m", "5", "--s", "1", "--eps", "1e300"),
+        ("verify", "--n", "6", "--t", "2", "--s", "2", "--eps", "0"),
+    ])
+    def test_cap_met_within_float_error_is_not_a_violation(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["results"][0]["verdict"] == "bound_holds"
 
     @pytest.mark.parametrize("argv", [
         ("qindex", "FILE"),

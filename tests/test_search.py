@@ -174,8 +174,22 @@ class TestJoinCapScan:
                 assert report.all_capped
                 assert report.equality_all_regular and report.regular_all_equality
 
+    def test_grid_holds_with_zero_slack(self):
+        # equality joins miss the closed form by a few ulp; a q within its
+        # certified residual of the cap meets it whatever eps is
+        for m in range(3, 9):
+            for s in (1, 2, 3):
+                report = join_cap_scan(m, s, eps=0.0)
+                assert report.verdict == "bound_holds", (m, s)
+
 
 class TestDominatingScan:
+    @pytest.mark.parametrize("n, s", [(5, 1), (6, 2), (7, 2)])
+    @pytest.mark.parametrize("eps", [0.0, 1e300])
+    def test_equality_split_ignores_slack(self, n, s, eps):
+        report = dominating_vertex_scan(n, s, eps=eps)
+        assert report.dominating_capped and report.equality_matches_regular_join
+
     def test_order6_s2(self):
         report = dominating_vertex_scan(6, 2)
         assert report.dominating_max_q == pytest.approx(q_bound_t2(6, 2), abs=1e-8)
