@@ -6,23 +6,27 @@ non-singleton cell in turn.  A leaf (a discrete partition) orders the
 vertices, its certificate is the adjacency masks relabeled in that order,
 and the canonical form is the least certificate.  Automorphisms prune the
 tree: twin transpositions seed the generators, and every leaf whose
-certificate equals the first or the best leaf's adds one.  A child is
-skipped when a generator fixing the node's individualized prefix maps it
-onto a sibling already searched, and after an automorphism the search
-jumps back to the level where the two leaves' paths part (McKay & Piperno,
-"Practical graph isomorphism, II", 2014).  The hub joins of cycles,
-circulants and matchings the paper is about label in at most tens of
-milliseconds up to order 62; a graph whose refinement stalls without
-automorphisms to prune (a rigid regular graph) costs one subtree per
-vertex of the stalled cell.
+certificate equals the first or the best leaf's adds one (``_canonical``
+returns them as full permutations, so vertex augmentation can extend a
+parent by one neighbour mask per orbit).  A child is skipped when a
+generator fixing the node's individualized prefix maps it onto a sibling
+already searched, and after an automorphism the search jumps back to
+the level where the two leaves' paths part (McKay & Piperno, "Practical
+graph isomorphism, II", 2014).  The hub joins of cycles, circulants and
+matchings the paper is about label in at most tens of milliseconds up
+to order 62; a graph whose refinement stalls without automorphisms to
+prune (a rigid regular graph) costs one subtree per vertex of the
+stalled cell.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from .graphs import Graph, _bits, graph6_encode
 
 
-def _refine(adj: tuple[int, ...], cells: list[list[int]], queue: list[int]) -> list[list[int]]:
+def _refine(adj: Sequence[int], cells: list[list[int]], queue: list[int]) -> list[list[int]]:
     """Split cells by neighbour counts into each splitter mask until equitable.
 
     ``queue`` holds the splitter masks; it grows while it is walked.  A
@@ -56,7 +60,7 @@ def _refine(adj: tuple[int, ...], cells: list[list[int]], queue: list[int]) -> l
     return cells
 
 
-def refinement_cells(n: int, adj: tuple[int, ...]) -> list[list[int]]:
+def refinement_cells(n: int, adj: Sequence[int]) -> list[list[int]]:
     """Equitable vertex partition refined from the degree partition.
 
     Cells come back in an invariant order: by decreasing degree, then by
@@ -69,11 +73,12 @@ def refinement_cells(n: int, adj: tuple[int, ...]) -> list[list[int]]:
     return _refine(adj, cells, [sum(1 << v for v in cell) for cell in cells])
 
 
-def _twin_generators(n: int, adj: tuple[int, ...]) -> list[tuple[int, list[tuple[int, int]]]]:
+def _twin_generators(n: int, adj: Sequence[int]) -> list[tuple[int, list[tuple[int, int]]]]:
     """Transpositions of twins u, v (N(u) minus v equals N(v) minus u).
 
     Non-adjacent twins share N(u), adjacent ones N[u]; chaining each class
-    generates all its permutations.  A generator is (support mask, pairs).
+    generates all its permutations.  A generator is (support mask, pairs
+    v -> image of v), listing both directions of the swap.
     """
     gens = []
     for closed in (0, 1):
@@ -82,12 +87,12 @@ def _twin_generators(n: int, adj: tuple[int, ...]) -> list[tuple[int, list[tuple
             key = adj[v] | closed << v
             if key in last:
                 u = last[key]
-                gens.append((1 << u | 1 << v, [(u, v)]))
+                gens.append((1 << u | 1 << v, [(u, v), (v, u)]))
             last[key] = v
     return gens
 
 
-def _certificate(adj: tuple[int, ...], lab: list[int]) -> tuple[int, ...]:
+def _certificate(adj: Sequence[int], lab: list[int]) -> tuple[int, ...]:
     """Adjacency masks of the graph relabeled lab[i] -> i."""
     pos = [0] * len(lab)
     for i, v in enumerate(lab):
@@ -95,12 +100,18 @@ def _certificate(adj: tuple[int, ...], lab: list[int]) -> tuple[int, ...]:
     return tuple(sum(1 << pos[u] for u in _bits(adj[v])) for v in lab)
 
 
-def _canonical(n: int, adj: tuple[int, ...]) -> tuple[list[int], tuple[int, ...]]:
-    """Least leaf: its vertex order (new -> old) and its certificate."""
+def _canonical(n: int, adj: Sequence[int]) -> tuple[list[int], tuple[int, ...], list[list[int]]]:
+    """Least leaf: its vertex order (new -> old), its certificate, and the
+    automorphisms found on the way as full permutations (old -> old).
+
+    The automorphisms are the twin transpositions and one per leaf whose
+    certificate equals the first or the best leaf's; a discrete root
+    partition proves the graph rigid and returns none.
+    """
     root = refinement_cells(n, adj)
     if len(root) == n:
         lab = [cell[0] for cell in root]
-        return lab, _certificate(adj, lab)
+        return lab, _certificate(adj, lab), []
     gens = _twin_generators(n, adj)
     path: list[int] = []  # individualized vertices, one per level
     first = best = None  # (lab, cert, path) of the first and of the least leaf
@@ -161,12 +172,18 @@ def _canonical(n: int, adj: tuple[int, ...]) -> tuple[list[int], tuple[int, ...]
         return k - 1
 
     search(root)
-    return best[0], best[1]
+    perms = []
+    for _, pairs in gens:
+        perm = list(range(n))
+        for v, w in pairs:
+            perm[v] = w
+        perms.append(perm)
+    return best[0], best[1], perms
 
 
 def canonical_permutation(g: Graph) -> tuple[int, ...]:
     """Permutation old -> new realizing the canonical labeling."""
-    lab, _ = _canonical(g.n, g.adj)
+    lab = _canonical(g.n, g.adj)[0]
     out = [0] * g.n
     for new, old in enumerate(lab):
         out[old] = new

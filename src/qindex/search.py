@@ -1,9 +1,11 @@
 """Search for Q-index maximizers among pattern-free graphs.
 
-Exhaustive side: isomorph-free generation by vertex augmentation.  Children
-of each canonical parent are deduplicated through the canonical labeling,
-and a hereditary keep-predicate (pattern-freeness, degree caps) prunes
-whole subtrees, since deleting the new vertex cannot create a forbidden
+Exhaustive side: isomorph-free generation by vertex augmentation.  Each
+canonical parent gets one child per orbit of neighbour masks under the
+automorphisms its own labeling found, built and labeled as raw adjacency
+masks; children are deduplicated through the canonical labeling, and a
+hereditary keep-predicate (pattern-freeness, degree caps) prunes whole
+subtrees, since deleting the new vertex cannot create a forbidden
 subgraph.  Builtin generation is capped at order 9; beyond that a graph6
 stream from an external enumerator is deduplicated and scanned the same
 way.
@@ -27,7 +29,7 @@ import numpy as np
 from numpy.linalg import eigh as _jacobi
 
 from .bounds import DEFAULT_EPS, conjecture_bound, q_bound_t2, q_bound_t2_applicable
-from .canonical import canonical_graph6, canonical_key
+from .canonical import _canonical, canonical_graph6, canonical_key
 from .errors import (
     DiscriminantNegative,
     HypothesisViolated,
@@ -40,7 +42,7 @@ from .errors import (
     UseStreamSource,
 )
 from .forbidden import ForbiddenPattern, _contains_through, contains_kst
-from .graphs import MAX_ORDER, Graph, _bits, empty_graph, graph6_decode, induced, join
+from .graphs import MAX_ORDER, Graph, empty_graph, graph6_decode, induced, join
 from .spectral import DEFAULT_TOL, _power_largest, q_index
 
 BUILTIN_MAX_ORDER = 9
@@ -48,14 +50,37 @@ SEARCH_TOL = 1e-8  # annealing walk only; every reported q is scored at spectral
 T_START, T_END = 1.0, 1e-3  # annealing temperatures, cooled geometrically over the budget
 
 
-def _extend(g: Graph, mask: int) -> Graph:
-    """Parent plus one new vertex whose neighborhood is the given bitmask."""
-    n = g.n
-    adj = list(g.adj)
-    for u in _bits(mask):
-        adj[u] |= 1 << n
-    adj.append(mask)
-    return Graph(n + 1, adj)
+def _mask_orbit_representatives(n: int, perms: list[list[int]]) -> list[int]:
+    """Least mask of each orbit of the group generated by ``perms`` (vertex
+    permutations of range(n)) acting on the 2^n subsets of range(n)."""
+    images = []
+    for perm in perms:
+        image = [0] * (1 << n)
+        for m in range(1, 1 << n):
+            low = m & -m
+            image[m] = image[m ^ low] | 1 << perm[low.bit_length() - 1]
+        images.append(image)
+    reached = bytearray(1 << n)
+    reps = []
+    for m in range(1 << n):
+        if not reached[m]:
+            reps.append(m)
+            stack = [m]
+            while stack:
+                x = stack.pop()
+                if not reached[x]:
+                    reached[x] = 1
+                    stack += [image[x] for image in images]
+    return reps
+
+
+def _on_canonical_labels(lab: list[int], perms: list[list[int]]) -> list[list[int]]:
+    """Vertex permutations of a graph carried to its canonical labeling,
+    given as ``lab`` (new -> old)."""
+    pos = [0] * len(lab)
+    for i, v in enumerate(lab):
+        pos[v] = i
+    return [[pos[perm[v]] for v in lab] for perm in perms]
 
 
 def enumerate_levels(max_n: int, keep=None):
@@ -64,27 +89,39 @@ def enumerate_levels(max_n: int, keep=None):
     ``kept`` is the sorted list of canonical representatives surviving the
     hereditary predicate ``keep``; ``seen`` counts every distinct class
     generated at that order (children of surviving parents), kept or not.
+
+    Each kept class is extended by one new vertex per orbit of neighbour
+    masks under the automorphisms its labeling found (McKay, "Isomorph-free
+    exhaustive generation", J. Algorithms 1998).  Those automorphisms
+    generate a subgroup of Aut(parent), and masks in one orbit of it give
+    isomorphic children, so every class is still generated.  Children are
+    built and labeled as adjacency masks; a ``Graph`` is built only for a
+    class not seen before, to pass to ``keep`` and to yield.
     """
     if max_n < 1:
         raise InvalidVertexSet("enumeration needs max_n >= 1")
     k1 = empty_graph(1)
-    current = [k1] if keep is None or keep(k1) else []
-    yield 1, list(current), 1
+    # a kept class: its Graph on canonical labels and the automorphisms found, on those labels
+    kept = {k1.adj: (k1, [])} if keep is None or keep(k1) else {}
+    yield 1, [g for g, _ in kept.values()], 1
     for order in range(2, max_n + 1):
+        new = 1 << (order - 1)
+        parents = kept
         seen: set = set()
-        kept: dict = {}
-        for parent in current:
-            pn = parent.n
-            for mask in range(1 << pn):
-                key = canonical_key(_extend(parent, mask))
-                if key in seen:
+        kept = {}
+        for parent, perms in parents.values():
+            for mask in _mask_orbit_representatives(parent.n, perms):
+                adj = [m | new if mask >> u & 1 else m for u, m in enumerate(parent.adj)]
+                adj.append(mask)
+                lab, cert, auts = _canonical(order, adj)
+                if cert in seen:
                     continue
-                seen.add(key)
-                child = Graph(key[0], key[1])
+                seen.add(cert)
+                child = Graph(order, cert)
                 if keep is None or keep(child):
-                    kept[key] = child
-        current = [kept[k] for k in sorted(kept)]
-        yield order, current, len(seen)
+                    kept[cert] = child, _on_canonical_labels(lab, auts)
+        kept = {cert: kept[cert] for cert in sorted(kept)}
+        yield order, [g for g, _ in kept.values()], len(seen)
 
 
 def enumerate_graphs(n: int, keep=None) -> list[Graph]:

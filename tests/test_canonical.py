@@ -10,9 +10,16 @@ import time
 import networkx as nx
 import pytest
 
-from qindex.canonical import canonical_graph, canonical_graph6, canonical_key, canonical_permutation
+from qindex.canonical import (
+    _canonical,
+    canonical_graph,
+    canonical_graph6,
+    canonical_key,
+    canonical_permutation,
+)
 from qindex.graphs import (
     MAX_ORDER,
+    complete_bipartite,
     complete_graph,
     cycle_graph,
     disjoint_union,
@@ -35,6 +42,14 @@ def matching(k):
 
 def hub_join(h):
     return join(complete_graph(1), h)
+
+
+def shrikhande():
+    diffs = {(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)}
+    return from_edge_list(16, [
+        (u, v) for u in range(16) for v in range(u + 1, 16)
+        if ((u // 4 - v // 4) % 4, (u % 4 - v % 4) % 4) in diffs
+    ])
 
 
 FAMILIES = {
@@ -87,16 +102,29 @@ def test_strongly_regular_union_under_relabeling(rook_4x4):
     # refinement cannot split their union; pruning a child by a generator
     # that moves the node's prefix (not only by those fixing it) loses the
     # least leaf on this graph
-    diffs = {(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)}
-    shrikhande = from_edge_list(16, [
-        (u, v) for u in range(16) for v in range(u + 1, 16)
-        if ((u // 4 - v // 4) % 4, (u % 4 - v % 4) % 4) in diffs
-    ])
-    g = disjoint_union(shrikhande, rook_4x4)
+    g = disjoint_union(shrikhande(), rook_4x4)
     rng = random.Random(16)
     key = canonical_key(g)
     for _ in range(10):
         assert canonical_key(shuffled(rng, g)) == key
+
+
+def test_generators_are_automorphisms(rook_4x4):
+    # vertex augmentation extends a parent by one neighbour mask per orbit of
+    # these permutations, so each must be a bijection preserving adjacency; a
+    # twin transposition applied one way only (u -> v without v -> u) is not
+    symmetric = [FAMILIES[f](n) for f, orders in ORDERS.items() for n in orders]
+    symmetric += [circulant(m, steps) for m in (8, 13, 20) for steps in ((1,), (1, 3), (2, 5))]
+    symmetric += [complete_bipartite(3, 3), disjoint_union(shrikhande(), rook_4x4)]
+    rng = random.Random(1998)
+    others = [random_graph(rng, rng.randint(1, 20), rng.random()) for _ in range(200)]
+    for g in symmetric + others:
+        perms = _canonical(g.n, g.adj)[2]
+        if g in symmetric:
+            assert perms, g
+        for perm in perms:
+            assert sorted(perm) == list(range(g.n))
+            assert all(g.adj[perm[v]] == sum(1 << perm[u] for u in g.neighbors(v)) for v in range(g.n))
 
 
 def test_canonical_form_is_a_fixed_point():

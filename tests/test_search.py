@@ -12,9 +12,11 @@ from qindex.canonical import canonical_graph6, canonical_key, refinement_cells
 from qindex.errors import InvalidBudget, InvalidVertexSet, MalformedGraph6, OrderOverflow, UseStreamSource
 from qindex.forbidden import ForbiddenPattern
 from qindex.graphs import (
+    Graph,
     complete_graph,
     cycle_graph,
     disjoint_union,
+    empty_graph,
     from_edge_list,
     graph6_decode,
     graph6_encode,
@@ -35,6 +37,43 @@ from qindex.spectral import q_index
 from conftest import random_graph
 
 UNLABELED_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
+
+
+def per_mask_levels(max_n, keep=None):
+    """Reference for ``enumerate_levels``: every kept parent is extended by
+    all 2^|P| neighbour masks, and each child is labeled through
+    ``canonical_key``."""
+    k1 = empty_graph(1)
+    current = [k1] if keep is None or keep(k1) else []
+    yield 1, list(current), 1
+    for order in range(2, max_n + 1):
+        seen = set()
+        kept = {}
+        for parent in current:
+            for mask in range(1 << parent.n):
+                adj = [m | 1 << parent.n if mask >> u & 1 else m for u, m in enumerate(parent.adj)]
+                key = canonical_key(Graph(order, adj + [mask]))
+                if key in seen:
+                    continue
+                seen.add(key)
+                child = Graph(*key)
+                if keep is None or keep(child):
+                    kept[key] = child
+        current = [kept[k] for k in sorted(kept)]
+        yield order, current, len(seen)
+
+
+def free_of(t, s):
+    return search._free_predicate(ForbiddenPattern.from_ts(t, s))
+
+
+ORACLE_PREDICATES = {
+    "unrestricted": None,
+    "K_{2,2}-free": free_of(2, 1),
+    "K_{2,3}-free": free_of(2, 2),
+    "K_{3,3}-free": free_of(3, 2),
+    "max degree <= 2": lambda g: g.max_degree() <= 2,
+}
 
 
 class TestCanonical:
@@ -86,6 +125,31 @@ class TestEnumeration:
         graphs = enumerate_graphs(5)
         keys = {canonical_key(g) for g in graphs}
         assert len(keys) == len(graphs) == 34
+
+
+class TestOrbitPrunedAugmentation:
+    @pytest.mark.parametrize("name", ORACLE_PREDICATES)
+    def test_levels_match_per_mask_oracle(self, name):
+        keep = ORACLE_PREDICATES[name]
+        assert list(enumerate_levels(7, keep)) == list(per_mask_levels(7, keep))
+
+    def test_k23_free_order_8_class_counts(self):
+        *_, (order, kept, seen) = enumerate_levels(8, free_of(2, 2))
+        assert (order, len(kept), seen) == (8, 2197, 8423)
+
+    def test_one_graph_per_new_class(self, monkeypatch):
+        # children are built and labeled as masks; a Graph is built only for
+        # a class not seen before (the per-mask extension built 12,542 here)
+        built = []
+        init = Graph.__init__
+
+        def counted(self, n, adj):
+            built.append(n)
+            init(self, n, adj)
+
+        monkeypatch.setattr(Graph, "__init__", counted)
+        seen = sum(seen for _, _, seen in enumerate_levels(7))
+        assert len(built) <= 2 * seen
 
 
 class TestExhaustive:
@@ -293,6 +357,10 @@ class TestSlowEnumeration:
         assert order == 9
         assert len(kept) == 274668
         assert seen == 274668
+
+    def test_k22_free_order_9_class_counts(self):
+        *_, (order, kept, seen) = enumerate_levels(9, free_of(2, 1))
+        assert (order, len(kept), seen) == (9, 1230, 25862)
 
 
 class TestExtremalJoinRecognition:
