@@ -34,20 +34,16 @@ from .forbidden import ForbiddenPattern, contains_kst, find_kst, max_codegree
 from .graphs import (
     MAX_ORDER,
     Graph,
-    common_neighbors,
     complete_bipartite,
     complete_graph,
-    cut_edges,
     cycle_graph,
     disjoint_union,
     empty_graph,
-    format_edge_list,
     from_edge_list,
     graph6_decode,
     graph6_encode,
     induced,
     join,
-    parse_edge_list,
     path_graph,
 )
 from .search import (
@@ -70,7 +66,6 @@ from .spectral import (
     full_spectrum,
     q_index,
     q_matrix,
-    rayleigh_edge_form,
 )
 
 __version__ = "0.1.0"
@@ -97,12 +92,10 @@ __all__ = [
     "canonical_key",
     "canonical_permutation",
     "circulant",
-    "common_neighbors",
     "complete_bipartite",
     "complete_graph",
     "conjecture_bound",
     "contains_kst",
-    "cut_edges",
     "cycle_graph",
     "disjoint_union",
     "dominating_vertex_scan",
@@ -114,7 +107,6 @@ __all__ = [
     "exhaustive_scan",
     "f_value",
     "find_kst",
-    "format_edge_list",
     "from_edge_list",
     "full_spectrum",
     "graph6_decode",
@@ -127,7 +119,6 @@ __all__ = [
     "join_cap_scan",
     "max_codegree",
     "merris_bound",
-    "parse_edge_list",
     "path_graph",
     "q_bound_t2",
     "q_bound_t2_applicable",
@@ -136,5 +127,4 @@ __all__ = [
     "q_index",
     "q_matrix",
     "random_regular",
-    "rayleigh_edge_form",
 ]

@@ -7,10 +7,10 @@ output is limited to 10 significant digits so slack-level discrepancies
 stay visible without drowning in noise.  ``tolerances`` lists exactly the
 tolerances the command used.
 
-A command takes only the flags it honours: ``--tol`` (eigensolver
-residual) on ``qindex`` and ``construct``, ``--eps`` (slack against
+A command takes only the flags it honours: ``--eps`` (slack against
 closed-form bounds) on ``verify``, ``prop4`` and ``hunt``, and
-``--format csv`` on ``bounds``.
+``--format csv`` on ``bounds``.  Every reported q is scored at the
+eigensolver residual ``spectral.DEFAULT_TOL``, which no flag changes.
 
 Exit codes: 0 success, 1 usage error, 2 computation error (message on
 stderr), 3 a verified bound violation was found.
@@ -30,7 +30,7 @@ from .constructions import ExtremalSpec, build_extremal
 from .errors import NoEdges, QxError
 from .forbidden import ForbiddenPattern, find_kst
 from .graphs import Graph, graph6_decode, graph6_encode
-from .search import SEARCH_TOL, exhaustive_max_q, heuristic_max_q, join_cap_scan
+from .search import exhaustive_max_q, heuristic_max_q, join_cap_scan
 from .spectral import DEFAULT_TOL, adjacency_radius, full_spectrum, q_index
 
 
@@ -48,17 +48,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--version", action="version", version=f"qx {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def tol(sp):
-        sp.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                        help="eigensolver residual tolerance")
-
     def eps(sp):
         sp.add_argument("--eps", type=float, default=DEFAULT_EPS,
                         help="slack for comparisons against closed-form bounds")
 
     sp = sub.add_parser("qindex", help="per-graph q, lambda, degrees, Merris bound")
     sp.add_argument("file", metavar="FILE", help="graph6 lines; '-' for stdin")
-    tol(sp)
 
     sp = sub.add_parser("spectrum", help="full eigenvalue lists")
     sp.add_argument("file", metavar="FILE")
@@ -80,7 +75,6 @@ def _build_parser() -> _Parser:
     sp.add_argument("--t", type=int, required=True)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--strategy", choices=("circulant", "random_regular"), default="circulant")
-    tol(sp)
 
     sp = sub.add_parser("verify", help="exhaustive max-q search at one order")
     sp.add_argument("--n", type=int, required=True)
@@ -151,8 +145,8 @@ def _run(args) -> tuple[dict, list, dict, bool]:
     if cmd == "qindex":
         results = []
         for line, g in _read_graphs(args.file):
-            q = q_index(g, args.tol)
-            lam = adjacency_radius(g, args.tol)
+            q = q_index(g)
+            lam = adjacency_radius(g)
             try:
                 mb = merris_bound(g)
             except NoEdges:
@@ -169,7 +163,7 @@ def _run(args) -> tuple[dict, list, dict, bool]:
                 "lambda": lam.value,
                 "merris_bound": mb,
             })
-        return {"file": args.file}, results, {"tol": args.tol}, violation
+        return {"file": args.file}, results, {"tol": DEFAULT_TOL}, violation
 
     if cmd == "spectrum":
         results = []
@@ -216,7 +210,7 @@ def _run(args) -> tuple[dict, list, dict, bool]:
     if cmd == "construct":
         spec = ExtremalSpec(args.n, args.s, args.t, args.strategy)
         built = build_extremal(spec, seed=args.seed, require_free=False)
-        q = q_index(built.graph, args.tol).value
+        q = q_index(built.graph).value
         bound = conjecture_bound(args.n, args.s, args.t)
         results = [{
             "graph6": graph6_encode(built.graph),
@@ -233,7 +227,7 @@ def _run(args) -> tuple[dict, list, dict, bool]:
             "gap": bound - q,
         }]
         parameters = {"n": args.n, "s": args.s, "t": args.t, "strategy": args.strategy}
-        return parameters, results, {"tol": args.tol}, violation
+        return parameters, results, {"tol": DEFAULT_TOL}, violation
 
     if cmd == "verify":
         pat = ForbiddenPattern.from_ts(args.t, args.s)
@@ -259,8 +253,7 @@ def _run(args) -> tuple[dict, list, dict, bool]:
         report = heuristic_max_q(args.n, pat, budget=args.budget, seed=args.seed, eps=args.eps)
         violation = report.verdict == "bound_violated"
         parameters = {"n": args.n, "s": args.s, "t": args.t, "budget": args.budget}
-        tolerances = {"walk_tol": SEARCH_TOL, "tol": DEFAULT_TOL, "eps": args.eps}
-        return parameters, [asdict(report)], tolerances, violation
+        return parameters, [asdict(report)], {"tol": DEFAULT_TOL, "eps": args.eps}, violation
 
     if cmd == "ledger":
         checks = q_cap_ledger(args.s, args.n)

@@ -39,16 +39,6 @@ class InvalidVertexSet(QxError):
     """Vertex set argument violates its precondition."""
 
 
-class InvalidPartition(QxError):
-    """Overlapping vertex sets passed where disjoint ones are required."""
-
-
-# spectral
-
-class InvalidVector(QxError):
-    """Vector argument is not a unit vector."""
-
-
 # forbidden-subgraph detection
 
 class PatternLargerThanGraph(QxError):

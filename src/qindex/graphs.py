@@ -17,7 +17,6 @@ from typing import Iterable, Iterator, Sequence
 from .errors import (
     IndexOutOfRange,
     InvalidEdge,
-    InvalidPartition,
     InvalidVertexSet,
     MalformedGraph6,
     OrderOverflow,
@@ -252,28 +251,6 @@ def induced(g: Graph, vertices: Iterable[int]) -> Graph:
     return Graph(len(kept), adj)
 
 
-def common_neighbors(g: Graph, vertices: Iterable[int]) -> frozenset[int]:
-    """Vertices adjacent to every member of the set (members not excluded)."""
-    mask = _mask_of(vertices, g.n)
-    if mask == 0:
-        raise InvalidVertexSet("common neighborhood of the empty set is undefined")
-    inter = (1 << g.n) - 1
-    for v in _bits(mask):
-        inter &= g.adj[v]
-        if not inter:
-            break
-    return frozenset(_bits(inter))
-
-
-def cut_edges(g: Graph, left: Iterable[int], right: Iterable[int]) -> int:
-    """Number of edges with one end in each set; the sets must be disjoint."""
-    lm = _mask_of(left, g.n)
-    rm = _mask_of(right, g.n)
-    if lm & rm:
-        raise InvalidPartition("cut_edges requires disjoint vertex sets")
-    return sum((g.adj[v] & rm).bit_count() for v in _bits(lm))
-
-
 # graph6 codec (order <= 62: single-byte header, upper triangle packed
 # column by column, 6 bits per printable byte offset by 63)
 
@@ -334,24 +311,3 @@ def graph6_decode(text: str) -> Graph:
             i += 1
     return Graph(n, adj)
 
-
-# edge-list text codec: first line "n m", then m lines "u v" (0-based)
-
-def format_edge_list(g: Graph) -> str:
-    lines = [f"{g.n} {g.edge_count()}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
-
-
-def parse_edge_list(text: str) -> Graph:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise InvalidVertexSet("empty edge-list text")
-    try:
-        n, m = map(int, lines[0].split())
-        edges = [tuple(map(int, ln.split())) for ln in lines[1:]]
-    except ValueError as exc:
-        raise InvalidVertexSet(f"malformed edge-list line: {exc}") from None
-    if len(edges) != m:
-        raise InvalidVertexSet(f"header promises {m} edges, found {len(edges)}")
-    return from_edge_list(n, edges)

@@ -12,9 +12,11 @@ way.
 
 Heuristic side: simulated annealing over single edge toggles with a
 geometric cooling schedule.  Toggles that would create the forbidden
-pattern are rejected outright, so the walk never leaves the free region;
-the result is a certified lower bound on the true maximum, never claimed
-optimal.
+pattern are rejected outright, so the walk never leaves the free region.
+Each evaluated proposal is scored by one LAPACK call
+(``numpy.linalg.eigvalsh``) on the walk's Q matrix; only the best graph
+found is rescored by the certified ``q_index``, so the result is a
+certified lower bound on the true maximum, never claimed optimal.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-# bench/spans.py wraps this name as spectral.full; the rename waits for ROADMAP item 2
-from numpy.linalg import eigh as _jacobi
+# bench/spans.py wraps this name as spectral.full; the rename waits for ROADMAP item 1
+from numpy.linalg import eigvalsh as _jacobi
 
 from .bounds import DEFAULT_EPS, conjecture_bound, q_bound_t2, q_bound_t2_applicable
 from .canonical import _canonical, canonical_graph6, canonical_key
@@ -43,10 +45,10 @@ from .errors import (
 )
 from .forbidden import ForbiddenPattern, _contains_through, contains_kst
 from .graphs import MAX_ORDER, Graph, empty_graph, graph6_decode, induced, join
-from .spectral import DEFAULT_TOL, _power_largest, q_index
+from .spectral import DEFAULT_TOL, q_index
+from .spectral import _power_largest  # unused: bench/spans.py wraps it until ROADMAP item 1
 
 BUILTIN_MAX_ORDER = 9
-SEARCH_TOL = 1e-8  # annealing walk only; every reported q is scored at spectral.DEFAULT_TOL
 T_START, T_END = 1.0, 1e-3  # annealing temperatures, cooled geometrically over the budget
 
 
@@ -456,8 +458,9 @@ def heuristic_max_q(
 
     Geometric cooling from ``T_START`` down to ``T_END`` over exactly
     ``budget`` proposals; an edge insertion creating the pattern costs its
-    proposal but is never evaluated or accepted.  Deterministic per seed.
-    Returns a lower-bound report (``exhaustive=False``).
+    proposal but is never evaluated or accepted; every other proposal is
+    scored by one ``eigvalsh`` call on the walk's Q matrix.  Deterministic
+    per seed.  Returns a lower-bound report (``exhaustive=False``).
     """
     if n < 2:
         raise InvalidVertexSet(f"an edge-toggle walk needs n >= 2, got {n}")
@@ -472,7 +475,6 @@ def heuristic_max_q(
     temp = T_START
     adj = [0] * n  # the walk's graph as neighbor masks, toggled in place
     m = np.zeros((n, n))  # its Q matrix, kept in step with adj
-    x = np.full(n, 1.0 / math.sqrt(n))
     q_cur = 0.0
     best_q = -1.0
     best_adj = tuple(adj)
@@ -495,17 +497,11 @@ def heuristic_max_q(
         m[v, u] += delta
         m[u, u] += delta
         m[v, v] += delta
-        x0 = x + 1e-3  # keep overlap with every component's top eigenvector
-        q_new, x_new, _res, _, ok = _power_largest(m, SEARCH_TOL, 3000, x0=x0)
-        if not ok:
-            w, vecs = _jacobi(m)
-            q_new = float(w[-1])
-            x_new = np.abs(vecs[:, -1])
+        q_new = float(_jacobi(m)[-1])
         evaluated += 1
         dq = q_new - q_cur
         if dq >= 0 or rng.random() < math.exp(dq / temp):
             q_cur = q_new
-            x = x_new
             if q_new > best_q:
                 best_q = q_new
                 best_adj = tuple(adj)

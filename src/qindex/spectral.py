@@ -6,7 +6,9 @@ per connected component (so the iteration always acts on a primitive
 matrix and converges geometrically).  Convergence is certified by the
 residual ||Mx - qx||; on hitting the iteration cap the solver falls back to
 a full LAPACK decomposition (``numpy.linalg.eigh``) rather than failing
-silently.  The whole spectrum comes from LAPACK (``numpy.linalg.eigvalsh``).
+silently.  The whole spectrum comes from LAPACK (``numpy.linalg.eigvalsh``),
+and so does the annealing hunt's score of each proposal
+(``search.heuristic_max_q``); every q a report gives comes from ``q_index``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameter, InvalidVector, Unsupported
+from .errors import InvalidParameter, Unsupported
 from .graphs import Graph, _bits
 
 DEFAULT_TOL = 1e-10
@@ -55,13 +57,10 @@ def q_matrix(g: Graph) -> np.ndarray:
     return a + np.diag(a.sum(axis=1))
 
 
-def _power_largest(m: np.ndarray, tol: float, max_iter: int, x0=None):
+def _power_largest(m: np.ndarray, tol: float, max_iter: int):
     """Power iteration; returns (value, unit vector, residual, iters, converged)."""
     k = m.shape[0]
-    if x0 is None:
-        x = np.full(k, 1.0 / np.sqrt(k))
-    else:
-        x = x0 / np.linalg.norm(x0)
+    x = np.full(k, 1.0 / np.sqrt(k))
     lam = 0.0
     res = np.inf
     it = 0
@@ -154,15 +153,3 @@ def full_spectrum(g: Graph, matrix: str = "Q") -> list[float]:
     m = q_matrix(g) if matrix == "Q" else adjacency_matrix(g)
     return np.linalg.eigvalsh(m).tolist()
 
-
-def rayleigh_edge_form(g: Graph, x) -> float:
-    """Edge sum of (x_i + x_j)^2, the quadratic form of Q at a unit vector."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (g.n,):
-        raise InvalidVector(f"vector length {x.shape} does not match order {g.n}")
-    if abs(float(np.linalg.norm(x)) - 1.0) > 1e-9:
-        raise InvalidVector("rayleigh_edge_form requires a unit vector")
-    total = 0.0
-    for u, v in g.edges():
-        total += (x[u] + x[v]) ** 2
-    return total

@@ -35,15 +35,19 @@ def test_traced_name_resolves(module, name):
     assert callable(obj)
 
 
+# spans a traced command must record: the hunt scores every proposal through
+# search._jacobi, which the tracer names spectral.full
+RECORDED_SPANS = {"hunt": ["spectral.full"]}
+
+
 @pytest.mark.parametrize("argv, counters", [
     (["qindex", "FILE"], ["spectral.q_iters"]),
-    (["hunt", "--n", "8", "--t", "2", "--s", "1", "--budget", "50"],
-     ["spectral.q_iters", "spectral.power_iters"]),
+    (["hunt", "--n", "8", "--t", "2", "--s", "1", "--budget", "50"], ["spectral.q_iters"]),
     (["verify", "--n", "6", "--t", "2", "--s", "2", "--stream", "FILE6"], ["canonical.classes"]),
 ])
 def test_traced_run_fills_its_counters(tmp_path, argv, counters):
-    # the observers read SpectralResult.iterations/.method, the iteration
-    # count in _power_largest's tuple and the keys search.canonical_key returns
+    # the observers read SpectralResult.iterations/.method and the keys
+    # search.canonical_key returns
     graphs = tmp_path / "graphs.g6"
     graphs.write_text("DQc\nI?h]@eOWG\n")
     # K6, K_{2,4} twice (relabeled) and K_{3,3}: each contains K_{2,3}, so the
@@ -57,7 +61,11 @@ def test_traced_run_fills_its_counters(tmp_path, argv, counters):
     done = subprocess.run([sys.executable, str(SPANS), str(out), "run", *argv],
                           env=env, cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    saved = _load_spans().load(str(out))["counters"]
+    trace = _load_spans().load(str(out))
+    saved = trace["counters"]
     assert saved.get("spectral.fallbacks", 0) == 0  # absent when nothing was scored
     for name in counters:
         assert saved[name] > 0
+    recorded = {trace["names"][i] for i in trace["name"]}
+    for name in RECORDED_SPANS.get(argv[0], []):
+        assert name in recorded

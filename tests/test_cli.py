@@ -208,14 +208,14 @@ class TestExitCodes:
         ("hunt", "--n", "1", "--t", "2", "--s", "1", "--budget", "10"),
         ("free-check", "FILE", "--t", "1", "--s", "1"),
         ("verify", "--n", "5", "--t", "2", "--s", "0"),
-        ("construct", "--n", "6", "--s", "2", "--t", "2", "--tol", "0"),
-        ("qindex", "FILE", "--tol", "nan"),
-        ("qindex", "FILE", "--tol", "inf"),
         ("verify", "--n", "3", "--t", "2", "--s", "1", "--eps", "-5"),
         ("verify", "--n", "3", "--t", "2", "--s", "1", "--eps", "nan"),
         ("prop4", "--m", "4", "--s", "1", "--eps", "-1"),
         ("hunt", "--n", "6", "--t", "2", "--s", "1", "--budget", "10", "--eps", "inf"),
         ("construct", "--n", "5", "--s", "1", "--t", "9"),
+        ("hunt", "--n", "6", "--t", "2", "--s", "1", "--budget", "0"),
+        ("hunt", "--n", "63", "--t", "2", "--s", "1", "--budget", "10"),
+        ("verify", "--n", "10", "--t", "2", "--s", "1"),
     ])
     def test_bad_input_is_a_computation_error(self, capsys, g6_file, argv):
         argv = [g6_file if a == "FILE" else a for a in argv]
@@ -278,13 +278,13 @@ _FLOATS = _pick(None, None, "1e-10", "1e-6", "0", "-1", "1e300", "nan", "inf", "
 # finishes well under a second; "FILE" is the positional graph6 file and a
 # drawn None leaves the flag out
 FUZZ_ARGS = {
-    "qindex": {"FILE": None, "--tol": _FLOATS},
+    "qindex": {"FILE": None},
     "spectrum": {"FILE": None, "--matrix": _pick(None, "Q", "A", "L")},
     "free-check": {"FILE": None, "--t": _ints(-1, 4), "--s": _ints(-1, 3)},
     "bounds": {"--n": _ints(-2, 40), "--s": _ints(-1, 5), "--t": _ints(-1, 5),
                "--format": _pick(None, "json", "csv", "text")},
     "construct": {"--n": _ints(0, 20), "--s": _ints(0, 3), "--t": _ints(1, 4),
-                  "--seed": _ints(-1, 9), "--tol": _FLOATS,
+                  "--seed": _ints(-1, 9),
                   "--strategy": _pick(None, None, "circulant", "random_regular", "x")},
     "verify": {"--n": _ints(-1, 6), "--t": _ints(-1, 3), "--s": _ints(-1, 3),
                "--stream": _pick(None, None, "FILE", "-"), "--eps": _FLOATS},
@@ -364,14 +364,20 @@ class TestFlags:
         ("hunt", "--n", "6", "--t", "2", "--s", "1", "--budget", "10", "--tol", "1e-3"),
         ("spectrum", "FILE", "--eps", "1"),
         ("verify", "--n", "5", "--t", "2", "--s", "1", "--format", "csv"),
+        # every q is scored at spectral.DEFAULT_TOL, which no flag changes
+        ("construct", "--n", "6", "--s", "2", "--t", "2", "--tol", "0"),
+        ("qindex", "FILE", "--tol", "nan"),
+        ("qindex", "FILE", "--tol", "inf"),
     ])
     def test_flag_a_command_ignores_is_a_usage_error(self, capsys, g6_file, argv):
         argv = [g6_file if a == "FILE" else a for a in argv]
         assert run(capsys, *argv)[0] == 1
 
     def test_tolerances_are_the_ones_used(self, capsys, g6_file):
-        _, out, _ = run(capsys, "qindex", g6_file, "--tol", "1e-9")
-        assert json.loads(out)["tolerances"] == {"tol": 1e-9}
+        _, out, _ = run(capsys, "qindex", g6_file)
+        assert json.loads(out)["tolerances"] == {"tol": 1e-10}
+        _, out, _ = run(capsys, "hunt", "--n", "6", "--t", "2", "--s", "1", "--budget", "50")
+        assert json.loads(out)["tolerances"] == {"tol": 1e-10, "eps": 1e-7}
         _, out, _ = run(capsys, "verify", "--n", "5", "--t", "2", "--s", "1", "--eps", "1e-6")
         assert json.loads(out)["tolerances"] == {"tol": 1e-10, "eps": 1e-6}
         _, out, _ = run(capsys, "ledger", "--s", "2", "--n", "22")

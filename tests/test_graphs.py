@@ -7,7 +7,6 @@ import pytest
 from qindex.errors import (
     IndexOutOfRange,
     InvalidEdge,
-    InvalidPartition,
     InvalidVertexSet,
     MalformedGraph6,
     OrderOverflow,
@@ -16,20 +15,16 @@ from qindex.errors import (
 from qindex.graphs import (
     MAX_ORDER,
     Graph,
-    common_neighbors,
     complete_bipartite,
     complete_graph,
-    cut_edges,
     cycle_graph,
     disjoint_union,
     empty_graph,
-    format_edge_list,
     from_edge_list,
     graph6_decode,
     graph6_encode,
     induced,
     join,
-    parse_edge_list,
     path_graph,
 )
 from conftest import random_graph
@@ -183,39 +178,7 @@ class TestGraph6:
             assert set(back.edges()) == {tuple(e) for e in g.edges()}
 
 
-class TestEdgeListText:
-    def test_round_trip(self):
-        rng = random.Random(23)
-        for _ in range(40):
-            g = random_graph(rng, rng.randint(1, 15), 0.5)
-            assert parse_edge_list(format_edge_list(g)) == g
-
-    def test_format_shape(self):
-        text = format_edge_list(path_graph(3))
-        assert text.splitlines()[0] == "3 2"
-
-    def test_malformed(self):
-        with pytest.raises(InvalidVertexSet):
-            parse_edge_list("")
-        with pytest.raises(InvalidVertexSet):
-            parse_edge_list("2 5\n0 1\n")  # count mismatch
-
-
 class TestVertexSets:
-    def test_adjacent_pair_on_c5(self):
-        assert common_neighbors(cycle_graph(5), [0, 1]) == frozenset()
-
-    def test_opposite_pair_on_c4(self):
-        assert common_neighbors(cycle_graph(4), [0, 2]) == frozenset({1, 3})
-
-    def test_star_cut(self):
-        g = complete_bipartite(1, 4)
-        assert cut_edges(g, [0], [1, 2, 3, 4]) == 4
-
-    def test_cut_requires_disjoint(self):
-        with pytest.raises(InvalidPartition):
-            cut_edges(cycle_graph(4), [0, 1], [1, 2])
-
     def test_induced_relabels_in_order(self):
         g = cycle_graph(5)
         sub = induced(g, [1, 2, 4])
@@ -225,15 +188,6 @@ class TestVertexSets:
     def test_induced_empty_rejected(self):
         with pytest.raises(InvalidVertexSet):
             induced(cycle_graph(4), [])
-
-    def test_cut_edges_random_against_naive(self):
-        rng = random.Random(31)
-        for _ in range(30):
-            g = random_graph(rng, 12, 0.5)
-            left = [v for v in range(12) if rng.random() < 0.4]
-            right = [v for v in range(12) if v not in left and rng.random() < 0.6]
-            naive = sum(1 for u in left for v in right if g.has_edge(u, v))
-            assert cut_edges(g, left, right) == naive
 
 
 class TestStructure:

@@ -1,10 +1,9 @@
 import itertools
-import math
 import random
 from dataclasses import replace
 
 import pytest
-from numpy.linalg import eigh
+from numpy.linalg import eigvalsh
 
 import qindex.search as search
 from qindex.bounds import q_bound_t2
@@ -312,19 +311,19 @@ class TestHeuristic:
         with pytest.raises(InvalidBudget):
             heuristic_max_q(5, ForbiddenPattern(2, 2), budget=0, seed=0)
 
-    def test_lapack_fallback_on_every_proposal(self, monkeypatch):
-        # power iteration that never converges sends every evaluated
-        # proposal through the full eigendecomposition
-        def stalled(m, tol, max_iter, x0=None):
-            return 0.0, x0, math.inf, max_iter, False
+    def test_one_lapack_call_per_evaluated_proposal(self, monkeypatch):
+        # every evaluated proposal is scored by exactly one eigvalsh call,
+        # and the walk never runs power iteration
+        def power(*args):
+            raise AssertionError("the walk ran power iteration")
 
         calls = []
 
         def full(m):
             calls.append(1)
-            return eigh(m)
+            return eigvalsh(m)
 
-        monkeypatch.setattr(search, "_power_largest", stalled)
+        monkeypatch.setattr(search, "_power_largest", power)
         monkeypatch.setattr(search, "_jacobi", full)
         pat = ForbiddenPattern.from_ts(2, 1)
         hunt = heuristic_max_q(5, pat, budget=1000, seed=0)
