@@ -30,7 +30,7 @@ from .constructions import (
     random_regular,
 )
 from .errors import QxError
-from .forbidden import ForbiddenPattern, contains_kst, find_kst, max_codegree
+from .forbidden import ForbiddenPattern, contains_kst, find_kst
 from .graphs import (
     MAX_ORDER,
     Graph,
@@ -117,7 +117,6 @@ __all__ = [
     "is_extremal_join",
     "join",
     "join_cap_scan",
-    "max_codegree",
     "merris_bound",
     "path_graph",
     "q_bound_t2",

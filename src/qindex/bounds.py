@@ -3,8 +3,8 @@ of numeric inequality steps behind the q(G) < n cap for graphs without a
 dominating vertex.
 
 The closed forms are double-precision arithmetic.  Comparisons against
-computed eigenvalues belong to the callers, who must bring an explicit
-slack; the ledger's steps are rational and are checked exactly, with none.
+computed eigenvalues follow one fixed policy, owned by ``search``; the
+ledger's steps are rational and are checked exactly, with no slack.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ from .errors import (
     NoEdges,
 )
 from .graphs import Graph, _bits
-
-DEFAULT_EPS = 1e-7
 
 
 def adjacency_bound(n: int, s: int, t: int) -> float:

@@ -7,10 +7,11 @@ output is limited to 10 significant digits so slack-level discrepancies
 stay visible without drowning in noise.  ``tolerances`` lists exactly the
 tolerances the command used.
 
-A command takes only the flags it honours: ``--eps`` (slack against
-closed-form bounds) on ``verify``, ``prop4`` and ``hunt``, and
-``--format csv`` on ``bounds``.  Every reported q is scored at the
-eigensolver residual ``spectral.DEFAULT_TOL``, which no flag changes.
+A command takes only the flags it honours; ``--format csv`` is for
+``bounds`` only.  Every reported q is scored at the eigensolver residual
+``spectral.DEFAULT_TOL``, and ``verify``, ``prop4`` and ``hunt`` compare
+it with a closed-form cap by the fixed policy of ``search``: no flag
+changes either.
 
 Exit codes: 0 success, 1 usage error, 2 computation error (message on
 stderr), 3 a verified bound violation was found.
@@ -25,12 +26,12 @@ import time
 from dataclasses import asdict
 
 from . import __version__
-from .bounds import DEFAULT_EPS, bound_report, conjecture_bound, merris_bound, q_cap_ledger
+from .bounds import bound_report, conjecture_bound, merris_bound, q_cap_ledger
 from .constructions import ExtremalSpec, build_extremal
 from .errors import NoEdges, QxError
 from .forbidden import ForbiddenPattern, find_kst
 from .graphs import Graph, graph6_decode, graph6_encode
-from .search import exhaustive_max_q, heuristic_max_q, join_cap_scan
+from .search import EPS, exhaustive_max_q, heuristic_max_q, join_cap_scan
 from .spectral import DEFAULT_TOL, adjacency_radius, full_spectrum, q_index
 
 
@@ -47,10 +48,6 @@ def _build_parser() -> _Parser:
     p = _Parser(prog="qx", description="Q-index extremal toolkit")
     p.add_argument("--version", action="version", version=f"qx {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def eps(sp):
-        sp.add_argument("--eps", type=float, default=DEFAULT_EPS,
-                        help="slack for comparisons against closed-form bounds")
 
     sp = sub.add_parser("qindex", help="per-graph q, lambda, degrees, Merris bound")
     sp.add_argument("file", metavar="FILE", help="graph6 lines; '-' for stdin")
@@ -81,12 +78,10 @@ def _build_parser() -> _Parser:
     sp.add_argument("--t", type=int, required=True)
     sp.add_argument("--s", type=int, required=True)
     sp.add_argument("--stream", help="graph6 file replacing the builtin enumerator")
-    eps(sp)
 
     sp = sub.add_parser("prop4", help="scan q(K_1 v H) over all H with max degree <= s")
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--s", type=int, required=True)
-    eps(sp)
 
     sp = sub.add_parser("hunt", help="simulated-annealing lower-bound search")
     sp.add_argument("--n", type=int, required=True)
@@ -94,7 +89,6 @@ def _build_parser() -> _Parser:
     sp.add_argument("--s", type=int, required=True)
     sp.add_argument("--budget", type=int, required=True)
     sp.add_argument("--seed", type=int, default=0)
-    eps(sp)
 
     sp = sub.add_parser("ledger", help="inequality checks behind the q < n cap")
     sp.add_argument("--s", type=int, required=True)
@@ -179,7 +173,7 @@ def _run(args) -> tuple[dict, list, dict, bool]:
         pat = ForbiddenPattern.from_ts(args.t, args.s)
         results = []
         for line, g in _read_graphs(args.file):
-            witness = find_kst(g, pat) if pat.t <= g.n else None
+            witness = find_kst(g, pat)
             results.append({
                 "graph6": line,
                 "pattern": str(pat),
@@ -229,38 +223,32 @@ def _run(args) -> tuple[dict, list, dict, bool]:
         parameters = {"n": args.n, "s": args.s, "t": args.t, "strategy": args.strategy}
         return parameters, results, {"tol": DEFAULT_TOL}, violation
 
-    if cmd == "verify":
-        pat = ForbiddenPattern.from_ts(args.t, args.s)
-        if args.stream == "-":
-            report = exhaustive_max_q(args.n, pat, stream=sys.stdin, eps=args.eps)
-        elif args.stream:
-            with open(args.stream, "r", encoding="ascii", errors="surrogateescape") as fh:
-                report = exhaustive_max_q(args.n, pat, stream=fh, eps=args.eps)
-        else:
-            report = exhaustive_max_q(args.n, pat, eps=args.eps)
-        violation = report.verdict == "bound_violated"
-        parameters = {"n": args.n, "s": args.s, "t": args.t, "stream": args.stream}
-        return parameters, [asdict(report)], {"tol": DEFAULT_TOL, "eps": args.eps}, violation
-
-    if cmd == "prop4":
-        report = join_cap_scan(args.m, args.s, eps=args.eps)
-        violation = report.verdict == "bound_violated"
-        results = [{**asdict(report), "verdict": report.verdict}]
-        return {"m": args.m, "s": args.s}, results, {"tol": DEFAULT_TOL, "eps": args.eps}, violation
-
-    if cmd == "hunt":
-        pat = ForbiddenPattern.from_ts(args.t, args.s)
-        report = heuristic_max_q(args.n, pat, budget=args.budget, seed=args.seed, eps=args.eps)
-        violation = report.verdict == "bound_violated"
-        parameters = {"n": args.n, "s": args.s, "t": args.t, "budget": args.budget}
-        return parameters, [asdict(report)], {"tol": DEFAULT_TOL, "eps": args.eps}, violation
-
     if cmd == "ledger":
         checks = q_cap_ledger(args.s, args.n)
         results = [{"s": args.s, "n": args.n, "checks": checks, "all_passed": all(checks.values())}]
         return {"s": args.s, "n": args.n}, results, {}, violation
 
-    raise AssertionError(f"unhandled command {cmd}")
+    if cmd == "verify":
+        pat = ForbiddenPattern.from_ts(args.t, args.s)
+        if args.stream == "-":
+            report = exhaustive_max_q(args.n, pat, stream=sys.stdin)
+        elif args.stream:
+            with open(args.stream, "r", encoding="ascii", errors="surrogateescape") as fh:
+                report = exhaustive_max_q(args.n, pat, stream=fh)
+        else:
+            report = exhaustive_max_q(args.n, pat)
+        parameters = {"n": args.n, "s": args.s, "t": args.t, "stream": args.stream}
+    elif cmd == "prop4":
+        report = join_cap_scan(args.m, args.s)
+        parameters = {"m": args.m, "s": args.s}
+    elif cmd == "hunt":
+        pat = ForbiddenPattern.from_ts(args.t, args.s)
+        report = heuristic_max_q(args.n, pat, budget=args.budget, seed=args.seed)
+        parameters = {"n": args.n, "s": args.s, "t": args.t, "budget": args.budget}
+    else:
+        raise AssertionError(f"unhandled command {cmd}")
+    violation = report.verdict == "bound_violated"
+    return parameters, [asdict(report)], {"tol": DEFAULT_TOL, "eps": EPS}, violation
 
 
 def _render_text(command: str, results: list) -> str:

@@ -39,12 +39,6 @@ class InvalidVertexSet(QxError):
     """Vertex set argument violates its precondition."""
 
 
-# forbidden-subgraph detection
-
-class PatternLargerThanGraph(QxError):
-    """Pattern side exceeds the order of the host graph."""
-
-
 # bounds
 
 class HypothesisViolated(QxError):

@@ -2,10 +2,10 @@
 
 A graph contains K_{t,s+1} as a subgraph exactly when some t vertices have
 at least s+1 common neighbors outside the t-set.  Every question asked here
-(a witness, a yes/no answer, the largest codegree, whether some copy has a
-given vertex on its t-side) is answered by one walk over the t-subsets of
-raw adjacency masks, in lexicographic order, that cuts a branch as soon as
-the running intersection of neighborhoods is too small.  The walk takes a
+(a witness, a yes/no answer, whether some copy has a given vertex on its
+t-side) is answered by one walk over the t-subsets of raw adjacency masks,
+in lexicographic order, that cuts a branch as soon as the running
+intersection of neighborhoods is too small.  The walk takes a
 sequence of masks rather than a ``Graph`` so that the annealing search can
 run it on its mutable state.
 """
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Sequence
 
-from .errors import InvalidParameter, InvariantViolated, PatternLargerThanGraph
+from .errors import InvalidParameter, InvariantViolated
 from .graphs import Graph, _bits
 
 
@@ -89,9 +89,8 @@ def find_kst(g: Graph, pat: ForbiddenPattern) -> Witness | None:
 
     A witness is (t-set, (s+1)-set): the smallest t-subset with codegree
     >= s+1, paired with its s+1 smallest common neighbors off the t-set.
+    A graph with fewer vertices than the pattern is free of it.
     """
-    if pat.t > g.n:
-        raise PatternLargerThanGraph(f"{pat} needs {pat.t} left vertices, graph has {g.n}")
     found = _walk(g.adj, pat.t, pat.s_plus_1)
     return None if found is None else _checked(g, *found)
 
@@ -116,13 +115,3 @@ def _contains_through(adj: Sequence[int], pat: ForbiddenPattern, anchor: int) ->
     """Whether some K_{t,s+1} in the graph with masks ``adj`` has ``anchor``
     on its t-side."""
     return _walk(adj, pat.t, pat.s_plus_1, anchor) is not None
-
-
-def max_codegree(g: Graph, t: int) -> int:
-    """max over t-subsets X of |common neighborhood of X outside X|."""
-    if not 2 <= t <= g.n:
-        raise PatternLargerThanGraph(f"subset size {t} outside 2..{g.n}")
-    need = 1
-    while _walk(g.adj, t, need) is not None:
-        need += 1
-    return need - 1

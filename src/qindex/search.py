@@ -30,13 +30,12 @@ import numpy as np
 # bench/spans.py wraps this name as spectral.full; the rename waits for ROADMAP item 1
 from numpy.linalg import eigvalsh as _jacobi
 
-from .bounds import DEFAULT_EPS, conjecture_bound, q_bound_t2, q_bound_t2_applicable
+from .bounds import conjecture_bound, q_bound_t2, q_bound_t2_applicable
 from .canonical import _canonical, canonical_graph6, canonical_key
 from .errors import (
     DiscriminantNegative,
     HypothesisViolated,
     InvalidBudget,
-    InvalidParameter,
     InvalidVertexSet,
     InvariantViolated,
     MalformedGraph6,
@@ -50,6 +49,7 @@ from .spectral import _power_largest  # unused: bench/spans.py wraps it until RO
 
 BUILTIN_MAX_ORDER = 9
 T_START, T_END = 1.0, 1e-3  # annealing temperatures, cooled geometrically over the budget
+EPS = 1e-7  # width of an argmax tie, and slack before a q above a cap is a violation
 
 
 def _mask_orbit_representatives(n: int, perms: list[list[int]]) -> list[int]:
@@ -133,12 +133,7 @@ def enumerate_graphs(n: int, keep=None) -> list[Graph]:
 
 
 def _free_predicate(pat: ForbiddenPattern):
-    def keep(g: Graph) -> bool:
-        if g.n < pat.order:
-            return True
-        return not contains_kst(g, pat)
-
-    return keep
+    return lambda g: not contains_kst(g, pat)
 
 
 def is_extremal_join(g: Graph, s: int, t: int) -> bool:
@@ -161,10 +156,12 @@ class SearchReport:
 
     For exhaustive runs ``max_q`` is the exact maximum over isomorphism
     classes and ``argmax`` lists every maximizer (canonical graph6,
-    sorted, ties within ``eps``).  For heuristic runs ``max_q`` is only a
+    sorted, ties within ``EPS``).  For heuristic runs ``max_q`` is only a
     lower bound on the true maximum, ``graphs_seen`` counts proposals and
     ``free_graphs`` the ones that were evaluated (pattern-creating toggles
-    are rejected unevaluated).
+    are rejected unevaluated).  ``bound_applicable`` says whether the cap
+    is proved for every graph of this order (t = 2 and n >= s^2 + 6s + 6)
+    rather than conjectured.
     """
 
     n: int
@@ -179,56 +176,46 @@ class SearchReport:
     verdict: str
     argmax_is_extremal_join: bool
     exhaustive: bool
-    eps: float
     runtime_ms: int
     seed: int | None = None
     budget: int | None = None
 
 
-def _check_eps(eps: float) -> None:
-    """Reject a slack that is negative, NaN or infinite: any of them would
-    turn the comparison with the cap into a made-up verdict."""
-    if not 0 <= eps < math.inf:
-        raise InvalidParameter(f"eps must be finite and >= 0, got {eps}")
-
-
-def _above(q: float, bound: float, eps: float) -> bool:
-    """Whether q exceeds the cap by more than ``eps``.  Every q is certified
+def _above(q: float, bound: float) -> bool:
+    """Whether q exceeds the cap by more than ``EPS``.  Every q is certified
     to a residual of at most ``DEFAULT_TOL``, which bounds its error, so a
     float within that of the cap is not counted as above it."""
-    return q > bound + eps + DEFAULT_TOL
+    return q > bound + EPS + DEFAULT_TOL
 
 
 def _at_cap(q: float, bound: float) -> bool:
-    """Whether q meets the cap within its certified error, whatever eps is."""
+    """Whether q meets the cap within its certified error ``DEFAULT_TOL``."""
     return abs(q - bound) <= DEFAULT_TOL
 
 
-def _verdict(max_q: float, pat: ForbiddenPattern, n: int, eps: float):
+def _verdict(max_q: float, pat: ForbiddenPattern, n: int):
     """Compare a maximum against the conjectured cap, minding its hypothesis."""
     try:
         bound = conjecture_bound(n, pat.s, pat.t)
     except (HypothesisViolated, DiscriminantNegative):
-        return None, False, "bound_inapplicable"
-    applicable = True
-    verdict = "bound_violated" if _above(max_q, bound, eps) else "bound_holds"
-    return bound, applicable, verdict
+        return None, "bound_inapplicable"
+    return bound, "bound_violated" if _above(max_q, bound) else "bound_holds"
 
 
-def _argmax(scored: list[tuple[float, Graph]], eps: float) -> tuple[float, list[Graph]]:
-    """Top score (0.0 when empty) and every graph scoring within ``eps`` of it."""
+def _argmax(scored: list[tuple[float, Graph]]) -> tuple[float, list[Graph]]:
+    """Top score (0.0 when empty) and every graph scoring within ``EPS`` of it."""
     best = max((q for q, _ in scored), default=0.0)
-    return best, [g for q, g in scored if q >= best - eps]
+    return best, [g for q, g in scored if q >= best - EPS]
 
 
-def _finish_report(n, pat, free_list, graphs_seen, free_count, eps, t0, exhaustive,
+def _finish_report(n, pat, free_list, graphs_seen, free_count, t0, exhaustive,
                    seed=None, budget=None) -> SearchReport:
     """Score free graphs, pick argmaxes, re-verify them, and compare bounds."""
-    max_q, top = _argmax([(q_index(g).value, g) for g in free_list], eps)
+    max_q, top = _argmax([(q_index(g).value, g) for g in free_list])
     for g in top:
-        if g.n >= pat.order and contains_kst(g, pat):
+        if contains_kst(g, pat):
             raise InvariantViolated("argmax is not pattern-free")
-    bound, applicable, verdict = _verdict(max_q, pat, n, eps)
+    bound, verdict = _verdict(max_q, pat, n)
     return SearchReport(
         n=n,
         s=pat.s,
@@ -238,50 +225,42 @@ def _finish_report(n, pat, free_list, graphs_seen, free_count, eps, t0, exhausti
         max_q=max_q,
         argmax=sorted({canonical_graph6(g) for g in top}),
         bound_value=bound,
-        bound_applicable=applicable,
+        bound_applicable=pat.t == 2 and q_bound_t2_applicable(n, pat.s),
         verdict=verdict,
         argmax_is_extremal_join=any(is_extremal_join(g, pat.s, pat.t) for g in top),
         exhaustive=exhaustive,
-        eps=eps,
         runtime_ms=int((time.perf_counter() - t0) * 1000),
         seed=seed,
         budget=budget,
     )
 
 
-def exhaustive_scan(max_n: int, pat: ForbiddenPattern, eps: float = DEFAULT_EPS) -> list[SearchReport]:
+def exhaustive_scan(max_n: int, pat: ForbiddenPattern) -> list[SearchReport]:
     """One SearchReport per order 1..max_n from a single builtin enumeration."""
-    _check_eps(eps)
     if max_n > BUILTIN_MAX_ORDER:
         raise UseStreamSource(f"builtin enumeration capped at order {BUILTIN_MAX_ORDER}")
     reports = []
     t_prev = time.perf_counter()
     for order, kept, seen in enumerate_levels(max_n, _free_predicate(pat)):
-        reports.append(_finish_report(order, pat, kept, seen, len(kept), eps, t_prev, True))
+        reports.append(_finish_report(order, pat, kept, seen, len(kept), t_prev, True))
         t_prev = time.perf_counter()
     return reports
 
 
-def exhaustive_max_q(
-    n: int,
-    pat: ForbiddenPattern,
-    stream=None,
-    eps: float = DEFAULT_EPS,
-) -> SearchReport:
+def exhaustive_max_q(n: int, pat: ForbiddenPattern, stream=None) -> SearchReport:
     """Exact Q-index maximum over K_{t,s+1}-free classes of order n.
 
     ``stream`` is an iterable of graph6 lines replacing the builtin
     enumerator (required for n > 9); the scan is invariant under input
     relabeling because every line is canonically deduplicated.
     """
-    _check_eps(eps)
     t0 = time.perf_counter()
     keep = _free_predicate(pat)
     if stream is None:
         if n > BUILTIN_MAX_ORDER:
             raise UseStreamSource(f"builtin enumeration capped at order {BUILTIN_MAX_ORDER}")
         *_, (_, kept, classes) = enumerate_levels(n, keep)
-        return _finish_report(n, pat, kept, classes, len(kept), eps, t0, True)
+        return _finish_report(n, pat, kept, classes, len(kept), t0, True)
     seen: set = set()
     free: dict = {}
     for lineno, line in enumerate(stream, start=1):
@@ -302,7 +281,7 @@ def exhaustive_max_q(
         if keep(child):
             free[key] = child
     free_list = [free[k] for k in sorted(free)]
-    return _finish_report(n, pat, free_list, len(seen), len(free_list), eps, t0, True)
+    return _finish_report(n, pat, free_list, len(seen), len(free_list), t0, True)
 
 
 # bounded-degree join scan
@@ -324,18 +303,12 @@ class JoinCapReport:
     equality_graph6: list[str]
     equality_all_regular: bool
     regular_all_equality: bool
-    eps: float
     runtime_ms: int
-
-    @property
-    def verdict(self) -> str:
-        ok = self.all_capped and self.equality_all_regular and self.regular_all_equality
-        return "bound_holds" if ok else "bound_violated"
+    verdict: str
 
 
-def join_cap_scan(m: int, s: int, eps: float = DEFAULT_EPS) -> JoinCapReport:
+def join_cap_scan(m: int, s: int) -> JoinCapReport:
     """Exhaustively verify the hub-join cap over every H with max degree <= s."""
-    _check_eps(eps)
     if m > 8:
         raise UseStreamSource("join scan enumerates H internally; capped at order 8")
     if s < 1:
@@ -354,7 +327,7 @@ def join_cap_scan(m: int, s: int, eps: float = DEFAULT_EPS) -> JoinCapReport:
         g = join(k1, h)
         q = q_index(g).value
         max_q = max(max_q, q)
-        if _above(q, bound, eps):
+        if _above(q, bound):
             all_capped = False
         is_eq = _at_cap(q, bound)
         is_reg = h.regular_degree() == s
@@ -374,8 +347,8 @@ def join_cap_scan(m: int, s: int, eps: float = DEFAULT_EPS) -> JoinCapReport:
         equality_graph6=sorted(equality),
         equality_all_regular=eq_all_regular,
         regular_all_equality=reg_all_eq,
-        eps=eps,
         runtime_ms=int((time.perf_counter() - t0) * 1000),
+        verdict="bound_holds" if all_capped and eq_all_regular and reg_all_eq else "bound_violated",
     )
 
 
@@ -406,12 +379,10 @@ class DominatingScanReport:
     rest_below_n: bool
     cap_applicable: bool
     bound: float
-    eps: float
     runtime_ms: int
 
 
-def dominating_vertex_scan(n: int, s: int, eps: float = DEFAULT_EPS) -> DominatingScanReport:
-    _check_eps(eps)
+def dominating_vertex_scan(n: int, s: int) -> DominatingScanReport:
     if n > BUILTIN_MAX_ORDER:
         raise UseStreamSource(f"builtin enumeration capped at order {BUILTIN_MAX_ORDER}")
     t0 = time.perf_counter()
@@ -422,9 +393,9 @@ def dominating_vertex_scan(n: int, s: int, eps: float = DEFAULT_EPS) -> Dominati
     for g in enumerate_graphs(n, _free_predicate(pat)):
         q = q_index(g).value
         (dom if g.max_degree() == n - 1 else rest).append((q, g))
-    dom_max, dom_top = _argmax(dom, eps)
-    rest_max, rest_top = _argmax(rest, eps)
-    capped = not any(_above(q, bound, eps) for q, _ in dom)
+    dom_max, dom_top = _argmax(dom)
+    rest_max, rest_top = _argmax(rest)
+    capped = not any(_above(q, bound) for q, _ in dom)
     eq_ok = all(_at_cap(q, bound) == is_extremal_join(g, s, 2) for q, g in dom)
     return DominatingScanReport(
         n=n,
@@ -440,20 +411,13 @@ def dominating_vertex_scan(n: int, s: int, eps: float = DEFAULT_EPS) -> Dominati
         rest_below_n=rest_max < n,
         cap_applicable=q_bound_t2_applicable(n, s),
         bound=bound,
-        eps=eps,
         runtime_ms=int((time.perf_counter() - t0) * 1000),
     )
 
 
 # simulated annealing
 
-def heuristic_max_q(
-    n: int,
-    pat: ForbiddenPattern,
-    budget: int,
-    seed: int,
-    eps: float = DEFAULT_EPS,
-) -> SearchReport:
+def heuristic_max_q(n: int, pat: ForbiddenPattern, budget: int, seed: int) -> SearchReport:
     """Annealed edge-toggle walk through the pattern-free graphs of order n.
 
     Geometric cooling from ``T_START`` down to ``T_END`` over exactly
@@ -468,7 +432,6 @@ def heuristic_max_q(
         raise OrderOverflow(f"graph order {n} exceeds the ceiling of {MAX_ORDER}")
     if budget < 1:
         raise InvalidBudget(f"budget must be >= 1, got {budget}")
-    _check_eps(eps)
     t0 = time.perf_counter()
     rng = random.Random(seed)
     alpha = (T_END / T_START) ** (1.0 / budget)
@@ -513,5 +476,5 @@ def heuristic_max_q(
             m[u, u] -= delta
             m[v, v] -= delta
     return _finish_report(
-        n, pat, [Graph(n, best_adj)], budget, evaluated, eps, t0, False, seed=seed, budget=budget
+        n, pat, [Graph(n, best_adj)], budget, evaluated, t0, False, seed=seed, budget=budget
     )

@@ -110,7 +110,7 @@ def test_criterion_03_bounded_degree_join_scan():
     scanned = 0
     for m in range(1, 8):
         for s in (1, 2, 3):
-            report = join_cap_scan(m, s, eps=1e-7)
+            report = join_cap_scan(m, s)
             scanned += report.classes
             if not (report.all_capped and report.equality_all_regular
                     and report.regular_all_equality):
@@ -193,8 +193,8 @@ def test_criterion_09_conjecture_probe():
     violations = []
     for t, s in ((2, 1), (2, 2), (3, 2)):
         pat = ForbiddenPattern.from_ts(t, s)
-        for report in exhaustive_scan(8, pat, eps=1e-7):
-            if report.bound_applicable and report.verdict == "bound_violated":
+        for report in exhaustive_scan(8, pat):
+            if report.verdict == "bound_violated":
                 violations.append((t, s, report.n))
     hunts_ok = True
     details = []

@@ -197,7 +197,7 @@ class TestExitCodes:
         fake = SearchReport(
             n=5, s=1, t=2, graphs_seen=1, free_graphs=1, max_q=99.0, argmax=["Dto"],
             bound_value=5.56, bound_applicable=True, verdict="bound_violated",
-            argmax_is_extremal_join=False, exhaustive=True, eps=1e-7, runtime_ms=0,
+            argmax_is_extremal_join=False, exhaustive=True, runtime_ms=0,
         )
         monkeypatch.setattr(cli, "exhaustive_max_q", lambda *a, **k: fake)
         code, out, _ = run(capsys, "verify", "--n", "5", "--t", "2", "--s", "1")
@@ -208,10 +208,6 @@ class TestExitCodes:
         ("hunt", "--n", "1", "--t", "2", "--s", "1", "--budget", "10"),
         ("free-check", "FILE", "--t", "1", "--s", "1"),
         ("verify", "--n", "5", "--t", "2", "--s", "0"),
-        ("verify", "--n", "3", "--t", "2", "--s", "1", "--eps", "-5"),
-        ("verify", "--n", "3", "--t", "2", "--s", "1", "--eps", "nan"),
-        ("prop4", "--m", "4", "--s", "1", "--eps", "-1"),
-        ("hunt", "--n", "6", "--t", "2", "--s", "1", "--budget", "10", "--eps", "inf"),
         ("construct", "--n", "5", "--s", "1", "--t", "9"),
         ("hunt", "--n", "6", "--t", "2", "--s", "1", "--budget", "0"),
         ("hunt", "--n", "63", "--t", "2", "--s", "1", "--budget", "10"),
@@ -225,9 +221,9 @@ class TestExitCodes:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("argv", [
-        ("prop4", "--m", "4", "--s", "1", "--eps", "0"),
-        ("prop4", "--m", "5", "--s", "1", "--eps", "1e300"),
-        ("verify", "--n", "6", "--t", "2", "--s", "2", "--eps", "0"),
+        ("prop4", "--m", "4", "--s", "1"),
+        ("prop4", "--m", "5", "--s", "1"),
+        ("verify", "--n", "6", "--t", "2", "--s", "2"),
     ])
     def test_cap_met_within_float_error_is_not_a_violation(self, capsys, argv):
         code, out, _ = run(capsys, *argv)
@@ -272,8 +268,6 @@ def _pick(*values):
     return lambda rng: rng.choice(values)
 
 
-_FLOATS = _pick(None, None, "1e-10", "1e-6", "0", "-1", "1e300", "nan", "inf", "x")
-
 # per command: flag -> value drawer, ranges small enough that each call
 # finishes well under a second; "FILE" is the positional graph6 file and a
 # drawn None leaves the flag out
@@ -287,10 +281,10 @@ FUZZ_ARGS = {
                   "--seed": _ints(-1, 9),
                   "--strategy": _pick(None, None, "circulant", "random_regular", "x")},
     "verify": {"--n": _ints(-1, 6), "--t": _ints(-1, 3), "--s": _ints(-1, 3),
-               "--stream": _pick(None, None, "FILE", "-"), "--eps": _FLOATS},
-    "prop4": {"--m": _ints(-1, 5), "--s": _ints(-1, 3), "--eps": _FLOATS},
+               "--stream": _pick(None, None, "FILE", "-")},
+    "prop4": {"--m": _ints(-1, 5), "--s": _ints(-1, 3)},
     "hunt": {"--n": _ints(-1, 14), "--t": _ints(-1, 3), "--s": _ints(-1, 3),
-             "--budget": _ints(-1, 50), "--seed": _ints(-1, 9), "--eps": _FLOATS},
+             "--budget": _ints(-1, 50), "--seed": _ints(-1, 9)},
     "ledger": {"--s": _ints(-1, 6), "--n": _ints(-1, 80)},
 }
 _JUNK = ("--bogus", "-", "7", "x", "--format", "text", "--help")
@@ -368,6 +362,11 @@ class TestFlags:
         ("construct", "--n", "6", "--s", "2", "--t", "2", "--tol", "0"),
         ("qindex", "FILE", "--tol", "nan"),
         ("qindex", "FILE", "--tol", "inf"),
+        # verdicts compare against closed-form caps by one fixed policy
+        ("verify", "--n", "3", "--t", "2", "--s", "1", "--eps", "-5"),
+        ("verify", "--n", "3", "--t", "2", "--s", "1", "--eps", "nan"),
+        ("prop4", "--m", "4", "--s", "1", "--eps", "-1"),
+        ("hunt", "--n", "6", "--t", "2", "--s", "1", "--budget", "10", "--eps", "inf"),
     ])
     def test_flag_a_command_ignores_is_a_usage_error(self, capsys, g6_file, argv):
         argv = [g6_file if a == "FILE" else a for a in argv]
@@ -378,20 +377,20 @@ class TestFlags:
         assert json.loads(out)["tolerances"] == {"tol": 1e-10}
         _, out, _ = run(capsys, "hunt", "--n", "6", "--t", "2", "--s", "1", "--budget", "50")
         assert json.loads(out)["tolerances"] == {"tol": 1e-10, "eps": 1e-7}
-        _, out, _ = run(capsys, "verify", "--n", "5", "--t", "2", "--s", "1", "--eps", "1e-6")
-        assert json.loads(out)["tolerances"] == {"tol": 1e-10, "eps": 1e-6}
+        _, out, _ = run(capsys, "verify", "--n", "5", "--t", "2", "--s", "1")
+        assert json.loads(out)["tolerances"] == {"tol": 1e-10, "eps": 1e-7}
         _, out, _ = run(capsys, "ledger", "--s", "2", "--n", "22")
         assert json.loads(out)["tolerances"] == {}
 
 
 SEARCH_KEYS = {
     "n", "s", "t", "graphs_seen", "free_graphs", "max_q", "argmax", "bound_value",
-    "bound_applicable", "verdict", "argmax_is_extremal_join", "exhaustive", "eps",
-    "runtime_ms", "seed", "budget",
+    "bound_applicable", "verdict", "argmax_is_extremal_join", "exhaustive", "runtime_ms",
+    "seed", "budget",
 }
 JOIN_CAP_KEYS = {
     "m", "s", "classes", "bound", "max_q", "all_capped", "equality_graph6",
-    "equality_all_regular", "regular_all_equality", "verdict", "eps", "runtime_ms",
+    "equality_all_regular", "regular_all_equality", "verdict", "runtime_ms",
 }
 
 

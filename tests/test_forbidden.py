@@ -3,8 +3,7 @@ import random
 
 import pytest
 
-from qindex.errors import PatternLargerThanGraph
-from qindex.forbidden import ForbiddenPattern, _contains_through, contains_kst, find_kst, max_codegree
+from qindex.forbidden import ForbiddenPattern, _contains_through, contains_kst, find_kst
 from qindex.graphs import complete_graph, cycle_graph, from_edge_list
 from conftest import random_graph
 
@@ -19,6 +18,15 @@ def brute_force_contains(g, t, s_plus_1):
             if all(g.has_edge(u, v) for u in left for v in right):
                 return True
     return False
+
+
+def brute_force_max_codegree(g, t):
+    """Independent oracle: the most common neighbors any t-set has
+    outside itself."""
+    return max(
+        len(set.intersection(*[set(g.neighbors(x)) for x in sub]) - set(sub))
+        for sub in itertools.combinations(range(g.n), t)
+    )
 
 
 def brute_force_contains_through(g, t, s_plus_1, anchor):
@@ -67,8 +75,7 @@ class TestExamples:
                 assert wheel_5.has_edge(u, v)
 
     def test_pattern_larger_than_graph(self):
-        with pytest.raises(PatternLargerThanGraph):
-            contains_kst(complete_graph(2), ForbiddenPattern(3, 2))
+        assert contains_kst(complete_graph(2), ForbiddenPattern(3, 2)) is False
 
 
 class TestOracleEquivalence:
@@ -105,7 +112,7 @@ class TestOracleEquivalence:
             for t in (2, 3):
                 for s in (1, 2):
                     pat = ForbiddenPattern.from_ts(t, s)
-                    assert contains_kst(g, pat) == (max_codegree(g, t) >= s + 1)
+                    assert contains_kst(g, pat) == (brute_force_max_codegree(g, t) >= s + 1)
 
 
 class TestMonotonicity:
@@ -146,28 +153,3 @@ class TestWitness:
                 assert not set(left) & set(right)
                 assert all(g.has_edge(u, v) for u in left for v in right)
         assert checked > 100
-
-
-class TestMaxCodegree:
-    def test_examples(self):
-        assert max_codegree(cycle_graph(4), 2) == 2
-        for n in (4, 6, 9):
-            assert max_codegree(complete_graph(n), 2) == n - 2
-
-    def test_against_brute_force(self):
-        rng = random.Random(88)
-        for _ in range(80):
-            n = rng.randint(4, 9)
-            g = random_graph(rng, n, 0.5)
-            for t in (2, 3, 4):
-                brute = max(
-                    len(set.intersection(*[set(g.neighbors(x)) for x in sub]) - set(sub))
-                    for sub in itertools.combinations(range(n), t)
-                )
-                assert max_codegree(g, t) == brute
-
-    def test_bad_subset_size(self):
-        with pytest.raises(PatternLargerThanGraph):
-            max_codegree(complete_graph(3), 4)
-        with pytest.raises(PatternLargerThanGraph):
-            max_codegree(complete_graph(3), 1)

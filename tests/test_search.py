@@ -239,18 +239,17 @@ class TestJoinCapScan:
 
     def test_grid_holds_with_zero_slack(self):
         # equality joins miss the closed form by a few ulp; a q within its
-        # certified residual of the cap meets it whatever eps is
+        # certified residual of the cap meets it
         for m in range(3, 9):
             for s in (1, 2, 3):
-                report = join_cap_scan(m, s, eps=0.0)
+                report = join_cap_scan(m, s)
                 assert report.verdict == "bound_holds", (m, s)
 
 
 class TestDominatingScan:
     @pytest.mark.parametrize("n, s", [(5, 1), (6, 2), (7, 2)])
-    @pytest.mark.parametrize("eps", [0.0, 1e300])
-    def test_equality_split_ignores_slack(self, n, s, eps):
-        report = dominating_vertex_scan(n, s, eps=eps)
+    def test_equality_split_ignores_slack(self, n, s):
+        report = dominating_vertex_scan(n, s)
         assert report.dominating_capped and report.equality_matches_regular_join
 
     def test_order6_s2(self):
@@ -347,6 +346,13 @@ class TestHuntAtProvedThreshold:
         report = heuristic_max_q(22, pat, budget=10 ** 5, seed=1)
         assert report.max_q <= q_bound_t2(22, 2) + 1e-7
         assert report.verdict == "bound_holds"
+
+    def test_bound_applicable_only_where_the_cap_is_proved(self):
+        # proved for t = 2 from n = s^2 + 6s + 6 (22 at s = 2); t >= 3 is conjectured
+        assert not exhaustive_max_q(7, ForbiddenPattern.from_ts(2, 2)).bound_applicable
+        assert not exhaustive_max_q(7, ForbiddenPattern.from_ts(3, 2)).bound_applicable
+        report = heuristic_max_q(22, ForbiddenPattern.from_ts(2, 2), budget=50, seed=0)
+        assert report.bound_applicable
 
 
 @pytest.mark.slow
