@@ -208,6 +208,10 @@ class TestExitCodes:
         ("hunt", "--n", "1", "--t", "2", "--s", "1", "--budget", "10"),
         ("free-check", "FILE", "--t", "1", "--s", "1"),
         ("verify", "--n", "5", "--t", "2", "--s", "0"),
+        ("prop4", "--m", "4", "--s", "0"),
+        ("prop4", "--m", "99", "--s", "1"),
+        ("hunt", "--n", "6", "--t", "0", "--s", "1", "--budget", "10"),
+        ("ledger", "--s", "2", "--n", "0"),
         ("construct", "--n", "5", "--s", "1", "--t", "9"),
         ("hunt", "--n", "6", "--t", "2", "--s", "1", "--budget", "0"),
         ("hunt", "--n", "63", "--t", "2", "--s", "1", "--budget", "10"),

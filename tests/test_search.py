@@ -248,7 +248,11 @@ class TestJoinCapScan:
 
 class TestDominatingScan:
     @pytest.mark.parametrize("n, s", [(5, 1), (6, 2), (7, 2)])
-    def test_equality_split_ignores_slack(self, n, s):
+    @pytest.mark.parametrize("eps", [0.0, 1e300])
+    def test_equality_split_ignores_slack(self, monkeypatch, n, s, eps):
+        # equality is decided within the certified residual, never by the
+        # violation slack EPS, so neither extreme of it moves the split
+        monkeypatch.setattr(search, "EPS", eps)
         report = dominating_vertex_scan(n, s)
         assert report.dominating_capped and report.equality_matches_regular_join
 
