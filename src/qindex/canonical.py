@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .graphs import Graph, _bits, graph6_encode
+from .graphs import Graph, graph6_encode
 
 
 def _refine(adj: Sequence[int], cells: list[list[int]], queue: list[int]) -> list[list[int]]:
@@ -94,10 +94,18 @@ def _twin_generators(n: int, adj: Sequence[int]) -> list[tuple[int, list[tuple[i
 
 def _certificate(adj: Sequence[int], lab: list[int]) -> tuple[int, ...]:
     """Adjacency masks of the graph relabeled lab[i] -> i."""
-    pos = [0] * len(lab)
+    bit = [0] * len(lab)
     for i, v in enumerate(lab):
-        pos[v] = i
-    return tuple(sum(1 << pos[u] for u in _bits(adj[v])) for v in lab)
+        bit[v] = 1 << i
+    rows = []
+    for v in lab:
+        m, row = adj[v], 0
+        while m:
+            low = m & -m
+            row |= bit[low.bit_length() - 1]
+            m ^= low
+        rows.append(row)
+    return tuple(rows)
 
 
 def _canonical(n: int, adj: Sequence[int]) -> tuple[list[int], tuple[int, ...], list[list[int]]]:

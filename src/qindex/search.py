@@ -8,7 +8,9 @@ hereditary keep-predicate (pattern-freeness, degree caps) prunes whole
 subtrees, since deleting the new vertex cannot create a forbidden
 subgraph.  Builtin generation is capped at order 9; beyond that a graph6
 stream from an external enumerator is deduplicated and scanned the same
-way.
+way.  A scan scores all its graphs with one stacked LAPACK call
+(``numpy.linalg.eigvalsh``) and rescores by the certified ``q_index`` only
+the graphs an argmax, a tie or a cap comparison depends on.
 
 Heuristic side: simulated annealing over single edge toggles with a
 geometric cooling schedule.  Toggles that would create the forbidden
@@ -50,6 +52,8 @@ from .spectral import _power_largest  # unused: bench/spans.py wraps it until RO
 BUILTIN_MAX_ORDER = 9
 T_START, T_END = 1.0, 1e-3  # annealing temperatures, cooled geometrically over the budget
 EPS = 1e-7  # width of an argmax tie, and slack before a q above a cap is a violation
+SCREEN = 1e-9  # a scan certifies each graph whose LAPACK score is above a decision point - SCREEN
+CHUNK_ENTRIES = 1 << 20  # matrix entries per stacked eigvalsh call of a scan
 
 
 def _mask_orbit_representatives(n: int, perms: list[list[int]]) -> list[int]:
@@ -208,10 +212,32 @@ def _argmax(scored: list[tuple[float, Graph]]) -> tuple[float, list[Graph]]:
     return best, [g for q, g in scored if q >= best - EPS]
 
 
+def _screened_q(graphs: list[Graph], cap: float = math.inf) -> list[float]:
+    """q of each graph in a list of same-order graphs: one stacked
+    ``eigvalsh`` call per chunk scores them all, and ``q_index`` rescores
+    every graph scoring above ``SCREEN`` below a decision point (the
+    argmax band ``best - EPS``, and ``cap - DEFAULT_TOL``).  So certified
+    values decide every argmax, tie and cap comparison.  A list of fewer
+    than two graphs is certified directly."""
+    if len(graphs) < 2:
+        return [q_index(g).value for g in graphs]
+    bits = np.arange(graphs[0].n, dtype=np.uint64)
+    qs: list[float] = []
+    step = max(1, CHUNK_ENTRIES // bits.size ** 2)
+    for i in range(0, len(graphs), step):
+        masks = np.array([g.adj for g in graphs[i:i + step]], dtype=np.uint64)
+        m = (masks[:, :, None] >> bits & 1).astype(float)
+        m[:, bits, bits] = m.sum(axis=2)
+        qs += _jacobi(m)[:, -1].tolist()
+    floor = min(max(qs) - EPS, cap - DEFAULT_TOL) - SCREEN
+    return [q_index(g).value if q >= floor else q for q, g in zip(qs, graphs)]
+
+
 def _finish_report(n, pat, free_list, graphs_seen, free_count, t0, exhaustive,
                    seed=None, budget=None) -> SearchReport:
-    """Score free graphs, pick argmaxes, re-verify them, and compare bounds."""
-    max_q, top = _argmax([(q_index(g).value, g) for g in free_list])
+    """Score free graphs by ``_screened_q`` (certified q for the argmax band,
+    LAPACK for the rest), pick argmaxes, re-verify them, and compare bounds."""
+    max_q, top = _argmax(list(zip(_screened_q(free_list), free_list)))
     for g in top:
         if contains_kst(g, pat):
             raise InvariantViolated("argmax is not pattern-free")
@@ -316,35 +342,21 @@ def join_cap_scan(m: int, s: int) -> JoinCapReport:
     t0 = time.perf_counter()
     k1 = empty_graph(1)
     bound = q_bound_t2(m + 1, s)
-    all_capped = True
-    equality = []
-    eq_all_regular = True
-    reg_all_eq = True
-    max_q = 0.0
-    classes = 0
-    for h in enumerate_graphs(m, keep=lambda g: g.max_degree() <= s):
-        classes += 1
-        g = join(k1, h)
-        q = q_index(g).value
-        max_q = max(max_q, q)
-        if _above(q, bound):
-            all_capped = False
-        is_eq = _at_cap(q, bound)
-        is_reg = h.regular_degree() == s
-        if is_eq:
-            equality.append(canonical_graph6(h))
-            if not is_reg:
-                eq_all_regular = False
-        elif is_reg:
-            reg_all_eq = False
+    hs = enumerate_graphs(m, keep=lambda g: g.max_degree() <= s)
+    qs = _screened_q([join(k1, h) for h in hs], bound)
+    at_cap = [_at_cap(q, bound) for q in qs]
+    regular = [h.regular_degree() == s for h in hs]
+    all_capped = not any(_above(q, bound) for q in qs)
+    eq_all_regular = all(r for e, r in zip(at_cap, regular) if e)
+    reg_all_eq = all(e for e, r in zip(at_cap, regular) if r)
     return JoinCapReport(
         m=m,
         s=s,
-        classes=classes,
+        classes=len(hs),
         bound=bound,
-        max_q=max_q,
+        max_q=max(qs),
         all_capped=all_capped,
-        equality_graph6=sorted(equality),
+        equality_graph6=sorted(canonical_graph6(h) for e, h in zip(at_cap, hs) if e),
         equality_all_regular=eq_all_regular,
         regular_all_equality=reg_all_eq,
         runtime_ms=int((time.perf_counter() - t0) * 1000),
@@ -388,11 +400,11 @@ def dominating_vertex_scan(n: int, s: int) -> DominatingScanReport:
     t0 = time.perf_counter()
     pat = ForbiddenPattern.from_ts(2, s)
     bound = q_bound_t2(n, s)
-    dom: list[tuple[float, Graph]] = []
-    rest: list[tuple[float, Graph]] = []
-    for g in enumerate_graphs(n, _free_predicate(pat)):
-        q = q_index(g).value
-        (dom if g.max_degree() == n - 1 else rest).append((q, g))
+    free = enumerate_graphs(n, _free_predicate(pat))
+    dom_g = [g for g in free if g.max_degree() == n - 1]
+    rest_g = [g for g in free if g.max_degree() < n - 1]
+    dom = list(zip(_screened_q(dom_g, bound), dom_g))
+    rest = list(zip(_screened_q(rest_g), rest_g))
     dom_max, dom_top = _argmax(dom)
     rest_max, rest_top = _argmax(rest)
     capped = not any(_above(q, bound) for q, _ in dom)

@@ -7,8 +7,10 @@ matrix and converges geometrically).  Convergence is certified by the
 residual ||Mx - qx||; on hitting the iteration cap the solver falls back to
 a full LAPACK decomposition (``numpy.linalg.eigh``) rather than failing
 silently.  The whole spectrum comes from LAPACK (``numpy.linalg.eigvalsh``),
-and so does the annealing hunt's score of each proposal
-(``search.heuristic_max_q``); every q a report gives comes from ``q_index``.
+and so do the annealing hunt's score of each proposal
+(``search.heuristic_max_q``) and the exhaustive scans' screening scores
+(``search._screened_q``); every q a report prints or decides by comes
+from ``q_index``.
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ import pytest
 
 from qindex.canonical import (
     _canonical,
+    _certificate,
     canonical_graph,
     canonical_graph6,
     canonical_key,
@@ -19,6 +20,7 @@ from qindex.canonical import (
 )
 from qindex.graphs import (
     MAX_ORDER,
+    _bits,
     complete_bipartite,
     complete_graph,
     cycle_graph,
@@ -154,3 +156,21 @@ def test_agrees_with_networkx_on_regular_graphs():
     for i in range(len(graphs)):
         for j in range(i + 1, len(graphs)):
             assert (keys[i] == keys[j]) == nx.is_isomorphic(graphs[i], graphs[j])
+
+
+def bitwise_certificate(adj, lab):
+    """Reference for ``_certificate``: each relabeled row summed bit by bit."""
+    pos = [0] * len(lab)
+    for i, v in enumerate(lab):
+        pos[v] = i
+    return tuple(sum(1 << pos[u] for u in _bits(adj[v])) for v in lab)
+
+
+def test_certificate_matches_bitwise_relabeling():
+    rng = random.Random(17)
+    for n in range(1, MAX_ORDER + 1):
+        g = random_graph(rng, n, rng.random())
+        for _ in range(3):
+            lab = list(range(n))
+            rng.shuffle(lab)
+            assert _certificate(g.adj, lab) == bitwise_certificate(g.adj, lab)

@@ -1,7 +1,9 @@
 import itertools
+import math
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from numpy.linalg import eigvalsh
 
@@ -357,6 +359,153 @@ class TestHuntAtProvedThreshold:
         assert not exhaustive_max_q(7, ForbiddenPattern.from_ts(3, 2)).bound_applicable
         report = heuristic_max_q(22, ForbiddenPattern.from_ts(2, 2), budget=50, seed=0)
         assert report.bound_applicable
+
+
+def hub_join_stream(rng):
+    """Order-10 graph6 lines: every K1 v (2-regular H), each under two
+    random labelings (their q ties at the t = 2 cap), plus random graphs."""
+    hubs = [cycle_graph(9)] + [disjoint_union(cycle_graph(a), cycle_graph(9 - a)) for a in (3, 4)]
+    hubs.append(disjoint_union(cycle_graph(3), disjoint_union(cycle_graph(3), cycle_graph(3))))
+    graphs = [join(complete_graph(1), h) for h in hubs for _ in range(2)]
+    graphs += [random_graph(rng, 10, 0.3) for _ in range(40)]
+    lines = []
+    for g in graphs:
+        perm = list(range(10))
+        rng.shuffle(perm)
+        lines.append(graph6_encode(g.relabel(perm)))
+    return lines
+
+
+SCREENED_SCANS = {
+    **{f"exhaustive_scan(7, t={t}, s={s})":
+       lambda t=t, s=s: exhaustive_scan(7, ForbiddenPattern.from_ts(t, s))
+       for t, s in [(2, 1), (2, 2), (3, 2)]},
+    **{f"join_cap_scan({m}, {s})": lambda m=m, s=s: join_cap_scan(m, s)
+       for m in range(3, 9) for s in (1, 2, 3)},
+    **{f"dominating_vertex_scan({n}, {s})": lambda n=n, s=s: dominating_vertex_scan(n, s)
+       for n in range(4, 9) for s in (1, 2, 3)},
+    "stream exhaustive_max_q(10, t=2, s=2)": lambda: exhaustive_max_q(
+        10, ForbiddenPattern.from_ts(2, 2), stream=iter(hub_join_stream(random.Random(23)))),
+}
+# the runs of one scan differ only in scoring, so its classes are enumerated
+# once, and each graph's q_index value is computed once for every reference
+ENUMERATED: dict = {}  # (scan name, order) -> enumerate_graphs result
+CERTIFIED_Q: dict = {}  # (n, adj) -> q_index value
+
+
+def without_runtime(report):
+    if isinstance(report, list):
+        return [without_runtime(r) for r in report]
+    return replace(report, runtime_ms=0)
+
+
+def run_scan(name, monkeypatch):
+    def enumerate_once(n, keep=None):
+        if (name, n) not in ENUMERATED:
+            ENUMERATED[name, n] = enumerate_graphs(n, keep)
+        return ENUMERATED[name, n]
+
+    with monkeypatch.context() as m:
+        m.setattr(search, "enumerate_graphs", enumerate_once)
+        return without_runtime(SCREENED_SCANS[name]())
+
+
+def certified_q(g):
+    key = g.n, g.adj
+    if key not in CERTIFIED_Q:
+        CERTIFIED_Q[key] = search.q_index(g).value
+    return CERTIFIED_Q[key]
+
+
+def certified_scan(name, monkeypatch):
+    """The scan with every graph scored by ``q_index``: the reference the
+    LAPACK screen must reproduce."""
+    def certify(graphs, cap=math.inf):
+        return [certified_q(g) for g in graphs]
+
+    with monkeypatch.context() as m:
+        m.setattr(search, "_screened_q", certify)
+        return run_scan(name, m)
+
+
+def shifted_eigvalsh(shift):
+    """``eigvalsh`` whose stacked top values move by +shift and -shift,
+    alternating by matrix."""
+    def shifted(m):
+        w = eigvalsh(m)
+        if w.ndim == 2:
+            w[:, -1] += np.where(np.arange(len(w)) % 2, -shift, shift)
+        return w
+
+    return shifted
+
+
+class TestScreenedScoring:
+    """Scans score by one stacked ``eigvalsh`` call and certify by
+    ``q_index`` only the graphs within ``SCREEN`` of a decision point."""
+
+    @pytest.mark.parametrize("name", SCREENED_SCANS)
+    def test_same_report_as_certifying_every_graph(self, monkeypatch, name):
+        assert run_scan(name, monkeypatch) == certified_scan(name, monkeypatch)
+
+    @pytest.mark.parametrize("name", SCREENED_SCANS)
+    @pytest.mark.parametrize("eps, shift", [(search.EPS, 5e-10), (0.0, 4e-10)])
+    def test_screen_margin_absorbs_lapack_error(self, monkeypatch, name, eps, shift):
+        # each stacked score moves by +-shift (SCREEN/2 and 0.4 SCREEN at
+        # SCREEN = 1e-9), alternating by graph; with EPS = 0 the hub joins
+        # that tie at the cap sit right at a decision point, and a smaller
+        # screen leaves one of them uncertified
+        monkeypatch.setattr(search, "EPS", eps)
+        expected = certified_scan(name, monkeypatch)
+        monkeypatch.setattr(search, "_jacobi", shifted_eigvalsh(shift))
+        assert run_scan(name, monkeypatch) == expected
+
+    def test_cap_below_the_argmax_band_is_certified(self, monkeypatch):
+        # a cap at the q of K1 v (C5 + K1), far below the band of the top
+        # joins: that join meets it only if the cap itself is a decision point
+        h = disjoint_union(cycle_graph(5), complete_graph(1))
+        cap = q_index(join(complete_graph(1), h)).value
+        monkeypatch.setattr(search, "q_bound_t2", lambda n, s: cap)
+        monkeypatch.setattr(search, "_jacobi", shifted_eigvalsh(4e-10))
+        report = join_cap_scan(6, 2)
+        assert report.equality_graph6 == [canonical_graph6(h)]
+        assert not report.all_capped
+
+    @pytest.mark.parametrize("scan", [
+        lambda: exhaustive_max_q(7, ForbiddenPattern.from_ts(2, 2)),
+        lambda: join_cap_scan(7, 2),
+    ], ids=["exhaustive_max_q(7, K_{2,3})", "join_cap_scan(7, 2)"])
+    def test_one_stacked_call_and_few_certified(self, monkeypatch, scan):
+        calls = {"q": 0, "eig": 0}
+
+        def q(g):
+            calls["q"] += 1
+            return q_index(g)
+
+        def eig(m):
+            calls["eig"] += 1
+            return eigvalsh(m)
+
+        monkeypatch.setattr(search, "q_index", q)
+        monkeypatch.setattr(search, "_jacobi", eig)
+        scan()
+        assert calls["eig"] == 1
+        assert calls["q"] <= 4
+
+    def test_chunked_scoring_matches_one_call(self, monkeypatch):
+        pat = ForbiddenPattern.from_ts(2, 1)
+        whole = exhaustive_max_q(6, pat)
+        calls = []
+
+        def eig(m):
+            calls.append(len(m))
+            return eigvalsh(m)
+
+        monkeypatch.setattr(search, "CHUNK_ENTRIES", 2 * 6 * 6)
+        monkeypatch.setattr(search, "_jacobi", eig)
+        chunked = exhaustive_max_q(6, pat)
+        assert replace(chunked, runtime_ms=0) == replace(whole, runtime_ms=0)
+        assert len(calls) == math.ceil(whole.free_graphs / 2) and max(calls) == 2
 
 
 @pytest.mark.slow
