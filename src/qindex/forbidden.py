@@ -37,10 +37,6 @@ class ForbiddenPattern:
     def s(self) -> int:
         return self.s_plus_1 - 1
 
-    @property
-    def order(self) -> int:
-        return self.t + self.s_plus_1
-
     @classmethod
     def from_ts(cls, t: int, s: int) -> "ForbiddenPattern":
         return cls(t=t, s_plus_1=s + 1)

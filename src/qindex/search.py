@@ -2,13 +2,15 @@
 
 Exhaustive side: isomorph-free generation by vertex augmentation.  Each
 canonical parent gets one child per orbit of neighbour masks under the
-automorphisms its own labeling found, built and labeled as raw adjacency
-masks; children are deduplicated through the canonical labeling, and a
-hereditary keep-predicate (pattern-freeness, degree caps) prunes whole
-subtrees, since deleting the new vertex cannot create a forbidden
-subgraph.  Builtin generation is capped at order 9; beyond that a graph6
-stream from an external enumerator is deduplicated and scanned the same
-way.  A scan scores all its graphs with one stacked LAPACK call
+automorphisms its own labeling found, built as raw adjacency masks.  A
+hereditary keep-predicate on those masks (pattern-freeness, degree caps)
+prunes whole subtrees, since deleting a vertex cannot create a forbidden
+subgraph.  A child whose new vertex is outranked, by an invariant vertex
+key, by an old vertex the predicate lets be deleted is dropped before
+labeling; the rest are labeled and deduplicated by certificate.  Builtin
+generation is capped at order 9; beyond that a graph6 stream from an
+external enumerator is deduplicated and scanned the same way.  A scan
+scores all its graphs with one stacked LAPACK call
 (``numpy.linalg.eigvalsh``) and rescores by the certified ``q_index`` only
 the graphs an argmax, a tie or a cap comparison depends on.
 
@@ -44,8 +46,8 @@ from .errors import (
     OrderOverflow,
     UseStreamSource,
 )
-from .forbidden import ForbiddenPattern, _contains_through, contains_kst
-from .graphs import MAX_ORDER, Graph, empty_graph, graph6_decode, induced, join
+from .forbidden import ForbiddenPattern, _contains_through, _walk, contains_kst
+from .graphs import MAX_ORDER, Graph, _bits, empty_graph, graph6_decode, induced, join
 from .spectral import DEFAULT_TOL, q_index
 from .spectral import _power_largest  # unused: bench/spans.py wraps it until ROADMAP item 1
 
@@ -89,26 +91,61 @@ def _on_canonical_labels(lab: list[int], perms: list[list[int]]) -> list[list[in
     return [[pos[perm[v]] for v in lab] for perm in perms]
 
 
+def _deleted(adj: list[int], u: int) -> list[int]:
+    """Masks of the graph with vertex u deleted and later vertices shifted down."""
+    low = (1 << u) - 1
+    return [m & low | m >> 1 & ~low for v, m in enumerate(adj) if v != u]
+
+
+def _outranked(adj: list[int], keep) -> bool:
+    """Whether some old vertex u ranks above the new (last) vertex by the
+    invariant (degree, sum of its neighbours' degrees) while ``keep`` still
+    holds on the graph with u deleted."""
+    deg = [m.bit_count() for m in adj]
+    top = deg[-1]
+    top_sum = None
+    for u in range(len(adj) - 1):
+        if deg[u] < top:
+            continue
+        if deg[u] == top:
+            if top_sum is None:
+                top_sum = sum(deg[w] for w in _bits(adj[-1]))
+            if sum(deg[w] for w in _bits(adj[u])) <= top_sum:
+                continue
+        if keep is None or keep(_deleted(adj, u)):
+            return True
+    return False
+
+
 def enumerate_levels(max_n: int, keep=None):
     """Yield (order, kept, seen) for order = 1..max_n.
 
-    ``kept`` is the sorted list of canonical representatives surviving the
-    hereditary predicate ``keep``; ``seen`` counts every distinct class
-    generated at that order (children of surviving parents), kept or not.
+    ``keep`` is None or a hereditary predicate on a sequence of adjacency
+    masks: it must not depend on the labeling, and whenever it holds for a
+    graph it must hold for every graph left by deleting a vertex.  ``kept``
+    is the sorted list of canonical representatives it accepts; ``seen``
+    counts every distinct class generated at that order (the classes with a
+    vertex whose deletion is kept), kept or not.
 
     Each kept class is extended by one new vertex per orbit of neighbour
     masks under the automorphisms its labeling found (McKay, "Isomorph-free
     exhaustive generation", J. Algorithms 1998).  Those automorphisms
     generate a subgroup of Aut(parent), and masks in one orbit of it give
-    isomorphic children, so every class is still generated.  Children are
-    built and labeled as adjacency masks; a ``Graph`` is built only for a
-    class not seen before, to pass to ``keep`` and to yield.
+    isomorphic children, so every class is still generated.  A child is
+    dropped unlabeled when an old vertex outranks the new one by the
+    invariant (degree, sum of neighbour degrees) and can be deleted with
+    ``keep`` still holding.  That is exact: a class is still generated from
+    the parent left by deleting a top-ranked deletable vertex, and no
+    deletable vertex outranks that one.  Every level is complete because
+    ``keep`` is hereditary, so that parent is kept.  The remaining children
+    are built and labeled as adjacency masks and deduplicated by their
+    certificates; a ``Graph`` is built only for a kept class.
     """
     if max_n < 1:
         raise InvalidVertexSet("enumeration needs max_n >= 1")
     k1 = empty_graph(1)
     # a kept class: its Graph on canonical labels and the automorphisms found, on those labels
-    kept = {k1.adj: (k1, [])} if keep is None or keep(k1) else {}
+    kept = {k1.adj: (k1, [])} if keep is None or keep(k1.adj) else {}
     yield 1, [g for g, _ in kept.values()], 1
     for order in range(2, max_n + 1):
         new = 1 << (order - 1)
@@ -119,25 +156,28 @@ def enumerate_levels(max_n: int, keep=None):
             for mask in _mask_orbit_representatives(parent.n, perms):
                 adj = [m | new if mask >> u & 1 else m for u, m in enumerate(parent.adj)]
                 adj.append(mask)
+                if _outranked(adj, keep):
+                    continue
                 lab, cert, auts = _canonical(order, adj)
                 if cert in seen:
                     continue
                 seen.add(cert)
-                child = Graph(order, cert)
-                if keep is None or keep(child):
-                    kept[cert] = child, _on_canonical_labels(lab, auts)
+                if keep is None or keep(cert):
+                    kept[cert] = Graph(order, cert), _on_canonical_labels(lab, auts)
         kept = {cert: kept[cert] for cert in sorted(kept)}
         yield order, [g for g, _ in kept.values()], len(seen)
 
 
 def enumerate_graphs(n: int, keep=None) -> list[Graph]:
-    """Canonical representatives of all order-n classes passing ``keep``."""
+    """Canonical representatives of all order-n classes accepted by ``keep``,
+    a hereditary predicate on adjacency masks (see ``enumerate_levels``)."""
     *_, (_, kept, _) = enumerate_levels(n, keep)
     return kept
 
 
 def _free_predicate(pat: ForbiddenPattern):
-    return lambda g: not contains_kst(g, pat)
+    """Hereditary mask predicate: the graph contains no ``pat``."""
+    return lambda adj: _walk(adj, pat.t, pat.s_plus_1) is None
 
 
 def is_extremal_join(g: Graph, s: int, t: int) -> bool:
@@ -303,9 +343,8 @@ def exhaustive_max_q(n: int, pat: ForbiddenPattern, stream=None) -> SearchReport
         if key in seen:
             continue
         seen.add(key)
-        child = Graph(key[0], key[1])
-        if keep(child):
-            free[key] = child
+        if keep(key[1]):
+            free[key] = Graph(*key)
     free_list = [free[k] for k in sorted(free)]
     return _finish_report(n, pat, free_list, len(seen), len(free_list), t0, True)
 
@@ -342,7 +381,7 @@ def join_cap_scan(m: int, s: int) -> JoinCapReport:
     t0 = time.perf_counter()
     k1 = empty_graph(1)
     bound = q_bound_t2(m + 1, s)
-    hs = enumerate_graphs(m, keep=lambda g: g.max_degree() <= s)
+    hs = enumerate_graphs(m, keep=lambda adj: all(a.bit_count() <= s for a in adj))
     qs = _screened_q([join(k1, h) for h in hs], bound)
     at_cap = [_at_cap(q, bound) for q in qs]
     regular = [h.regular_degree() == s for h in hs]

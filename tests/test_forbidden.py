@@ -44,7 +44,7 @@ def brute_force_contains_through(g, t, s_plus_1, anchor):
 class TestPattern:
     def test_fields(self):
         pat = ForbiddenPattern.from_ts(2, 3)
-        assert pat.s_plus_1 == 4 and pat.s == 3 and pat.order == 6
+        assert pat.s_plus_1 == 4 and pat.s == 3
         assert str(pat) == "K_{2,4}"
 
     def test_validation(self):
