@@ -47,10 +47,8 @@ from .graphs import (
     path_graph,
 )
 from .search import (
-    DominatingScanReport,
     JoinCapReport,
     SearchReport,
-    dominating_vertex_scan,
     enumerate_graphs,
     enumerate_levels,
     exhaustive_max_q,
@@ -73,7 +71,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundReport",
     "BuildResult",
-    "DominatingScanReport",
     "ExtremalSpec",
     "ForbiddenPattern",
     "Graph",
@@ -98,7 +95,6 @@ __all__ = [
     "contains_kst",
     "cycle_graph",
     "disjoint_union",
-    "dominating_vertex_scan",
     "edge_bound",
     "empty_graph",
     "enumerate_graphs",

@@ -154,8 +154,7 @@ class BoundReport:
     """All closed-form bounds evaluated at one (n, s, t), with the hypothesis
     flags callers need before trusting each value.
 
-    ``adjacency``/``edge`` are None when s < t (their hypothesis); the
-    graph-dependent Merris value is attached only when a graph is given.
+    ``adjacency``/``edge`` are None when s < t (their hypothesis).
     """
 
     n: int
@@ -165,7 +164,6 @@ class BoundReport:
     edge: float | None
     q_t2: float
     conjecture: float | None
-    merris: float | None
     applicability: dict[str, bool] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -175,7 +173,7 @@ class BoundReport:
                 raise InvariantViolated("t=2 cap escaped its bracketing window")
 
 
-def bound_report(n: int, s: int, t: int, graph: Graph | None = None) -> BoundReport:
+def bound_report(n: int, s: int, t: int) -> BoundReport:
     """Evaluate every bound at (n, s, t); inapplicable ones come back None."""
     if s < 1 or t < 2 or n < 1:
         raise HypothesisViolated(f"need n >= 1, s >= 1, t >= 2; got n={n}, s={s}, t={t}")
@@ -184,7 +182,7 @@ def bound_report(n: int, s: int, t: int, graph: Graph | None = None) -> BoundRep
         "q_t2_proved": q_bound_t2_applicable(n, s),
         "conjecture_shape": s >= t - 1,
     }
-    adjacency = edge = conjecture = merris = None
+    adjacency = edge = conjecture = None
     if s >= t:
         adjacency = adjacency_bound(n, s, t)
         edge = edge_bound(n, s, t)
@@ -194,9 +192,7 @@ def bound_report(n: int, s: int, t: int, graph: Graph | None = None) -> BoundRep
             applicability["conjecture_discriminant"] = True
         except DiscriminantNegative:
             applicability["conjecture_discriminant"] = False
-    if graph is not None and graph.edge_count() > 0:
-        merris = merris_bound(graph)
-    return BoundReport(n, s, t, adjacency, edge, q_bound_t2(n, s), conjecture, merris, applicability)
+    return BoundReport(n, s, t, adjacency, edge, q_bound_t2(n, s), conjecture, applicability)
 
 
 def _require_st(s: int, t: int):

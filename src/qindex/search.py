@@ -12,7 +12,11 @@ generation is capped at order 9; beyond that a graph6 stream from an
 external enumerator is deduplicated and scanned the same way.  A scan
 scores all its graphs with one stacked LAPACK call
 (``numpy.linalg.eigvalsh``) and rescores by the certified ``q_index`` only
-the graphs an argmax, a tie or a cap comparison depends on.
+the graphs an argmax, a tie or a cap comparison depends on.  Its report
+also carries the paper's dominating-vertex split: the best class with a
+vertex of degree n - 1 is K_1 v H, capped by ``join_cap_scan``'s closed
+form, and the best class without one is compared with n, the cap that
+half obeys from order s^2 + 6s + 6 (``bounds.q_cap_ledger``).
 
 Heuristic side: simulated annealing over single edge toggles with a
 geometric cooling schedule.  Toggles that would create the forbidden
@@ -206,6 +210,13 @@ class SearchReport:
     are rejected unevaluated).  ``bound_applicable`` says whether the cap
     is proved for every graph of this order (t = 2 and n >= s^2 + 6s + 6)
     rather than conjectured.
+
+    The ``rest_*`` fields cover the free classes with no vertex of degree
+    n - 1 (an exhaustive run's argmax convention: 0.0, [] and a vacuous
+    ``rest_below_n`` when there are none; None for heuristic runs).
+    ``rest_below_n`` is ``rest_max_q < n - DEFAULT_TOL``, so a q equal to
+    n reads False.  It is data, never a violation: the paper proves it
+    only from n = s^2 + 6s + 6 up, and it leaves ``verdict`` alone.
     """
 
     n: int
@@ -223,6 +234,9 @@ class SearchReport:
     runtime_ms: int
     seed: int | None = None
     budget: int | None = None
+    rest_max_q: float | None = None
+    rest_argmax: list[str] | None = None
+    rest_below_n: bool | None = None
 
 
 def _above(q: float, bound: float) -> bool:
@@ -256,9 +270,11 @@ def _screened_q(graphs: list[Graph], cap: float = math.inf) -> list[float]:
     """q of each graph in a list of same-order graphs: one stacked
     ``eigvalsh`` call per chunk scores them all, and ``q_index`` rescores
     every graph scoring above ``SCREEN`` below a decision point (the
-    argmax band ``best - EPS``, and ``cap - DEFAULT_TOL``).  So certified
-    values decide every argmax, tie and cap comparison.  A list of fewer
-    than two graphs is certified directly."""
+    argmax band ``best - EPS`` of its own half of the dominating-vertex
+    split, and ``cap - DEFAULT_TOL``).  Each half's band contains the
+    graphs of the global band in it, so certified values decide every
+    argmax, tie and cap comparison, over all graphs and over either half.
+    A list of fewer than two graphs is certified directly."""
     if len(graphs) < 2:
         return [q_index(g).value for g in graphs]
     bits = np.arange(graphs[0].n, dtype=np.uint64)
@@ -269,19 +285,29 @@ def _screened_q(graphs: list[Graph], cap: float = math.inf) -> list[float]:
         m = (masks[:, :, None] >> bits & 1).astype(float)
         m[:, bits, bits] = m.sum(axis=2)
         qs += _jacobi(m)[:, -1].tolist()
-    floor = min(max(qs) - EPS, cap - DEFAULT_TOL) - SCREEN
-    return [q_index(g).value if q >= floor else q for q, g in zip(qs, graphs)]
+    halves = [g.max_degree() == g.n - 1 for g in graphs]  # has a dominating vertex
+    top = {h: max(q for q, k in zip(qs, halves) if k == h) for h in set(halves)}
+    floor = {h: min(best - EPS, cap - DEFAULT_TOL) - SCREEN for h, best in top.items()}
+    return [q_index(g).value if q >= floor[h] else q for q, h, g in zip(qs, halves, graphs)]
 
 
 def _finish_report(n, pat, free_list, graphs_seen, free_count, t0, exhaustive,
                    seed=None, budget=None) -> SearchReport:
-    """Score free graphs by ``_screened_q`` (certified q for the argmax band,
-    LAPACK for the rest), pick argmaxes, re-verify them, and compare bounds."""
-    max_q, top = _argmax(list(zip(_screened_q(free_list), free_list)))
+    """Score free graphs by ``_screened_q`` (certified q for the argmax bands,
+    LAPACK for the rest), pick argmaxes, re-verify them, and compare bounds;
+    an exhaustive report also takes the argmax of the classes without a
+    dominating vertex."""
+    scored = list(zip(_screened_q(free_list), free_list))
+    max_q, top = _argmax(scored)
     for g in top:
         if contains_kst(g, pat):
             raise InvariantViolated("argmax is not pattern-free")
     bound, verdict = _verdict(max_q, pat, n)
+    rest_q = rest_argmax = rest_below_n = None
+    if exhaustive:
+        rest_q, rest_top = _argmax([(q, g) for q, g in scored if g.max_degree() < n - 1])
+        rest_argmax = sorted(canonical_graph6(g) for g in rest_top)
+        rest_below_n = rest_q < n - DEFAULT_TOL
     return SearchReport(
         n=n,
         s=pat.s,
@@ -298,6 +324,9 @@ def _finish_report(n, pat, free_list, graphs_seen, free_count, t0, exhaustive,
         runtime_ms=int((time.perf_counter() - t0) * 1000),
         seed=seed,
         budget=budget,
+        rest_max_q=rest_q,
+        rest_argmax=rest_argmax,
+        rest_below_n=rest_below_n,
     )
 
 
@@ -400,69 +429,6 @@ def join_cap_scan(m: int, s: int) -> JoinCapReport:
         regular_all_equality=reg_all_eq,
         runtime_ms=int((time.perf_counter() - t0) * 1000),
         verdict="bound_holds" if all_capped and eq_all_regular and reg_all_eq else "bound_violated",
-    )
-
-
-# dominating-vertex split scan
-
-@dataclass(frozen=True)
-class DominatingScanReport:
-    """K_{2,s+1}-free classes of order n split by presence of a dominating
-    vertex.
-
-    The dominating class is checked against the t = 2 cap with equality
-    exactly at hub joins of s-regular graphs.  For the rest, the maximum is
-    recorded and compared with n; the strict cap below n is only proved
-    from order s^2+6s+6 up, so ``cap_applicable`` reports whether the
-    comparison is guaranteed or just data.
-    """
-
-    n: int
-    s: int
-    dominating_count: int
-    dominating_max_q: float
-    dominating_argmax: list[str]
-    dominating_capped: bool
-    equality_matches_regular_join: bool
-    rest_count: int
-    rest_max_q: float
-    rest_argmax: list[str]
-    rest_below_n: bool
-    cap_applicable: bool
-    bound: float
-    runtime_ms: int
-
-
-def dominating_vertex_scan(n: int, s: int) -> DominatingScanReport:
-    if n > BUILTIN_MAX_ORDER:
-        raise UseStreamSource(f"builtin enumeration capped at order {BUILTIN_MAX_ORDER}")
-    t0 = time.perf_counter()
-    pat = ForbiddenPattern.from_ts(2, s)
-    bound = q_bound_t2(n, s)
-    free = enumerate_graphs(n, _free_predicate(pat))
-    dom_g = [g for g in free if g.max_degree() == n - 1]
-    rest_g = [g for g in free if g.max_degree() < n - 1]
-    dom = list(zip(_screened_q(dom_g, bound), dom_g))
-    rest = list(zip(_screened_q(rest_g), rest_g))
-    dom_max, dom_top = _argmax(dom)
-    rest_max, rest_top = _argmax(rest)
-    capped = not any(_above(q, bound) for q, _ in dom)
-    eq_ok = all(_at_cap(q, bound) == is_extremal_join(g, s, 2) for q, g in dom)
-    return DominatingScanReport(
-        n=n,
-        s=s,
-        dominating_count=len(dom),
-        dominating_max_q=dom_max,
-        dominating_argmax=sorted(canonical_graph6(g) for g in dom_top),
-        dominating_capped=capped,
-        equality_matches_regular_join=eq_ok,
-        rest_count=len(rest),
-        rest_max_q=rest_max,
-        rest_argmax=sorted(canonical_graph6(g) for g in rest_top),
-        rest_below_n=rest_max < n,
-        cap_applicable=q_bound_t2_applicable(n, s),
-        bound=bound,
-        runtime_ms=int((time.perf_counter() - t0) * 1000),
     )
 
 

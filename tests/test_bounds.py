@@ -207,8 +207,8 @@ class TestBoundReport:
         assert rep.conjecture == pytest.approx(rep.q_t2, abs=1e-10)
 
     def test_with_graph(self):
-        rep = bound_report(4, 2, 2, graph=complete_graph(4))
-        assert rep.merris == pytest.approx(6.0)
+        # the per-graph Merris value is reported by ``qx qindex``, not here
+        rep = bound_report(4, 2, 2)
         assert rep.adjacency is not None
 
     def test_bad_parameters(self):

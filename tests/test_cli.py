@@ -389,8 +389,8 @@ class TestFlags:
 
 SEARCH_KEYS = {
     "n", "s", "t", "graphs_seen", "free_graphs", "max_q", "argmax", "bound_value",
-    "bound_applicable", "verdict", "argmax_is_extremal_join", "exhaustive", "runtime_ms",
-    "seed", "budget",
+    "bound_applicable", "verdict", "argmax_is_extremal_join", "rest_max_q", "rest_argmax",
+    "rest_below_n", "exhaustive", "runtime_ms", "seed", "budget",
 }
 JOIN_CAP_KEYS = {
     "m", "s", "classes", "bound", "max_q", "all_capped", "equality_graph6",
@@ -406,6 +406,25 @@ JOIN_CAP_KEYS = {
 def test_report_keys_pinned(capsys, argv, keys):
     _, out, _ = run(capsys, *argv)
     assert set(json.loads(out)["results"][0]) == keys
+
+
+def test_rest_half_above_n_is_data_not_a_violation(capsys):
+    # the best K_{2,3}-free order-6 class without a dominating vertex has
+    # q = 4 + 2 sqrt 2 > 6, far below the order where q < n is proved
+    code, out, _ = run(capsys, "verify", "--n", "6", "--t", "2", "--s", "2")
+    report = json.loads(out)["results"][0]
+    assert report["rest_max_q"] == pytest.approx(4 + 2 * math.sqrt(2), abs=1e-9)
+    assert report["rest_below_n"] is False
+    assert (code, report["verdict"]) == (0, "bound_holds")
+    _, out, _ = run(capsys, "hunt", "--n", "6", "--t", "2", "--s", "2", "--budget", "50")
+    report = json.loads(out)["results"][0]
+    assert [report[k] for k in ("rest_max_q", "rest_argmax", "rest_below_n")] == [None] * 3
+
+
+def test_every_export_resolves():
+    import qindex
+
+    assert [name for name in qindex.__all__ if not hasattr(qindex, name)] == []
 
 
 def test_no_assert_statements_in_src():

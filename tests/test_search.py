@@ -26,7 +26,6 @@ from qindex.graphs import (
     path_graph,
 )
 from qindex.search import (
-    dominating_vertex_scan,
     enumerate_graphs,
     enumerate_levels,
     exhaustive_max_q,
@@ -268,37 +267,58 @@ class TestJoinCapScan:
 
 
 class TestDominatingScan:
+    """The paper's split: a class with a dominating vertex is K_1 v H with
+    Delta(H) <= s, capped by ``join_cap_scan``; the best class without one
+    is the exhaustive report's ``rest_*`` half."""
+
     @pytest.mark.parametrize("n, s", [(5, 1), (6, 2), (7, 2)])
     @pytest.mark.parametrize("eps", [0.0, 1e300])
     def test_equality_split_ignores_slack(self, monkeypatch, n, s, eps):
         # equality is decided within the certified residual, never by the
         # violation slack EPS, so neither extreme of it moves the split
         monkeypatch.setattr(search, "EPS", eps)
-        report = dominating_vertex_scan(n, s)
-        assert report.dominating_capped and report.equality_matches_regular_join
+        report = join_cap_scan(n - 1, s)
+        assert report.all_capped
+        assert report.equality_all_regular and report.regular_all_equality
 
     def test_order6_s2(self):
-        report = dominating_vertex_scan(6, 2)
-        assert report.dominating_max_q == pytest.approx(q_bound_t2(6, 2), abs=1e-8)
+        report = exhaustive_max_q(6, ForbiddenPattern.from_ts(2, 2))
+        assert report.max_q == pytest.approx(q_bound_t2(6, 2), abs=1e-8)
         wheel6 = join(complete_graph(1), cycle_graph(5))
-        assert canonical_graph6(wheel6) in report.dominating_argmax
-        assert report.dominating_capped and report.equality_matches_regular_join
-        assert not report.cap_applicable  # n = 6 is far below the proved threshold
+        assert canonical_graph6(wheel6) in report.argmax
+        assert not report.bound_applicable  # n = 6 is far below the proved threshold
+        assert join_cap_scan(5, 2).equality_graph6 == [canonical_graph6(cycle_graph(5))]
 
     def test_order5_s1(self, bowtie):
-        report = dominating_vertex_scan(5, 1)
-        assert report.dominating_max_q == pytest.approx(q_bound_t2(5, 1), abs=1e-8)
-        assert report.dominating_argmax == [canonical_graph6(bowtie)]
+        report = exhaustive_max_q(5, ForbiddenPattern.from_ts(2, 1))
+        assert report.max_q == pytest.approx(q_bound_t2(5, 1), abs=1e-8)
+        assert report.argmax == [canonical_graph6(bowtie)]
+        matching = disjoint_union(complete_graph(2), complete_graph(2))
+        assert join_cap_scan(4, 1).equality_graph6 == [canonical_graph6(matching)]
 
     def test_order4_s1_rest_class(self):
         # without a dominating vertex the best C_4-free order-4 graph is
         # a triangle plus an isolated vertex, whose q equals n exactly
-        report = dominating_vertex_scan(4, 1)
+        report = exhaustive_max_q(4, ForbiddenPattern.from_ts(2, 1))
         assert report.rest_max_q == pytest.approx(4.0, abs=1e-9)
         assert not report.rest_below_n
-        assert not report.cap_applicable
+        assert report.verdict == "bound_holds"
         tri = disjoint_union(complete_graph(3), complete_graph(1))
         assert canonical_graph6(tri) in report.rest_argmax
+
+    def test_order5_s1_rest_class(self):
+        # at order 5 the best C_4-free graph without a dominating vertex is
+        # the bull (a triangle with pendant edges at two corners), below n
+        report = exhaustive_max_q(5, ForbiddenPattern.from_ts(2, 1))
+        assert report.rest_max_q == pytest.approx(4.935432331970031, abs=1e-9)
+        assert report.rest_below_n
+        bull = from_edge_list(5, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 4)])
+        assert report.rest_argmax == [canonical_graph6(bull)]
+
+    def test_no_rest_class_is_vacuous(self):
+        # K_1 is its own dominating vertex, so the rest half is empty
+        report = exhaustive_scan(1, ForbiddenPattern.from_ts(2, 1))[0]
+        assert (report.rest_max_q, report.rest_argmax, report.rest_below_n) == (0.0, [], True)
 
 
 class TestHeuristic:
@@ -401,14 +421,15 @@ SCREENED_SCANS = {
        for t, s in [(2, 1), (2, 2), (3, 2)]},
     **{f"join_cap_scan({m}, {s})": lambda m=m, s=s: join_cap_scan(m, s)
        for m in range(3, 9) for s in (1, 2, 3)},
-    **{f"dominating_vertex_scan({n}, {s})": lambda n=n, s=s: dominating_vertex_scan(n, s)
+    **{f"exhaustive_max_q({n}, t=2, s={s})":
+       lambda n=n, s=s: exhaustive_max_q(n, ForbiddenPattern.from_ts(2, s))
        for n in range(4, 9) for s in (1, 2, 3)},
     "stream exhaustive_max_q(10, t=2, s=2)": lambda: exhaustive_max_q(
         10, ForbiddenPattern.from_ts(2, 2), stream=iter(hub_join_stream(random.Random(23)))),
 }
 # the runs of one scan differ only in scoring, so its classes are enumerated
 # once, and each graph's q_index value is computed once for every reference
-ENUMERATED: dict = {}  # (scan name, order) -> enumerate_graphs result
+ENUMERATED: dict = {}  # (scan name, max order) -> enumerate_levels output
 CERTIFIED_Q: dict = {}  # (n, adj) -> q_index value
 
 
@@ -419,13 +440,13 @@ def without_runtime(report):
 
 
 def run_scan(name, monkeypatch):
-    def enumerate_once(n, keep=None):
-        if (name, n) not in ENUMERATED:
-            ENUMERATED[name, n] = enumerate_graphs(n, keep)
-        return ENUMERATED[name, n]
+    def levels_once(max_n, keep=None):
+        if (name, max_n) not in ENUMERATED:
+            ENUMERATED[name, max_n] = list(enumerate_levels(max_n, keep))
+        return ENUMERATED[name, max_n]
 
     with monkeypatch.context() as m:
-        m.setattr(search, "enumerate_graphs", enumerate_once)
+        m.setattr(search, "enumerate_levels", levels_once)
         return without_runtime(SCREENED_SCANS[name]())
 
 
