@@ -20,7 +20,7 @@ from .bounds import (
     q_bound_window,
     q_cap_ledger,
 )
-from .canonical import canonical_graph, canonical_graph6, canonical_key, canonical_permutation
+from .canonical import canonical_graph, canonical_graph6, canonical_key
 from .constructions import (
     BuildResult,
     ExtremalSpec,
@@ -52,7 +52,6 @@ from .search import (
     enumerate_graphs,
     enumerate_levels,
     exhaustive_max_q,
-    exhaustive_scan,
     heuristic_max_q,
     is_extremal_join,
     join_cap_scan,
@@ -87,7 +86,6 @@ __all__ = [
     "canonical_graph",
     "canonical_graph6",
     "canonical_key",
-    "canonical_permutation",
     "circulant",
     "complete_bipartite",
     "complete_graph",
@@ -100,7 +98,6 @@ __all__ = [
     "enumerate_graphs",
     "enumerate_levels",
     "exhaustive_max_q",
-    "exhaustive_scan",
     "f_value",
     "find_kst",
     "from_edge_list",

@@ -189,15 +189,6 @@ def _canonical(n: int, adj: Sequence[int]) -> tuple[list[int], tuple[int, ...], 
     return best[0], best[1], perms
 
 
-def canonical_permutation(g: Graph) -> tuple[int, ...]:
-    """Permutation old -> new realizing the canonical labeling."""
-    lab = _canonical(g.n, g.adj)[0]
-    out = [0] * g.n
-    for new, old in enumerate(lab):
-        out[old] = new
-    return tuple(out)
-
-
 def canonical_graph(g: Graph) -> Graph:
     return Graph(g.n, _canonical(g.n, g.adj)[1])
 

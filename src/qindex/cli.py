@@ -71,7 +71,6 @@ def _build_parser() -> _Parser:
     sp.add_argument("--s", type=int, required=True)
     sp.add_argument("--t", type=int, required=True)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--strategy", choices=("circulant", "random_regular"), default="circulant")
 
     sp = sub.add_parser("verify", help="exhaustive max-q search at one order")
     sp.add_argument("--n", type=int, required=True)
@@ -202,8 +201,7 @@ def _run(args) -> tuple[dict, list, dict, bool]:
         return {"n": args.n, "s": args.s, "t": args.t}, results, {}, violation
 
     if cmd == "construct":
-        spec = ExtremalSpec(args.n, args.s, args.t, args.strategy)
-        built = build_extremal(spec, seed=args.seed, require_free=False)
+        built = build_extremal(ExtremalSpec(args.n, args.s, args.t), seed=args.seed)
         q = q_index(built.graph).value
         bound = conjecture_bound(args.n, args.s, args.t)
         results = [{
@@ -220,8 +218,7 @@ def _run(args) -> tuple[dict, list, dict, bool]:
             "bound": bound,
             "gap": bound - q,
         }]
-        parameters = {"n": args.n, "s": args.s, "t": args.t, "strategy": args.strategy}
-        return parameters, results, {"tol": DEFAULT_TOL}, violation
+        return {"n": args.n, "s": args.s, "t": args.t}, results, {"tol": DEFAULT_TOL}, violation
 
     if cmd == "ledger":
         checks = q_cap_ledger(args.s, args.n)

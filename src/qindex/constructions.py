@@ -4,8 +4,9 @@ of the adjacency bound.
 
 Regularity alone does not make the join K_{t,s+1}-free (pairs inside H may
 share too many neighbors once the hub is added), so every build carries an
-explicit freeness certificate: the default circulant H is checked, and on
-failure random regular graphs are tried under fresh seeds before giving up.
+explicit freeness certificate: a circulant H is checked first, then random
+regular graphs under fresh seeds; if none is free, the first join comes
+back with its witness.
 """
 
 from __future__ import annotations
@@ -14,19 +15,17 @@ import random
 from dataclasses import dataclass
 
 from .errors import (
-    CannotCertifyFreeness,
     GenerationFailed,
     HypothesisViolated,
     InvalidOffsets,
-    InvalidParameter,
     InvariantViolated,
     NoRegularGraphExists,
 )
 from .forbidden import ForbiddenPattern, Witness, contains_kst, find_kst
 from .graphs import Graph, complete_graph, empty_graph, from_edge_list, join
 
-STRATEGIES = ("circulant", "random_regular")
-MAX_ATTEMPTS = 20  # random regular graphs tried after the spec's strategy
+MAX_ATTEMPTS = 20  # random regular graphs tried after the circulant
+RESTART_CAP = 200000  # pairing-model shuffles before random_regular gives up
 
 
 @dataclass(frozen=True)
@@ -36,7 +35,6 @@ class ExtremalSpec:
     n: int
     s: int
     t: int
-    strategy: str = "circulant"
 
     def __post_init__(self):
         if self.t < 2:
@@ -45,8 +43,6 @@ class ExtremalSpec:
             raise HypothesisViolated(f"need s >= 1, got {self.s}")
         if self.n < self.t:
             raise HypothesisViolated(f"need n >= t, got n={self.n}, t={self.t}")
-        if self.strategy not in STRATEGIES:
-            raise InvalidParameter(f"strategy must be one of {STRATEGIES}")
 
     @property
     def m(self) -> int:
@@ -76,7 +72,7 @@ def circulant(m: int, offsets) -> Graph:
     return from_edge_list(m, edges)
 
 
-def random_regular(m: int, s: int, seed: int, restart_cap: int = 200000) -> Graph:
+def random_regular(m: int, s: int, seed: int) -> Graph:
     """Uniform s-regular graph by the pairing model, restarting on any loop
     or repeated pair.  Deterministic for a given seed."""
     if s < 0 or s >= m:
@@ -89,7 +85,7 @@ def random_regular(m: int, s: int, seed: int, restart_cap: int = 200000) -> Grap
         return complete_graph(m)
     rng = random.Random(seed)
     stubs = [v for v in range(m) for _ in range(s)]
-    for _ in range(restart_cap):
+    for _ in range(RESTART_CAP):
         rng.shuffle(stubs)
         seen = set()
         ok = True
@@ -101,7 +97,7 @@ def random_regular(m: int, s: int, seed: int, restart_cap: int = 200000) -> Grap
             seen.add((min(u, v), max(u, v)))
         if ok:
             return from_edge_list(m, sorted(seen))
-    raise GenerationFailed(f"no simple {s}-regular pairing on {m} vertices after {restart_cap} restarts")
+    raise GenerationFailed(f"no simple {s}-regular pairing on {m} vertices after {RESTART_CAP} restarts")
 
 
 def _circulant_offsets(m: int, s: int) -> list[int]:
@@ -112,19 +108,14 @@ def _circulant_offsets(m: int, s: int) -> list[int]:
     return offs
 
 
-def build_extremal(
-    spec: ExtremalSpec,
-    seed: int = 0,
-    require_free: bool = True,
-) -> BuildResult:
+def build_extremal(spec: ExtremalSpec, seed: int = 0) -> BuildResult:
     """Join a (t-1)-clique with an s-regular graph of order n-t+1 and certify
     the result K_{t,s+1}-free.
 
-    Tries the spec's strategy first; if the join contains the pattern,
-    retries with random regular graphs under seeds seed, seed+1, ... up to
-    ``MAX_ATTEMPTS``.  With ``require_free`` (the default) a run that never
-    certifies raises CannotCertifyFreeness; otherwise the first attempt is
-    returned with its failing certificate.
+    Tries a circulant first; if the join contains the pattern, retries with
+    random regular graphs under seeds seed, seed+1, ... up to
+    ``MAX_ATTEMPTS``.  Returns the first free join, or else the first join
+    with its witness: the caller checks ``.free``.
     """
     m = spec.m
     if m <= spec.s:
@@ -133,35 +124,21 @@ def build_extremal(
         raise NoRegularGraphExists(f"parity: {spec.s}-regular on {m} vertices impossible")
     pat = ForbiddenPattern.from_ts(spec.t, spec.s)
     clique = complete_graph(spec.t - 1)
-
-    def assemble(h: Graph) -> Graph:
+    first: BuildResult | None = None
+    for tried, sd in enumerate([None] + [seed + k for k in range(MAX_ATTEMPTS)], start=1):
+        if sd is None:
+            kind, h = "circulant", circulant(m, _circulant_offsets(m, spec.s))
+        else:
+            kind, h = "random_regular", random_regular(m, spec.s, sd)
         if h.regular_degree() != spec.s:
             raise InvariantViolated("regular part failed its degree check")
-        return join(clique, h)
-
-    attempts = []
-    if spec.strategy == "circulant":
-        attempts.append(("circulant", None, circulant(m, _circulant_offsets(m, spec.s))))
-    for k in range(MAX_ATTEMPTS):
-        attempts.append(("random_regular", seed + k, None))
-
-    first: BuildResult | None = None
-    tried = 0
-    for strategy, sd, h in attempts:
-        if h is None:
-            h = random_regular(m, spec.s, sd)
-        g = assemble(h)
-        tried += 1
+        g = join(clique, h)
         witness = find_kst(g, pat)
-        result = BuildResult(g, witness is None, witness, strategy, sd, tried)
-        if first is None:
-            first = result
+        result = BuildResult(g, witness is None, witness, kind, sd, tried)
         if result.free:
             return result
-    if require_free:
-        raise CannotCertifyFreeness(
-            f"all {tried} joins for n={spec.n}, s={spec.s}, t={spec.t} contain {pat}"
-        )
+        if first is None:
+            first = result
     return first
 
 

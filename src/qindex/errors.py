@@ -71,10 +71,6 @@ class GenerationFailed(QxError):
     """Random generation exceeded its restart cap."""
 
 
-class CannotCertifyFreeness(QxError):
-    """Every constructed join contained the forbidden pattern."""
-
-
 # search
 
 class UseStreamSource(QxError):

@@ -143,17 +143,6 @@ class Graph:
                 adj[pu] |= 1 << perm[v]
         return Graph(n, adj)
 
-    def with_toggled_edge(self, u: int, v: int) -> "Graph":
-        """Copy with edge {u, v} added if absent, removed if present."""
-        self._check_vertex(u)
-        self._check_vertex(v)
-        if u == v:
-            raise InvalidEdge("cannot toggle a loop")
-        adj = list(self.adj)
-        adj[u] ^= 1 << v
-        adj[v] ^= 1 << u
-        return Graph(self.n, adj)
-
     def _check_vertex(self, u: int):
         if not 0 <= u < self.n:
             raise IndexOutOfRange(f"vertex {u} outside 0..{self.n - 1}")

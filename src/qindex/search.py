@@ -330,24 +330,13 @@ def _finish_report(n, pat, free_list, graphs_seen, free_count, t0, exhaustive,
     )
 
 
-def exhaustive_scan(max_n: int, pat: ForbiddenPattern) -> list[SearchReport]:
-    """One SearchReport per order 1..max_n from a single builtin enumeration."""
-    if max_n > BUILTIN_MAX_ORDER:
-        raise UseStreamSource(f"builtin enumeration capped at order {BUILTIN_MAX_ORDER}")
-    reports = []
-    t_prev = time.perf_counter()
-    for order, kept, seen in enumerate_levels(max_n, _free_predicate(pat)):
-        reports.append(_finish_report(order, pat, kept, seen, len(kept), t_prev, True))
-        t_prev = time.perf_counter()
-    return reports
-
-
 def exhaustive_max_q(n: int, pat: ForbiddenPattern, stream=None) -> SearchReport:
     """Exact Q-index maximum over K_{t,s+1}-free classes of order n.
 
     ``stream`` is an iterable of graph6 lines replacing the builtin
     enumerator (required for n > 9); the scan is invariant under input
-    relabeling because every line is canonically deduplicated.
+    relabeling because every line is canonically deduplicated.  A stream
+    with no graph line is an error: every order has a graph.
     """
     t0 = time.perf_counter()
     keep = _free_predicate(pat)
@@ -374,6 +363,8 @@ def exhaustive_max_q(n: int, pat: ForbiddenPattern, stream=None) -> SearchReport
         seen.add(key)
         if keep(key[1]):
             free[key] = Graph(*key)
+    if not seen:
+        raise InvalidVertexSet(f"stream has no graph line, so it enumerates no order-{n} class")
     free_list = [free[k] for k in sorted(free)]
     return _finish_report(n, pat, free_list, len(seen), len(free_list), t0, True)
 

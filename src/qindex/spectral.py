@@ -4,13 +4,13 @@ adjacency matrix A.
 Largest eigenvalue: power iteration on the entrywise-nonnegative matrix,
 per connected component (so the iteration always acts on a primitive
 matrix and converges geometrically).  Convergence is certified by the
-residual ||Mx - qx||; on hitting the iteration cap the solver falls back to
-a full LAPACK decomposition (``numpy.linalg.eigh``) rather than failing
-silently.  The whole spectrum comes from LAPACK (``numpy.linalg.eigvalsh``),
-and so do the annealing hunt's score of each proposal
-(``search.heuristic_max_q``) and the exhaustive scans' screening scores
-(``search._screened_q``); every q a report prints or decides by comes
-from ``q_index``.
+residual ||Mx - qx|| <= ``DEFAULT_TOL``; after ``DEFAULT_MAX_ITER`` steps
+the solver falls back to a full LAPACK decomposition (``numpy.linalg.eigh``)
+rather than failing silently; both are fixed module constants.  The whole
+spectrum comes from LAPACK (``numpy.linalg.eigvalsh``), and so do the
+annealing hunt's score of each proposal (``search.heuristic_max_q``) and
+the exhaustive scans' screening scores (``search._screened_q``); every q a
+report prints or decides by comes from ``q_index``.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameter, Unsupported
+from .errors import Unsupported
 from .graphs import Graph, _bits
 
 DEFAULT_TOL = 1e-10
@@ -94,7 +94,7 @@ def _component_matrix(g: Graph, comp_mask: int, which: str) -> tuple[np.ndarray,
     return m, verts
 
 
-def _largest_per_component(g: Graph, which: str, tol: float, max_iter: int) -> SpectralResult:
+def _largest_per_component(g: Graph, which: str) -> SpectralResult:
     best_val = 0.0
     best_vec = None
     best_verts: list[int] = [0]
@@ -110,7 +110,7 @@ def _largest_per_component(g: Graph, which: str, tol: float, max_iter: int) -> S
             # make the matrix entrywise nonnegative with positive diagonal
             shift = float(m.sum(axis=1).max()) + 1.0
             m = m + shift * np.eye(len(verts))
-        val, vec, res, iters, ok = _power_largest(m, tol, max_iter)
+        val, vec, res, iters, ok = _power_largest(m, DEFAULT_TOL, DEFAULT_MAX_ITER)
         total_iters += iters
         method = "iterative"
         if not ok:
@@ -134,18 +134,14 @@ def _largest_per_component(g: Graph, which: str, tol: float, max_iter: int) -> S
     return SpectralResult(best_val, vector, best_res, total_iters, best_method)
 
 
-def q_index(g: Graph, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> SpectralResult:
+def q_index(g: Graph) -> SpectralResult:
     """Largest eigenvalue of the signless Laplacian A + D."""
-    if not 0 < tol < np.inf:  # also rejects NaN, which no residual can ever meet
-        raise InvalidParameter(f"tolerance must be finite and positive, got {tol}")
-    return _largest_per_component(g, "Q", tol, max_iter)
+    return _largest_per_component(g, "Q")
 
 
-def adjacency_radius(g: Graph, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> SpectralResult:
+def adjacency_radius(g: Graph) -> SpectralResult:
     """Largest eigenvalue (spectral radius) of the adjacency matrix."""
-    if not 0 < tol < np.inf:  # also rejects NaN, which no residual can ever meet
-        raise InvalidParameter(f"tolerance must be finite and positive, got {tol}")
-    return _largest_per_component(g, "A", tol, max_iter)
+    return _largest_per_component(g, "A")
 
 
 def full_spectrum(g: Graph, matrix: str = "Q") -> list[float]:

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -11,6 +12,7 @@ def pytest_terminal_summary(terminalreporter):
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
 
+import qindex.search as search
 from qindex.graphs import (
     Graph,
     complete_graph,
@@ -24,6 +26,15 @@ from qindex.graphs import (
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return from_edge_list(n, edges)
+
+
+def exhaustive_scan(max_n: int, pat) -> list:
+    """One exhaustive ``SearchReport`` per order 1..max_n, each as
+    ``exhaustive_max_q`` builds it, from a single builtin enumeration
+    (``search.enumerate_levels``, looked up at call time)."""
+    levels = search.enumerate_levels(max_n, search._free_predicate(pat))
+    return [search._finish_report(order, pat, kept, seen, len(kept), time.perf_counter(), True)
+            for order, kept, seen in levels]
 
 
 @pytest.fixture(scope="session")

@@ -35,9 +35,9 @@ from qindex.graphs import (
     graph6_encode,
     join,
 )
-from qindex.search import exhaustive_scan, heuristic_max_q
+from qindex.search import heuristic_max_q
 from qindex.spectral import adjacency_radius, full_spectrum, q_index
-from conftest import random_graph
+from conftest import exhaustive_scan, random_graph
 
 
 def _report(num: int, name: str, ok: bool, detail: str):
@@ -57,7 +57,7 @@ def merris_corpus(all_graphs_upto_8):
         graphs.append(random_graph(rng, rng.randint(2, 30), rng.choice([0.15, 0.3, 0.5, 0.8])))
     stats = []
     for g in graphs:
-        stats.append((g, q_index(g, 1e-9).value, adjacency_radius(g, 1e-9).value))
+        stats.append((g, q_index(g).value, adjacency_radius(g).value))
     return stats
 
 
@@ -67,12 +67,12 @@ def test_criterion_01_eigensolver_oracle_agreement(all_graphs_upto_8):
     count = 0
     for order in range(1, 8):
         for g in all_graphs_upto_8[order]:
-            worst = max(worst, abs(q_index(g, 1e-10).value - max(full_spectrum(g, "Q"))))
+            worst = max(worst, abs(q_index(g).value - max(full_spectrum(g, "Q"))))
             count += 1
     rng = random.Random(31415)
     for _ in range(500):
         g = random_graph(rng, rng.randint(8, 30), rng.choice([0.1, 0.3, 0.5, 0.8]))
-        worst = max(worst, abs(q_index(g, 1e-10).value - max(full_spectrum(g, "Q"))))
+        worst = max(worst, abs(q_index(g).value - max(full_spectrum(g, "Q"))))
         count += 1
     elapsed = time.monotonic() - t0
     ok = worst <= 1e-8 and elapsed < 120
@@ -93,7 +93,7 @@ def test_criterion_02_regular_join_identity():
             target = (n + 2 * s) / 2 + 0.5 * math.sqrt((n - 2 * s) ** 2 + 8 * s)
             for seed in (0, 1, 2):
                 h = random_regular(m, s, seed)
-                q = q_index(join(complete_graph(1), h), 1e-9).value
+                q = q_index(join(complete_graph(1), h)).value
                 worst = max(worst, abs(q - target))
             pairs += 1
     ok = worst <= 1e-7

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import qindex.constructions as constructions
 from qindex.bounds import adjacency_bound, conjecture_bound, q_bound_t2
 from qindex.constructions import (
     ExtremalSpec,
@@ -12,7 +13,6 @@ from qindex.constructions import (
     random_regular,
 )
 from qindex.errors import (
-    CannotCertifyFreeness,
     GenerationFailed,
     HypothesisViolated,
     InvalidOffsets,
@@ -79,9 +79,10 @@ class TestRandomRegular:
         with pytest.raises(NoRegularGraphExists):
             random_regular(4, 4, 0)
 
-    def test_restart_cap(self):
+    def test_restart_cap(self, monkeypatch):
+        monkeypatch.setattr(constructions, "RESTART_CAP", 0)
         with pytest.raises(GenerationFailed):
-            random_regular(8, 3, 0, restart_cap=0)
+            random_regular(8, 3, 0)
 
     def test_degrees_across_seeds(self):
         rng = random.Random(0)
@@ -111,9 +112,7 @@ class TestBuildExtremal:
 
     def test_uncertifiable_surfaces_verdict(self):
         # order 5 with s=2 leaves only H = C_4, whose hub join contains K_{2,3}
-        with pytest.raises(CannotCertifyFreeness):
-            build_extremal(ExtremalSpec(5, 2, 2))
-        r = build_extremal(ExtremalSpec(5, 2, 2), require_free=False)
+        r = build_extremal(ExtremalSpec(5, 2, 2))
         assert not r.free
         assert r.witness is not None
 
@@ -127,7 +126,7 @@ class TestBuildExtremal:
         # which s-regular H came out, certified or not
         for s, m in [(1, 8), (2, 9), (3, 8), (4, 9), (2, 21)]:
             try:
-                r = build_extremal(ExtremalSpec(m + 1, s, 2), require_free=False)
+                r = build_extremal(ExtremalSpec(m + 1, s, 2))
             except NoRegularGraphExists:
                 continue
             assert q_index(r.graph).value == pytest.approx(q_bound_t2(m + 1, s), abs=1e-7)

@@ -213,9 +213,3 @@ class TestStructure:
         w = join(complete_graph(1), cycle_graph(5))
         assert w.dominating_vertices() == (0,)
         assert complete_graph(4).dominating_vertices() == (0, 1, 2, 3)
-
-    def test_toggle(self):
-        g = empty_graph(3)
-        g2 = g.with_toggled_edge(0, 2)
-        assert g2.has_edge(0, 2)
-        assert g2.with_toggled_edge(0, 2) == g

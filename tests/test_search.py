@@ -29,13 +29,12 @@ from qindex.search import (
     enumerate_graphs,
     enumerate_levels,
     exhaustive_max_q,
-    exhaustive_scan,
     heuristic_max_q,
     is_extremal_join,
     join_cap_scan,
 )
 from qindex.spectral import q_index
-from conftest import random_graph
+from conftest import exhaustive_scan, random_graph
 
 UNLABELED_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
 
@@ -220,6 +219,10 @@ class TestExhaustive:
             exhaustive_max_q(3, ForbiddenPattern(2, 2), stream=iter(["Bw", "!!"]))
         with pytest.raises(InvalidVertexSet, match="line 1"):
             exhaustive_max_q(3, ForbiddenPattern(2, 2), stream=iter(["DQc"]))
+        # no graph line at all is no enumeration, not a proof of the bound
+        for lines in ([], ["", "  \n"]):
+            with pytest.raises(InvalidVertexSet, match="no graph line"):
+                exhaustive_max_q(5, ForbiddenPattern(2, 2), stream=iter(lines))
 
     def test_free_graphs_reverified(self):
         pat = ForbiddenPattern.from_ts(2, 1)
