@@ -28,7 +28,10 @@ def adjacency_bound(n: int, s: int, t: int) -> float:
     Requires s >= t >= 2.  The t = 2 form is 1/2 + sqrt((s-1)(n-1) + 1/4);
     for t >= 3 the fractional-power form applies.
     """
-    _require_st(s, t)
+    if t < 2:
+        raise HypothesisViolated(f"need t >= 2, got {t}")
+    if t > s:
+        raise HypothesisViolated(f"need s >= t, got s={s}, t={t}")
     if n < 1:
         raise HypothesisViolated(f"order must be >= 1, got {n}")
     if t == 2:
@@ -37,17 +40,8 @@ def adjacency_bound(n: int, s: int, t: int) -> float:
 
 
 def edge_bound(n: int, s: int, t: int) -> float:
-    """Upper bound on the edge count of a K_{s,t}-free graph (s >= t >= 2)."""
-    _require_st(s, t)
-    if n < 1:
-        raise HypothesisViolated(f"order must be >= 1, got {n}")
-    if t == 2:
-        return (n / 2.0) * math.sqrt((s - 1) * (n - 1) + 0.25) + n / 4.0
-    return (
-        0.5 * (s - t + 1) ** (1.0 / t) * n ** (2.0 - 1.0 / t)
-        + 0.5 * (t - 1) * n ** (2.0 - 2.0 / t)
-        + 0.5 * (t - 2) * n
-    )
+    """Upper bound on the edge count of a K_{s,t}-free graph (s >= t >= 2), by 2e/n <= lambda."""
+    return n * adjacency_bound(n, s, t) / 2
 
 
 def q_bound_t2(n: int, s: int) -> float:
@@ -193,10 +187,3 @@ def bound_report(n: int, s: int, t: int) -> BoundReport:
         except DiscriminantNegative:
             applicability["conjecture_discriminant"] = False
     return BoundReport(n, s, t, adjacency, edge, q_bound_t2(n, s), conjecture, applicability)
-
-
-def _require_st(s: int, t: int):
-    if t < 2:
-        raise HypothesisViolated(f"need t >= 2, got {t}")
-    if t > s:
-        raise HypothesisViolated(f"need s >= t, got s={s}, t={t}")

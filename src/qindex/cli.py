@@ -20,6 +20,7 @@ stderr), 3 a verified bound violation was found.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -99,13 +100,16 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _read_graphs(path: str) -> list[tuple[str, Graph]]:
+def _open_graph6(path: str):
     if path == "-":
-        lines = sys.stdin.read().splitlines()
-    else:
-        # like stdin, a byte >= 0x80 becomes a lone surrogate that graph6_decode rejects
-        with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
-            lines = fh.read().splitlines()
+        return contextlib.nullcontext(sys.stdin)  # a with block leaves stdin open
+    # like stdin, a byte >= 0x80 becomes a lone surrogate that graph6_decode rejects
+    return open(path, "r", encoding="ascii", errors="surrogateescape")
+
+
+def _read_graphs(path: str) -> list[tuple[str, Graph]]:
+    with _open_graph6(path) as fh:
+        lines = fh.read().splitlines()
     out = []
     for i, line in enumerate(lines, start=1):
         line = line.strip()
@@ -227,10 +231,8 @@ def _run(args) -> tuple[dict, list, dict, bool]:
 
     if cmd == "verify":
         pat = ForbiddenPattern.from_ts(args.t, args.s)
-        if args.stream == "-":
-            report = exhaustive_max_q(args.n, pat, stream=sys.stdin)
-        elif args.stream:
-            with open(args.stream, "r", encoding="ascii", errors="surrogateescape") as fh:
+        if args.stream:
+            with _open_graph6(args.stream) as fh:
                 report = exhaustive_max_q(args.n, pat, stream=fh)
         else:
             report = exhaustive_max_q(args.n, pat)
@@ -293,10 +295,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         parameters, results, tolerances, violation = _run(args)
-    except QxError as exc:
-        sys.stderr.write(f"qx: error: {exc}\n")
-        return 2
-    except OSError as exc:
+    except (QxError, OSError) as exc:
         sys.stderr.write(f"qx: error: {exc}\n")
         return 2
     if args.format == "csv":

@@ -12,7 +12,7 @@ back with its witness.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import (
     GenerationFailed,
@@ -115,7 +115,7 @@ def build_extremal(spec: ExtremalSpec, seed: int = 0) -> BuildResult:
     Tries a circulant first; if the join contains the pattern, retries with
     random regular graphs under seeds seed, seed+1, ... up to
     ``MAX_ATTEMPTS``.  Returns the first free join, or else the first join
-    with its witness: the caller checks ``.free``.
+    with its witness (the caller checks ``.free``); ``attempts`` counts every join built.
     """
     m = spec.m
     if m <= spec.s:
@@ -139,7 +139,7 @@ def build_extremal(spec: ExtremalSpec, seed: int = 0) -> BuildResult:
             return result
         if first is None:
             first = result
-    return first
+    return replace(first, attempts=tried)
 
 
 def is_design_graph(g: Graph, s: int) -> bool:

@@ -34,7 +34,6 @@ import random
 import time
 from dataclasses import dataclass
 
-import numpy as np
 # bench/spans.py wraps this name as spectral.full; the rename waits for ROADMAP item 1
 from numpy.linalg import eigvalsh as _jacobi
 
@@ -52,7 +51,7 @@ from .errors import (
 )
 from .forbidden import ForbiddenPattern, _contains_through, _walk, contains_kst
 from .graphs import MAX_ORDER, Graph, _bits, empty_graph, graph6_decode, induced, join
-from .spectral import DEFAULT_TOL, q_index
+from .spectral import DEFAULT_TOL, _matrices, q_index
 from .spectral import _power_largest  # unused: bench/spans.py wraps it until ROADMAP item 1
 
 BUILTIN_MAX_ORDER = 9
@@ -277,14 +276,10 @@ def _screened_q(graphs: list[Graph], cap: float = math.inf) -> list[float]:
     A list of fewer than two graphs is certified directly."""
     if len(graphs) < 2:
         return [q_index(g).value for g in graphs]
-    bits = np.arange(graphs[0].n, dtype=np.uint64)
     qs: list[float] = []
-    step = max(1, CHUNK_ENTRIES // bits.size ** 2)
+    step = max(1, CHUNK_ENTRIES // graphs[0].n ** 2)
     for i in range(0, len(graphs), step):
-        masks = np.array([g.adj for g in graphs[i:i + step]], dtype=np.uint64)
-        m = (masks[:, :, None] >> bits & 1).astype(float)
-        m[:, bits, bits] = m.sum(axis=2)
-        qs += _jacobi(m)[:, -1].tolist()
+        qs += _jacobi(_matrices([g.adj for g in graphs[i:i + step]]))[:, -1].tolist()
     halves = [g.max_degree() == g.n - 1 for g in graphs]  # has a dominating vertex
     top = {h: max(q for q, k in zip(qs, halves) if k == h) for h in set(halves)}
     floor = {h: min(best - EPS, cap - DEFAULT_TOL) - SCREEN for h, best in top.items()}
@@ -445,7 +440,7 @@ def heuristic_max_q(n: int, pat: ForbiddenPattern, budget: int, seed: int) -> Se
     alpha = (T_END / T_START) ** (1.0 / budget)
     temp = T_START
     adj = [0] * n  # the walk's graph as neighbor masks, toggled in place
-    m = np.zeros((n, n))  # its Q matrix, kept in step with adj
+    m = _matrices(adj)  # its Q matrix, kept in step with adj
     q_cur = 0.0
     best_q = -1.0
     best_adj = tuple(adj)

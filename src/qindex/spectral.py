@@ -11,6 +11,9 @@ spectrum comes from LAPACK (``numpy.linalg.eigvalsh``), and so do the
 annealing hunt's score of each proposal (``search.heuristic_max_q``) and
 the exhaustive scans' screening scores (``search._screened_q``); every q a
 report prints or decides by comes from ``q_index``.
+
+One builder, ``_matrices``, makes every Q and A matrix from neighbor
+bitmasks, for one graph or a stack of same-order graphs alike.
 """
 
 from __future__ import annotations
@@ -46,17 +49,22 @@ class SpectralResult:
     method: str
 
 
+def _matrices(masks, which: str = "Q") -> np.ndarray:
+    """Float Q (or A) matrices, shape (..., n, n), from neighbor masks of shape (..., n)."""
+    masks = np.asarray(masks, dtype=np.uint64)
+    bits = np.arange(masks.shape[-1], dtype=np.uint64)
+    m = (masks[..., None] >> bits & 1).astype(float)
+    if which == "Q":
+        m[..., bits, bits] = m.sum(axis=-1)
+    return m
+
+
 def adjacency_matrix(g: Graph) -> np.ndarray:
-    a = np.zeros((g.n, g.n))
-    for u in range(g.n):
-        for v in _bits(g.adj[u]):
-            a[u, v] = 1.0
-    return a
+    return _matrices(g.adj, "A")
 
 
 def q_matrix(g: Graph) -> np.ndarray:
-    a = adjacency_matrix(g)
-    return a + np.diag(a.sum(axis=1))
+    return _matrices(g.adj, "Q")
 
 
 def _power_largest(m: np.ndarray, tol: float, max_iter: int):
@@ -81,30 +89,16 @@ def _power_largest(m: np.ndarray, tol: float, max_iter: int):
     return lam, x, res, it, False
 
 
-def _component_matrix(g: Graph, comp_mask: int, which: str) -> tuple[np.ndarray, list[int]]:
-    verts = list(_bits(comp_mask))
-    pos = {u: i for i, u in enumerate(verts)}
-    k = len(verts)
-    m = np.zeros((k, k))
-    for u in verts:
-        for w in _bits(g.adj[u] & comp_mask):
-            m[pos[u], pos[w]] = 1.0
-    if which == "Q":
-        m += np.diag(m.sum(axis=1))
-    return m, verts
-
-
 def _largest_per_component(g: Graph, which: str) -> SpectralResult:
-    best_val = 0.0
-    best_vec = None
-    best_verts: list[int] = [0]
-    best_res = 0.0
-    best_method = "iterative"
+    full = _matrices(g.adj, which)
+    # (value, vector, vertices, residual, method); edgeless: eigenvalue 0, any unit vector
+    best = (0.0, np.ones(1), [0], 0.0, "iterative")
     total_iters = 0
     for comp in g.components():
         if comp.bit_count() == 1:
             continue  # isolated vertex contributes eigenvalue 0
-        m, verts = _component_matrix(g, comp, which)
+        verts = list(_bits(comp))
+        m = full[np.ix_(verts, verts)]  # no edge leaves a component
         shift = 0.0
         if which == "A":
             # make the matrix entrywise nonnegative with positive diagonal
@@ -122,16 +116,12 @@ def _largest_per_component(g: Graph, which: str) -> SpectralResult:
             res = float(np.linalg.norm(m @ vec - val * vec))
             method = "full"
         val -= shift
-        if best_vec is None or val > best_val:
-            best_val, best_vec, best_verts, best_res, best_method = val, vec, verts, res, method
-    n = g.n
-    vector = np.zeros(n)
-    if best_vec is None:
-        vector[0] = 1.0  # edgeless graph: eigenvalue 0, any unit vector
-    else:
-        for i, u in enumerate(best_verts):
-            vector[u] = best_vec[i]
-    return SpectralResult(best_val, vector, best_res, total_iters, best_method)
+        if val > best[0]:  # a component with an edge has a positive top eigenvalue
+            best = (val, vec, verts, res, method)
+    val, vec, verts, res, method = best
+    vector = np.zeros(g.n)
+    vector[verts] = vec
+    return SpectralResult(val, vector, res, total_iters, method)
 
 
 def q_index(g: Graph) -> SpectralResult:
@@ -148,6 +138,5 @@ def full_spectrum(g: Graph, matrix: str = "Q") -> list[float]:
     """All n eigenvalues of Q or A, ascending, from LAPACK."""
     if matrix not in ("Q", "A"):
         raise Unsupported(f"matrix must be 'Q' or 'A', got {matrix!r}")
-    m = q_matrix(g) if matrix == "Q" else adjacency_matrix(g)
-    return np.linalg.eigvalsh(m).tolist()
+    return np.linalg.eigvalsh(_matrices(g.adj, matrix)).tolist()
 

@@ -54,12 +54,13 @@ class TestEdgeBound:
         # 0.5*64^(5/3) + 64^(4/3) + 32 = 512 + 256 + 32
         assert edge_bound(64, 3, 3) == pytest.approx(800.0, abs=1e-9)
 
-    def test_is_half_n_times_adjacency_bound_at_t2(self):
-        for s in range(2, 7):
-            for n in range(1, 201):
-                assert edge_bound(n, s, 2) == pytest.approx(
-                    (n / 2.0) * adjacency_bound(n, s, 2), abs=1e-10
-                )
+    def test_is_half_n_times_adjacency_bound(self):
+        for t in (2, 3, 4):
+            for s in range(t, 7):
+                for n in range(1, 201):
+                    assert edge_bound(n, s, t) == pytest.approx(
+                        (n / 2.0) * adjacency_bound(n, s, t), abs=1e-10
+                    )
 
 
 class TestQBoundT2:

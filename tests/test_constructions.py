@@ -116,6 +116,17 @@ class TestBuildExtremal:
         assert not r.free
         assert r.witness is not None
 
+    def test_unfree_build_counts_every_join(self):
+        # no join at order 5 is free: the circulant and every random regular
+        # graph are built, and the first join comes back with its witness
+        r = build_extremal(ExtremalSpec(5, 2, 2))
+        assert r.attempts == constructions.MAX_ATTEMPTS + 1
+        assert r.strategy_used == "circulant"
+        assert r.seed_used is None
+        assert r.graph == join(complete_graph(1), circulant(4, [1]))
+        assert contains_kst(r.graph, ForbiddenPattern.from_ts(2, 2))
+        assert build_extremal(ExtremalSpec(6, 2, 2)).attempts == 1  # free at the circulant
+
     def test_larger_clique_side(self):
         r = build_extremal(ExtremalSpec(8, 2, 3))
         assert r.free

@@ -115,6 +115,21 @@ class TestFullSpectrum:
             full_spectrum(complete_graph(2), "L")
 
 
+class TestMatrixBuilder:
+    @pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 61, 62])
+    def test_matches_edge_list(self, n):
+        # orders past 31 put neighbors at bit positions a 32-bit shift would
+        # lose; the edge 0 ~ n-1 uses the highest one
+        rng = random.Random(n)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
+        g = from_edge_list(n, edges + [(0, n - 1)] * (n > 1))
+        a = np.zeros((n, n))
+        for u, v in g.edges():
+            a[u, v] = a[v, u] = 1.0
+        assert np.array_equal(adjacency_matrix(g), a)
+        assert np.array_equal(q_matrix(g), a + np.diag(a.sum(axis=1)))
+
+
 class TestOracleAgreement:
     def test_iterative_vs_full_500_per_order(self):
         rng = random.Random(12345)
