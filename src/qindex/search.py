@@ -34,9 +34,6 @@ import random
 import time
 from dataclasses import dataclass
 
-# bench/spans.py wraps this name as spectral.full; the rename waits for ROADMAP item 1
-from numpy.linalg import eigvalsh as _jacobi
-
 from .bounds import conjecture_bound, q_bound_t2, q_bound_t2_applicable
 from .canonical import _canonical, canonical_graph6, canonical_key
 from .errors import (
@@ -50,8 +47,11 @@ from .errors import (
     UseStreamSource,
 )
 from .forbidden import ForbiddenPattern, _contains_through, _walk, contains_kst
-from .graphs import MAX_ORDER, Graph, _bits, empty_graph, graph6_decode, induced, join
+from .graphs import (MAX_ORDER, Graph, _bits, empty_graph, graph6_decode, graph6_encode,
+                     induced, join)
 from .spectral import DEFAULT_TOL, _matrices, q_index
+# bench/spans.py wraps this name as spectral.full; the rename waits for ROADMAP item 1
+from .spectral import _eigvalsh as _jacobi
 from .spectral import _power_largest  # unused: bench/spans.py wraps it until ROADMAP item 1
 
 BUILTIN_MAX_ORDER = 9
@@ -291,7 +291,9 @@ def _finish_report(n, pat, free_list, graphs_seen, free_count, t0, exhaustive,
     """Score free graphs by ``_screened_q`` (certified q for the argmax bands,
     LAPACK for the rest), pick argmaxes, re-verify them, and compare bounds;
     an exhaustive report also takes the argmax of the classes without a
-    dominating vertex."""
+    dominating vertex.  An exhaustive scan passes only canonical graphs, so
+    its argmaxes are encoded as they are; a hunt's graph is labeled first."""
+    encode = graph6_encode if exhaustive else canonical_graph6
     scored = list(zip(_screened_q(free_list), free_list))
     max_q, top = _argmax(scored)
     for g in top:
@@ -301,7 +303,7 @@ def _finish_report(n, pat, free_list, graphs_seen, free_count, t0, exhaustive,
     rest_q = rest_argmax = rest_below_n = None
     if exhaustive:
         rest_q, rest_top = _argmax([(q, g) for q, g in scored if g.max_degree() < n - 1])
-        rest_argmax = sorted(canonical_graph6(g) for g in rest_top)
+        rest_argmax = sorted(encode(g) for g in rest_top)
         rest_below_n = rest_q < n - DEFAULT_TOL
     return SearchReport(
         n=n,
@@ -310,7 +312,7 @@ def _finish_report(n, pat, free_list, graphs_seen, free_count, t0, exhaustive,
         graphs_seen=graphs_seen,
         free_graphs=free_count,
         max_q=max_q,
-        argmax=sorted({canonical_graph6(g) for g in top}),
+        argmax=sorted({encode(g) for g in top}),
         bound_value=bound,
         bound_applicable=pat.t == 2 and q_bound_t2_applicable(n, pat.s),
         verdict=verdict,
@@ -410,7 +412,7 @@ def join_cap_scan(m: int, s: int) -> JoinCapReport:
         bound=bound,
         max_q=max(qs),
         all_capped=all_capped,
-        equality_graph6=sorted(canonical_graph6(h) for e, h in zip(at_cap, hs) if e),
+        equality_graph6=sorted(graph6_encode(h) for e, h in zip(at_cap, hs) if e),
         equality_all_regular=eq_all_regular,
         regular_all_equality=reg_all_eq,
         runtime_ms=int((time.perf_counter() - t0) * 1000),

@@ -14,17 +14,22 @@ report prints or decides by comes from ``q_index``.
 
 One builder, ``_matrices``, makes every Q and A matrix from neighbor
 bitmasks, for one graph or a stack of same-order graphs alike.
+
+This is the only module that imports numpy, and it does so on first use
+inside each function that needs it, so a ``qx`` command that computes no
+spectrum (``free-check``, ``bounds``, ``ledger``) never loads numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import Unsupported
 from .graphs import Graph, _bits
 
+if TYPE_CHECKING:
+    import numpy as np
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10 ** 6
 
@@ -51,6 +56,7 @@ class SpectralResult:
 
 def _matrices(masks, which: str = "Q") -> np.ndarray:
     """Float Q (or A) matrices, shape (..., n, n), from neighbor masks of shape (..., n)."""
+    import numpy as np
     masks = np.asarray(masks, dtype=np.uint64)
     bits = np.arange(masks.shape[-1], dtype=np.uint64)
     m = (masks[..., None] >> bits & 1).astype(float)
@@ -69,6 +75,7 @@ def q_matrix(g: Graph) -> np.ndarray:
 
 def _power_largest(m: np.ndarray, tol: float, max_iter: int):
     """Power iteration; returns (value, unit vector, residual, iters, converged)."""
+    import numpy as np
     k = m.shape[0]
     x = np.full(k, 1.0 / np.sqrt(k))
     lam = 0.0
@@ -90,6 +97,7 @@ def _power_largest(m: np.ndarray, tol: float, max_iter: int):
 
 
 def _largest_per_component(g: Graph, which: str) -> SpectralResult:
+    import numpy as np
     full = _matrices(g.adj, which)
     # (value, vector, vertices, residual, method); edgeless: eigenvalue 0, any unit vector
     best = (0.0, np.ones(1), [0], 0.0, "iterative")
@@ -138,5 +146,11 @@ def full_spectrum(g: Graph, matrix: str = "Q") -> list[float]:
     """All n eigenvalues of Q or A, ascending, from LAPACK."""
     if matrix not in ("Q", "A"):
         raise Unsupported(f"matrix must be 'Q' or 'A', got {matrix!r}")
-    return np.linalg.eigvalsh(_matrices(g.adj, matrix)).tolist()
+    return _eigvalsh(_matrices(g.adj, matrix)).tolist()
+
+
+def _eigvalsh(m) -> np.ndarray:
+    """Ascending eigenvalues of each symmetric matrix in ``m``, shape (..., n, n), from LAPACK."""
+    import numpy as np
+    return np.linalg.eigvalsh(m)
 

@@ -2,7 +2,10 @@ import ast
 import io
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -486,3 +489,56 @@ def test_no_unused_imports_in_src():
                     if name not in used:
                         unused.append(f"{path.name}:{name}")
     assert [name for name in unused if name not in allowed] == []
+
+
+SRC = Path(cli.__file__).resolve().parent.parent
+
+
+def _python(*args) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter with this checkout's package on the path."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+# runs qindex.cli.main on its arguments, then prints whether numpy is loaded
+NUMPY_PROBE = "import sys\nfrom qindex.cli import main\nmain(sys.argv[1:])\nprint('numpy' in sys.modules)"
+
+
+@pytest.mark.parametrize("argv, loads_numpy", [
+    (["--version"], False),
+    (["free-check", "FILE", "--t", "2", "--s", "1"], False),
+    (["bounds", "--n", "13", "--s", "1", "--t", "2"], False),
+    (["ledger", "--s", "2", "--n", "22"], False),
+    (["bounds", "--n", "5"], False),  # usage error
+    (["qindex", "FILE"], True),  # control: the same file's q does load it
+])
+def test_numpy_is_loaded_only_to_compute_a_spectrum(g6_file, argv, loads_numpy):
+    done = _python("-c", NUMPY_PROBE, *(g6_file if a == "FILE" else a for a in argv))
+    assert done.stdout.splitlines()[-1] == str(loads_numpy)
+
+
+class TestProcessEntry:
+    @pytest.mark.parametrize("argv, code", [
+        (["bounds", "--n", "13", "--s", "1", "--t", "2"], 0),
+        (["bounds", "--n", "5"], 1),
+        (["qindex", "/nonexistent/file.g6"], 2),
+    ])
+    def test_module_run_matches_main(self, capsys, argv, code):
+        done = _python("-m", "qindex.cli", *argv)
+        in_code, out, _ = run(capsys, *argv)
+        assert (done.returncode, in_code) == (code, code)
+        assert "Traceback" not in done.stderr
+        if code == 0:
+            assert {**json.loads(done.stdout), "runtime_ms": 0} == {**json.loads(out), "runtime_ms": 0}
+        else:
+            assert (done.stdout, out) == ("", "")
+
+    def test_console_script_is_the_main_block_entry(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = tomllib.loads((SRC.parent / "pyproject.toml").read_text())
+        tree = ast.parse(Path(cli.__file__).read_text())
+        block = next(node for node in tree.body if isinstance(node, ast.If)
+                     and ast.unparse(node.test) == "__name__ == '__main__'")
+        called = [ast.unparse(node.func) for node in ast.walk(block) if isinstance(node, ast.Call)]
+        assert [f"qindex.cli:{name}" for name in called] == [pyproject["project"]["scripts"]["qx"]]
