@@ -26,7 +26,6 @@ from .constructions import (
     ExtremalSpec,
     build_extremal,
     circulant,
-    is_design_graph,
     random_regular,
 )
 from .errors import QxError
@@ -34,17 +33,13 @@ from .forbidden import ForbiddenPattern, contains_kst, find_kst
 from .graphs import (
     MAX_ORDER,
     Graph,
-    complete_bipartite,
     complete_graph,
-    cycle_graph,
-    disjoint_union,
     empty_graph,
     from_edge_list,
     graph6_decode,
     graph6_encode,
     induced,
     join,
-    path_graph,
 )
 from .search import (
     JoinCapReport,
@@ -58,11 +53,9 @@ from .search import (
 )
 from .spectral import (
     SpectralResult,
-    adjacency_matrix,
     adjacency_radius,
     full_spectrum,
     q_index,
-    q_matrix,
 )
 
 __version__ = "0.1.0"
@@ -79,7 +72,6 @@ __all__ = [
     "SearchReport",
     "SpectralResult",
     "adjacency_bound",
-    "adjacency_matrix",
     "adjacency_radius",
     "bound_report",
     "build_extremal",
@@ -87,12 +79,9 @@ __all__ = [
     "canonical_graph6",
     "canonical_key",
     "circulant",
-    "complete_bipartite",
     "complete_graph",
     "conjecture_bound",
     "contains_kst",
-    "cycle_graph",
-    "disjoint_union",
     "edge_bound",
     "empty_graph",
     "enumerate_graphs",
@@ -106,17 +95,14 @@ __all__ = [
     "graph6_encode",
     "heuristic_max_q",
     "induced",
-    "is_design_graph",
     "is_extremal_join",
     "join",
     "join_cap_scan",
     "merris_bound",
-    "path_graph",
     "q_bound_t2",
     "q_bound_t2_applicable",
     "q_bound_window",
     "q_cap_ledger",
     "q_index",
-    "q_matrix",
     "random_regular",
 ]

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from .errors import (
     DiscriminantNegative,
     HypothesisViolated,
+    InvalidParameter,
     InvariantViolated,
     IsolatedVertex,
     NoEdges,
@@ -168,7 +169,8 @@ class BoundReport:
 
 
 def bound_report(n: int, s: int, t: int) -> BoundReport:
-    """Evaluate every bound at (n, s, t); inapplicable ones come back None."""
+    """Evaluate every bound at (n, s, t); inapplicable ones come back None,
+    and one that does not fit a double raises ``InvalidParameter``."""
     if s < 1 or t < 2 or n < 1:
         raise HypothesisViolated(f"need n >= 1, s >= 1, t >= 2; got n={n}, s={s}, t={t}")
     applicability = {
@@ -177,13 +179,19 @@ def bound_report(n: int, s: int, t: int) -> BoundReport:
         "conjecture_shape": s >= t - 1,
     }
     adjacency = edge = conjecture = None
-    if s >= t:
-        adjacency = adjacency_bound(n, s, t)
-        edge = edge_bound(n, s, t)
-    if s >= t - 1:
-        try:
-            conjecture = conjecture_bound(n, s, t)
-            applicability["conjecture_discriminant"] = True
-        except DiscriminantNegative:
-            applicability["conjecture_discriminant"] = False
-    return BoundReport(n, s, t, adjacency, edge, q_bound_t2(n, s), conjecture, applicability)
+    try:
+        if s >= t:
+            adjacency = adjacency_bound(n, s, t)
+            edge = edge_bound(n, s, t)
+        if s >= t - 1:
+            try:
+                conjecture = conjecture_bound(n, s, t)
+                applicability["conjecture_discriminant"] = True
+            except DiscriminantNegative:
+                applicability["conjecture_discriminant"] = False
+        q_t2 = q_bound_t2(n, s)
+    except OverflowError:  # an int too large to convert to float
+        q_t2 = math.inf
+    if not all(math.isfinite(v) for v in (adjacency, edge, conjecture, q_t2) if v is not None):
+        raise InvalidParameter("n, s and t too large: a bound overflows double precision")
+    return BoundReport(n, s, t, adjacency, edge, q_t2, conjecture, applicability)

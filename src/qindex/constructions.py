@@ -1,6 +1,5 @@
 """Builders for the conjectured extremal graphs K_{t-1} joined with an
-s-regular graph, and the recognizer for the strongly regular equality case
-of the adjacency bound.
+s-regular graph.
 
 Regularity alone does not make the join K_{t,s+1}-free (pairs inside H may
 share too many neighbors once the hub is added), so every build carries an
@@ -20,9 +19,10 @@ from .errors import (
     InvalidOffsets,
     InvariantViolated,
     NoRegularGraphExists,
+    OrderOverflow,
 )
-from .forbidden import ForbiddenPattern, Witness, contains_kst, find_kst
-from .graphs import Graph, complete_graph, empty_graph, from_edge_list, join
+from .forbidden import ForbiddenPattern, Witness, find_kst
+from .graphs import MAX_ORDER, Graph, complete_graph, empty_graph, from_edge_list, join
 
 MAX_ATTEMPTS = 20  # random regular graphs tried after the circulant
 RESTART_CAP = 200000  # pairing-model shuffles before random_regular gives up
@@ -43,6 +43,8 @@ class ExtremalSpec:
             raise HypothesisViolated(f"need s >= 1, got {self.s}")
         if self.n < self.t:
             raise HypothesisViolated(f"need n >= t, got n={self.n}, t={self.t}")
+        if self.n > MAX_ORDER:
+            raise OrderOverflow(f"graph order {self.n} exceeds the ceiling of {MAX_ORDER}")
 
     @property
     def m(self) -> int:
@@ -140,24 +142,3 @@ def build_extremal(spec: ExtremalSpec, seed: int = 0) -> BuildResult:
         if first is None:
             first = result
     return replace(first, attempts=tried)
-
-
-def is_design_graph(g: Graph, s: int) -> bool:
-    """Whether g is strongly regular with both codegree parameters equal to s.
-
-    Such graphs are exactly the equality case of the t = 2 adjacency bound
-    evaluated at forbidden-pattern parameter s+1.  The consistency identity
-    k(k-1) = s(n-1) pins the (necessarily integer) degree; complete and
-    edgeless graphs are excluded as degenerate.
-    """
-    if s < 1:
-        return False
-    n = g.n
-    e = g.edge_count()
-    if e == 0 or e == n * (n - 1) // 2:
-        return False
-    k = g.regular_degree()
-    if k is None or k * (k - 1) != s * (n - 1):
-        return False
-    # pairs share n*C(k,2) = s*C(n,2) common neighbors in all, so none above s means all exactly s
-    return not contains_kst(g, ForbiddenPattern.from_ts(2, s))

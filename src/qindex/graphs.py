@@ -78,9 +78,6 @@ class Graph:
     def max_degree(self) -> int:
         return max(m.bit_count() for m in self.adj)
 
-    def min_degree(self) -> int:
-        return min(m.bit_count() for m in self.adj)
-
     def edge_count(self) -> int:
         return sum(m.bit_count() for m in self.adj) // 2
 
@@ -88,16 +85,6 @@ class Graph:
         self._check_vertex(u)
         self._check_vertex(v)
         return bool(self.adj[u] >> v & 1)
-
-    def neighbors(self, u: int) -> tuple[int, ...]:
-        self._check_vertex(u)
-        return tuple(_bits(self.adj[u]))
-
-    def edges(self) -> Iterator[tuple[int, int]]:
-        for u in range(self.n):
-            rest = self.adj[u] >> (u + 1) << (u + 1)
-            for v in _bits(rest):
-                yield (u, v)
 
     def regular_degree(self) -> int | None:
         """The common degree, or None when the graph is irregular."""
@@ -127,21 +114,6 @@ class Graph:
             comps.append(comp)
             seen |= comp
         return comps
-
-    def is_connected(self) -> bool:
-        return len(self.components()) == 1
-
-    def relabel(self, perm: Sequence[int]) -> "Graph":
-        """Image under the permutation old index -> perm[old]."""
-        n = self.n
-        if sorted(perm) != list(range(n)):
-            raise InvalidVertexSet("relabel requires a permutation of 0..n-1")
-        adj = [0] * n
-        for u in range(n):
-            pu = perm[u]
-            for v in _bits(self.adj[u]):
-                adj[pu] |= 1 << perm[v]
-        return Graph(n, adj)
 
     def _check_vertex(self, u: int):
         if not 0 <= u < self.n:
@@ -188,28 +160,6 @@ def empty_graph(n: int) -> Graph:
 def complete_graph(n: int) -> Graph:
     full = (1 << n) - 1
     return Graph(n, [full ^ (1 << u) for u in range(n)])
-
-
-def cycle_graph(n: int) -> Graph:
-    if n < 3:
-        raise InvalidVertexSet("cycle needs at least 3 vertices")
-    return from_edge_list(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def path_graph(n: int) -> Graph:
-    return from_edge_list(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def complete_bipartite(a: int, b: int) -> Graph:
-    return from_edge_list(a + b, [(i, a + j) for i in range(a) for j in range(b)])
-
-
-def disjoint_union(g: Graph, h: Graph) -> Graph:
-    n = g.n + h.n
-    if n > MAX_ORDER:
-        raise OrderOverflow(f"union order {n} exceeds {MAX_ORDER}")
-    adj = list(g.adj) + [m << g.n for m in h.adj]
-    return Graph(n, adj)
 
 
 def join(g: Graph, h: Graph) -> Graph:

@@ -65,14 +65,6 @@ def _matrices(masks, which: str = "Q") -> np.ndarray:
     return m
 
 
-def adjacency_matrix(g: Graph) -> np.ndarray:
-    return _matrices(g.adj, "A")
-
-
-def q_matrix(g: Graph) -> np.ndarray:
-    return _matrices(g.adj, "Q")
-
-
 def _power_largest(m: np.ndarray, tol: float, max_iter: int):
     """Power iteration; returns (value, unit vector, residual, iters, converged)."""
     import numpy as np

@@ -13,19 +13,36 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 import qindex.search as search
-from qindex.graphs import (
-    Graph,
-    complete_graph,
-    cycle_graph,
-    disjoint_union,
-    from_edge_list,
-    join,
-)
+from qindex.constructions import circulant
+from qindex.graphs import Graph, complete_graph, from_edge_list, join
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return from_edge_list(n, edges)
+
+
+def edges(g: Graph) -> list[tuple[int, int]]:
+    """Edges (u, v) with u < v, in lexicographic order."""
+    return [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if g.adj[u] >> v & 1]
+
+
+def relabel(g: Graph, perm) -> Graph:
+    """Image of g under the permutation old index -> perm[old]."""
+    assert sorted(perm) == list(range(g.n))
+    return from_edge_list(g.n, [(perm[u], perm[v]) for u, v in edges(g)])
+
+
+def path_graph(n: int) -> Graph:
+    return from_edge_list(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def disjoint_union(*graphs: Graph) -> Graph:
+    """The graphs side by side, each shifted past the vertices of those before it."""
+    adj = []
+    for g in graphs:
+        adj += [m << len(adj) for m in g.adj]
+    return Graph(len(adj), adj)
 
 
 def exhaustive_scan(max_n: int, pat) -> list:
@@ -47,7 +64,7 @@ def petersen() -> Graph:
 
 @pytest.fixture(scope="session")
 def bowtie() -> Graph:
-    return join(complete_graph(1), disjoint_union(complete_graph(2), complete_graph(2)))
+    return join(complete_graph(1), from_edge_list(4, [(0, 1), (2, 3)]))
 
 
 @pytest.fixture(scope="session")
@@ -65,7 +82,7 @@ def rook_4x4() -> Graph:
 
 @pytest.fixture(scope="session")
 def wheel_5() -> Graph:
-    return join(complete_graph(1), cycle_graph(4))
+    return join(complete_graph(1), circulant(4, [1]))
 
 
 @pytest.fixture(scope="session")

@@ -15,14 +15,9 @@ from qindex.bounds import (
     q_bound_window,
     q_cap_ledger,
 )
-from qindex.errors import HypothesisViolated, IsolatedVertex, NoEdges
-from qindex.graphs import (
-    complete_bipartite,
-    complete_graph,
-    disjoint_union,
-    empty_graph,
-    path_graph,
-)
+from qindex.constructions import circulant
+from qindex.errors import HypothesisViolated, IsolatedVertex, NoEdges, QxError
+from qindex.graphs import complete_graph, empty_graph, from_edge_list, join
 from qindex.spectral import q_index
 from conftest import random_graph
 
@@ -77,9 +72,7 @@ class TestQBoundT2:
         assert not q_bound_t2_applicable(21, 2)
 
     def test_matches_hub_join_value(self):
-        from qindex.graphs import cycle_graph, join
-
-        g = join(complete_graph(1), cycle_graph(5))
+        g = join(complete_graph(1), circulant(5, [1]))
         assert q_index(g).value == pytest.approx(q_bound_t2(6, 2), abs=1e-8)
 
 
@@ -116,13 +109,13 @@ class TestMerris:
             assert q_index(complete_graph(n)).value == pytest.approx(2 * n - 2, abs=1e-9)
 
     def test_star(self):
-        assert merris_bound(complete_bipartite(1, 4)) == pytest.approx(5.0, abs=1e-12)
+        assert merris_bound(join(empty_graph(1), empty_graph(4))) == pytest.approx(5.0, abs=1e-12)
 
     def test_path3(self):
-        assert merris_bound(path_graph(3)) == pytest.approx(3.0, abs=1e-12)
+        assert merris_bound(from_edge_list(3, [(0, 1), (1, 2)])) == pytest.approx(3.0, abs=1e-12)
 
     def test_f_value(self):
-        g = complete_bipartite(1, 4)
+        g = join(empty_graph(1), empty_graph(4))
         assert f_value(g, 0) == pytest.approx(4 + 4 / 4, abs=1e-12)
         assert f_value(g, 1) == pytest.approx(1 + 4 / 1, abs=1e-12)
 
@@ -130,7 +123,7 @@ class TestMerris:
         with pytest.raises(NoEdges):
             merris_bound(empty_graph(3))
         with pytest.raises(IsolatedVertex):
-            f_value(disjoint_union(complete_graph(2), empty_graph(1)), 2)
+            f_value(from_edge_list(3, [(0, 1)]), 2)
 
     def test_dominates_q_on_random_graphs(self):
         rng = random.Random(13)
@@ -215,3 +208,13 @@ class TestBoundReport:
     def test_bad_parameters(self):
         with pytest.raises(HypothesisViolated):
             bound_report(5, 0, 2)
+
+    @pytest.mark.parametrize("n, s, t", [
+        (10 ** 400, 1, 2),  # n does not fit a double
+        (13, 10 ** 400, 2),  # s does not fit a double
+        (10 ** 200, 1, 2),  # n fits, (n - 2s)^2 under the square root does not
+        (10 ** 150, 5 * 10 ** 149, 5 * 10 ** 149),  # every term fits, the edge bound is infinite
+    ], ids=["huge-n", "huge-s", "huge-square", "infinite-edge-bound"])
+    def test_overflow_is_a_qx_error(self, n, s, t):
+        with pytest.raises(QxError, match="overflows double precision"):
+            bound_report(n, s, t)

@@ -11,10 +11,13 @@ from pathlib import Path
 
 import pytest
 
+import qindex
 import qindex.cli as cli
-from qindex.graphs import complete_graph, cycle_graph, disjoint_union, from_edge_list, graph6_encode, join
+import qindex.constructions as constructions
+from qindex.constructions import circulant
+from qindex.graphs import Graph, complete_graph, from_edge_list, graph6_encode, join
 from qindex.search import SearchReport
-from conftest import random_graph
+from conftest import disjoint_union, random_graph, relabel
 
 
 @pytest.fixture()
@@ -71,7 +74,7 @@ class TestCommands:
 
     def test_free_check(self, capsys, tmp_path):
         path = tmp_path / "c5.g6"
-        path.write_text(graph6_encode(cycle_graph(5)) + "\n")
+        path.write_text(graph6_encode(circulant(5, [1])) + "\n")
         code, out, _ = run(capsys, "free-check", str(path), "--t", "2", "--s", "1")
         payload = json.loads(out)
         assert payload["results"][0]["verdict"] == "free"
@@ -79,7 +82,7 @@ class TestCommands:
 
     def test_free_check_contains(self, capsys, tmp_path):
         path = tmp_path / "c4.g6"
-        path.write_text(graph6_encode(cycle_graph(4)) + "\n")
+        path.write_text(graph6_encode(circulant(4, [1])) + "\n")
         code, out, _ = run(capsys, "free-check", str(path), "--t", "2", "--s", "1")
         payload = json.loads(out)
         assert payload["results"][0]["verdict"] == "contains"
@@ -132,7 +135,7 @@ class TestCommands:
         # have 34), so the file holds exactly six classes
         rng = random.Random(18)
         hub = complete_graph(1)
-        joins = [join(hub, cycle_graph(17)), join(hub, disjoint_union(cycle_graph(8), cycle_graph(9)))]
+        joins = [join(hub, circulant(17, [1])), join(hub, disjoint_union(circulant(8, [1]), circulant(9, [1])))]
         pairs = [(u, v) for u in range(18) for v in range(u + 1, 18)]
         others = [from_edge_list(18, rng.sample(pairs, m)) for m in (5, 12, 20, 27)]
         lines = []
@@ -140,7 +143,7 @@ class TestCommands:
             for _ in range(3 if g in joins else 1):
                 perm = list(range(18))
                 rng.shuffle(perm)
-                lines.append(graph6_encode(g.relabel(perm)))
+                lines.append(graph6_encode(relabel(g, perm)))
         rng.shuffle(lines)
         path = tmp_path / "order18.g6"
         path.write_text("\n".join(lines) + "\n")
@@ -221,6 +224,9 @@ class TestExitCodes:
         ("verify", "--n", "10", "--t", "2", "--s", "1"),
         # a stream with no graph line enumerates nothing, so it proves nothing
         ("verify", "--n", "5", "--t", "2", "--s", "2", "--stream", "EMPTY"),
+        # closed forms past the range of a double
+        ("bounds", "--n", "1" + "0" * 309, "--s", "1", "--t", "2"),
+        ("bounds", "--n", "13", "--s", "1" + "0" * 309, "--t", "2"),
     ])
     def test_bad_input_is_a_computation_error(self, capsys, tmp_path, g6_file, argv):
         empty = tmp_path / "empty.g6"
@@ -435,9 +441,22 @@ def test_construct_without_a_free_join_reports_its_witness(capsys):
     assert (code, report["free"]) == (0, False)
     left, right = report["witness"]["left"], report["witness"]["right"]
     assert (len(left), len(right)) == (2, 3) and not set(left) & set(right)
-    g = join(complete_graph(1), cycle_graph(4))
+    g = join(complete_graph(1), circulant(4, [1]))
     assert report["graph6"] == graph6_encode(g)
     assert all(g.has_edge(u, v) for u in left for v in right)
+
+
+@pytest.mark.parametrize("n, t", [("2000000", "2"), ("40002", "20001")])
+def test_construct_checks_the_order_before_building(capsys, monkeypatch, n, t):
+    # the clique and the regular part would take memory growing with n and t
+    def refuse(*args):
+        raise AssertionError("a graph was built before the order check")
+
+    monkeypatch.setattr(constructions, "circulant", refuse)
+    monkeypatch.setattr(constructions, "complete_graph", refuse)
+    code, out, err = run(capsys, "construct", "--n", n, "--s", "2", "--t", t)
+    assert (code, out) == (2, "")
+    assert err == f"qx: error: graph order {n} exceeds the ceiling of 62\n"
 
 
 def test_rest_half_above_n_is_data_not_a_violation(capsys):
@@ -489,6 +508,30 @@ def test_no_unused_imports_in_src():
                     if name not in used:
                         unused.append(f"{path.name}:{name}")
     assert [name for name in unused if name not in allowed] == []
+
+
+def test_every_public_name_has_a_caller_in_src():
+    # a name that only tests or the README use belongs in tests/, not src/;
+    # a reference inside the name's own definition does not count
+    names, attrs = set(), set()
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            inside = inside | {node.name}
+        if isinstance(node, ast.Name) and node.id not in inside:
+            names.add(node.id)
+        if isinstance(node, ast.Attribute) and node.attr not in inside:
+            attrs.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    for path in Path(cli.__file__).parent.glob("*.py"):
+        if path.name != "__init__.py":
+            visit(ast.parse(path.read_text()), frozenset())
+    methods = {name for name, value in vars(Graph).items() if callable(value) and not name.startswith("_")}
+    assert methods and qindex.__all__
+    assert sorted(name for name in qindex.__all__ if name not in names | attrs) == []
+    assert sorted(name for name in methods if name not in attrs) == []
 
 
 SRC = Path(cli.__file__).resolve().parent.parent

@@ -5,35 +5,24 @@ import pytest
 
 import qindex.constructions as constructions
 from qindex.bounds import adjacency_bound, conjecture_bound, q_bound_t2
-from qindex.constructions import (
-    ExtremalSpec,
-    build_extremal,
-    circulant,
-    is_design_graph,
-    random_regular,
-)
+from qindex.constructions import ExtremalSpec, build_extremal, circulant, random_regular
 from qindex.errors import (
     GenerationFailed,
     HypothesisViolated,
     InvalidOffsets,
     NoRegularGraphExists,
+    OrderOverflow,
 )
 from qindex.forbidden import ForbiddenPattern, contains_kst
-from qindex.graphs import (
-    complete_bipartite,
-    complete_graph,
-    cycle_graph,
-    disjoint_union,
-    from_edge_list,
-    join,
-)
+from qindex.graphs import complete_graph, from_edge_list, join
 from qindex.spectral import adjacency_radius, q_index
+from conftest import disjoint_union
 
 
 class TestCirculant:
     def test_pentagon(self):
         g = circulant(5, {1})
-        assert g == cycle_graph(5)
+        assert g == from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
 
     def test_prism_like(self):
         g = circulant(6, {1, 3})
@@ -64,7 +53,7 @@ class TestRandomRegular:
     def test_two_regular_on_five_is_pentagon(self):
         g = random_regular(5, 2, 1)
         assert g.regular_degree() == 2
-        assert g.is_connected()  # 5 = 3 + 2 has no valid cycle split
+        assert len(g.components()) == 1  # 5 = 3 + 2 has no valid cycle split
 
     def test_three_regular_on_ten(self):
         g = random_regular(10, 3, 7)
@@ -98,7 +87,7 @@ class TestBuildExtremal:
     def test_hub_join_pentagon(self):
         r = build_extremal(ExtremalSpec(6, 2, 2))
         assert r.free
-        assert r.graph == join(complete_graph(1), cycle_graph(5))
+        assert r.graph == join(complete_graph(1), circulant(5, [1]))
         assert q_index(r.graph).value == pytest.approx(q_bound_t2(6, 2), abs=1e-8)
 
     def test_parity_failure(self):
@@ -158,9 +147,7 @@ class TestBuildExtremal:
         count = 0
         for m in range(3, 13):
             for parts in partitions(m):
-                h = cycle_graph(parts[0])
-                for p in parts[1:]:
-                    h = disjoint_union(h, cycle_graph(p))
+                h = disjoint_union(*(circulant(p, [1]) for p in parts))
                 if h.n != m:
                     continue
                 g = join(complete_graph(1), h)
@@ -173,27 +160,16 @@ class TestBuildExtremal:
             build_extremal(ExtremalSpec(3, 2, 2))  # H order 2 cannot be 2-regular
         with pytest.raises(HypothesisViolated, match="n=5, t=9"):
             ExtremalSpec(5, 1, 9)  # the clique side alone needs t-1 = 8 vertices
+        with pytest.raises(OrderOverflow, match="graph order 63 exceeds the ceiling of 62"):
+            ExtremalSpec(63, 2, 2)
 
 
 class TestDesignGraph:
-    def test_rook_graph_is_design(self, rook_4x4):
-        assert is_design_graph(rook_4x4, 2)
-
     def test_rook_equality_case(self, rook_4x4):
         # design graphs sit exactly on the adjacency bound at pattern K_{s+1,2}
         assert adjacency_radius(rook_4x4).value == pytest.approx(
             adjacency_bound(16, 3, 2), abs=1e-7
         )
-
-    def test_non_examples(self, petersen):
-        assert not is_design_graph(cycle_graph(5), 1)
-        assert not is_design_graph(complete_graph(4), 2)
-        assert not is_design_graph(complete_bipartite(2, 2), 2)
-        assert not is_design_graph(petersen, 1)
-
-    def test_wrong_s_on_rook(self, rook_4x4):
-        assert not is_design_graph(rook_4x4, 1)
-        assert not is_design_graph(rook_4x4, 3)
 
     def test_shrikhande_graph(self, rook_4x4):
         # same parameters as the rook graph but a different isomorphism class
@@ -207,7 +183,8 @@ class TestDesignGraph:
             if 4 * a + b < 4 * c + d and ((a - c) % 4, (b - d) % 4) in diffs
         ]
         shrikhande = from_edge_list(16, edges)
-        assert is_design_graph(shrikhande, 2)
+        codegrees = {(shrikhande.adj[u] & shrikhande.adj[v]).bit_count() for v in range(16) for u in range(v)}
+        assert codegrees == {2}  # every pair has 2 common neighbours, as in the rook graph
         assert adjacency_radius(shrikhande).value == pytest.approx(
             adjacency_bound(16, 3, 2), abs=1e-7
         )

@@ -10,20 +10,18 @@ from numpy.linalg import eigvalsh
 import qindex.search as search
 from qindex.bounds import q_bound_t2
 from qindex.canonical import canonical_graph6, canonical_key, refinement_cells
+from qindex.constructions import circulant
 from qindex.errors import InvalidBudget, InvalidVertexSet, MalformedGraph6, OrderOverflow, UseStreamSource
 from qindex.forbidden import ForbiddenPattern
 from qindex.graphs import (
     Graph,
     _bits,
     complete_graph,
-    cycle_graph,
-    disjoint_union,
     empty_graph,
     from_edge_list,
     graph6_decode,
     graph6_encode,
     join,
-    path_graph,
 )
 from qindex.search import (
     enumerate_graphs,
@@ -34,7 +32,7 @@ from qindex.search import (
     join_cap_scan,
 )
 from qindex.spectral import q_index
-from conftest import exhaustive_scan, random_graph
+from conftest import disjoint_union, exhaustive_scan, path_graph, random_graph, relabel
 
 UNLABELED_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
 
@@ -86,11 +84,11 @@ class TestCanonical:
             g = random_graph(rng, n, rng.choice([0.2, 0.5, 0.8]))
             perm = list(range(n))
             rng.shuffle(perm)
-            assert canonical_key(g) == canonical_key(g.relabel(perm))
+            assert canonical_key(g) == canonical_key(relabel(g, perm))
 
     def test_distinguishes_same_degree_sequence(self):
         # C_6 and 2 triangles are both 2-regular on 6 vertices
-        a = cycle_graph(6)
+        a = circulant(6, [1])
         b = disjoint_union(complete_graph(3), complete_graph(3))
         assert canonical_key(a) != canonical_key(b)
 
@@ -206,7 +204,7 @@ class TestExhaustive:
         for g in base:
             perm = list(range(5))
             rng.shuffle(perm)
-            lines.append(graph6_encode(g.relabel(perm)))
+            lines.append(graph6_encode(relabel(g, perm)))
         rng.shuffle(lines)
         rep_stream = exhaustive_max_q(5, ForbiddenPattern(2, 2), stream=iter(lines + lines))
         rep_builtin = exhaustive_max_q(5, ForbiddenPattern(2, 2))
@@ -238,11 +236,11 @@ class TestJoinCapScan:
     def test_m5_s2_equality_is_pentagon(self):
         report = join_cap_scan(5, 2)
         assert report.all_capped
-        assert report.equality_graph6 == [canonical_graph6(cycle_graph(5))]
+        assert report.equality_graph6 == [canonical_graph6(circulant(5, [1]))]
         assert report.equality_all_regular and report.regular_all_equality
 
     def test_m4_s1_equality_is_perfect_matching(self):
-        matching = disjoint_union(complete_graph(2), complete_graph(2))
+        matching = from_edge_list(4, [(0, 1), (2, 3)])
         report = join_cap_scan(4, 1)
         assert report.equality_graph6 == [canonical_graph6(matching)]
         assert report.equality_all_regular and report.regular_all_equality
@@ -287,16 +285,16 @@ class TestDominatingScan:
     def test_order6_s2(self):
         report = exhaustive_max_q(6, ForbiddenPattern.from_ts(2, 2))
         assert report.max_q == pytest.approx(q_bound_t2(6, 2), abs=1e-8)
-        wheel6 = join(complete_graph(1), cycle_graph(5))
+        wheel6 = join(complete_graph(1), circulant(5, [1]))
         assert canonical_graph6(wheel6) in report.argmax
         assert not report.bound_applicable  # n = 6 is far below the proved threshold
-        assert join_cap_scan(5, 2).equality_graph6 == [canonical_graph6(cycle_graph(5))]
+        assert join_cap_scan(5, 2).equality_graph6 == [canonical_graph6(circulant(5, [1]))]
 
     def test_order5_s1(self, bowtie):
         report = exhaustive_max_q(5, ForbiddenPattern.from_ts(2, 1))
         assert report.max_q == pytest.approx(q_bound_t2(5, 1), abs=1e-8)
         assert report.argmax == [canonical_graph6(bowtie)]
-        matching = disjoint_union(complete_graph(2), complete_graph(2))
+        matching = from_edge_list(4, [(0, 1), (2, 3)])
         assert join_cap_scan(4, 1).equality_graph6 == [canonical_graph6(matching)]
 
     def test_order4_s1_rest_class(self):
@@ -306,7 +304,7 @@ class TestDominatingScan:
         assert report.rest_max_q == pytest.approx(4.0, abs=1e-9)
         assert not report.rest_below_n
         assert report.verdict == "bound_holds"
-        tri = disjoint_union(complete_graph(3), complete_graph(1))
+        tri = from_edge_list(4, [(0, 1), (0, 2), (1, 2)])
         assert canonical_graph6(tri) in report.rest_argmax
 
     def test_order5_s1_rest_class(self):
@@ -406,15 +404,15 @@ class TestHuntAtProvedThreshold:
 def hub_join_stream(rng):
     """Order-10 graph6 lines: every K1 v (2-regular H), each under two
     random labelings (their q ties at the t = 2 cap), plus random graphs."""
-    hubs = [cycle_graph(9)] + [disjoint_union(cycle_graph(a), cycle_graph(9 - a)) for a in (3, 4)]
-    hubs.append(disjoint_union(cycle_graph(3), disjoint_union(cycle_graph(3), cycle_graph(3))))
+    hubs = [circulant(9, [1])] + [disjoint_union(circulant(a, [1]), circulant(9 - a, [1])) for a in (3, 4)]
+    hubs.append(disjoint_union(*[circulant(3, [1])] * 3))
     graphs = [join(complete_graph(1), h) for h in hubs for _ in range(2)]
     graphs += [random_graph(rng, 10, 0.3) for _ in range(40)]
     lines = []
     for g in graphs:
         perm = list(range(10))
         rng.shuffle(perm)
-        lines.append(graph6_encode(g.relabel(perm)))
+        lines.append(graph6_encode(relabel(g, perm)))
     return lines
 
 
@@ -506,7 +504,7 @@ class TestScreenedScoring:
     def test_cap_below_the_argmax_band_is_certified(self, monkeypatch):
         # a cap at the q of K1 v (C5 + K1), far below the band of the top
         # joins: that join meets it only if the cap itself is a decision point
-        h = disjoint_union(cycle_graph(5), complete_graph(1))
+        h = disjoint_union(circulant(5, [1]), complete_graph(1))
         cap = q_index(join(complete_graph(1), h)).value
         monkeypatch.setattr(search, "q_bound_t2", lambda n, s: cap)
         monkeypatch.setattr(search, "_jacobi", shifted_eigvalsh(4e-10))
@@ -571,8 +569,8 @@ class TestSlowEnumeration:
 class TestExtremalJoinRecognition:
     def test_positive_cases(self, bowtie):
         assert is_extremal_join(bowtie, 1, 2)
-        assert is_extremal_join(join(complete_graph(1), cycle_graph(5)), 2, 2)
-        assert is_extremal_join(join(complete_graph(2), cycle_graph(6)), 2, 3)
+        assert is_extremal_join(join(complete_graph(1), circulant(5, [1])), 2, 2)
+        assert is_extremal_join(join(complete_graph(2), circulant(6, [1])), 2, 3)
         assert is_extremal_join(complete_graph(4), 2, 2)  # K_4 = K_1 v K_3
 
     def test_negative_cases(self, petersen):

@@ -5,38 +5,24 @@ import numpy as np
 import pytest
 
 import qindex.spectral as spectral
+from qindex.constructions import circulant
 from qindex.errors import Unsupported
-from qindex.graphs import (
-    complete_bipartite,
-    complete_graph,
-    cycle_graph,
-    disjoint_union,
-    empty_graph,
-    from_edge_list,
-    join,
-    path_graph,
-)
-from qindex.spectral import (
-    adjacency_matrix,
-    adjacency_radius,
-    full_spectrum,
-    q_index,
-    q_matrix,
-)
-from conftest import random_graph
+from qindex.graphs import complete_graph, empty_graph, from_edge_list, join
+from qindex.spectral import _matrices, adjacency_radius, full_spectrum, q_index
+from conftest import disjoint_union, edges, path_graph, random_graph
 
 
 class TestQIndexExamples:
     def test_regular_fixtures(self):
         # connected d-regular graphs sit exactly at q = 2d
         assert q_index(complete_graph(4)).value == pytest.approx(6.0, abs=1e-10)
-        assert q_index(cycle_graph(5)).value == pytest.approx(4.0, abs=1e-10)
+        assert q_index(circulant(5, [1])).value == pytest.approx(4.0, abs=1e-10)
 
     def test_star(self):
-        assert q_index(complete_bipartite(1, 4)).value == pytest.approx(5.0, abs=1e-10)
+        assert q_index(join(empty_graph(1), empty_graph(4))).value == pytest.approx(5.0, abs=1e-10)
 
     def test_hub_join_of_pentagon(self):
-        g = join(complete_graph(1), cycle_graph(5))
+        g = join(complete_graph(1), circulant(5, [1]))
         assert q_index(g).value == pytest.approx(5 + math.sqrt(20) / 2, abs=1e-9)
 
     def test_edgeless(self):
@@ -45,7 +31,7 @@ class TestQIndexExamples:
         assert np.linalg.norm(r.vector) == pytest.approx(1.0)
 
     def test_disconnected_takes_component_max(self):
-        g = disjoint_union(cycle_graph(3), empty_graph(1))
+        g = disjoint_union(complete_graph(3), empty_graph(1))
         r = q_index(g)
         assert r.value == pytest.approx(4.0, abs=1e-10)
         assert r.vector[3] == 0.0  # zero-padded outside the winning component
@@ -56,7 +42,7 @@ class TestQIndexExamples:
         assert r.residual <= 1e-10
         assert np.linalg.norm(r.vector) == pytest.approx(1.0, abs=1e-12)
         assert (r.vector >= -1e-12).all()  # connected graph: Perron vector
-        m = q_matrix(g)
+        m = _matrices(g.adj, "Q")
         assert np.linalg.norm(m @ r.vector - r.value * r.vector) <= 1e-9
 
     def test_iteration_cap_falls_back_to_full(self, monkeypatch):
@@ -68,7 +54,7 @@ class TestQIndexExamples:
 
     @pytest.mark.parametrize("g", [
         path_graph(12),
-        disjoint_union(path_graph(5), cycle_graph(3)),
+        disjoint_union(path_graph(5), complete_graph(3)),
         path_graph(62),
     ], ids=["P12", "P5+C3", "P62"])
     def test_iteration_cap_returns_a_perron_vector(self, monkeypatch, g):
@@ -83,13 +69,13 @@ class TestQIndexExamples:
 class TestAdjacencyExamples:
     def test_fixtures(self, petersen):
         assert adjacency_radius(complete_graph(4)).value == pytest.approx(3.0, abs=1e-9)
-        assert adjacency_radius(cycle_graph(6)).value == pytest.approx(2.0, abs=1e-9)
+        assert adjacency_radius(circulant(6, [1])).value == pytest.approx(2.0, abs=1e-9)
         assert adjacency_radius(petersen).value == pytest.approx(3.0, abs=1e-9)
 
     def test_shift_does_not_leak(self):
         # bipartite graphs have symmetric adjacency spectrum; shifted power
         # iteration must still return the top of A itself
-        g = complete_bipartite(3, 4)
+        g = join(empty_graph(3), empty_graph(4))
         assert adjacency_radius(g).value == pytest.approx(math.sqrt(12), abs=1e-9)
 
 
@@ -121,13 +107,14 @@ class TestMatrixBuilder:
         # orders past 31 put neighbors at bit positions a 32-bit shift would
         # lose; the edge 0 ~ n-1 uses the highest one
         rng = random.Random(n)
-        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
-        g = from_edge_list(n, edges + [(0, n - 1)] * (n > 1))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
+        pairs += [(0, n - 1)] * (n > 1)
+        g = from_edge_list(n, pairs)
         a = np.zeros((n, n))
-        for u, v in g.edges():
+        for u, v in pairs:
             a[u, v] = a[v, u] = 1.0
-        assert np.array_equal(adjacency_matrix(g), a)
-        assert np.array_equal(q_matrix(g), a + np.diag(a.sum(axis=1)))
+        assert np.array_equal(_matrices(g.adj, "A"), a)
+        assert np.array_equal(_matrices(g.adj, "Q"), a + np.diag(a.sum(axis=1)))
 
 
 class TestOracleAgreement:
@@ -145,18 +132,11 @@ class TestOracleAgreement:
         rng = random.Random(99)
         for _ in range(150):
             g = random_graph(rng, rng.randint(2, 16), 0.5)
-            assert q_index(g).value == pytest.approx(
-                float(np.linalg.eigvalsh(q_matrix(g))[-1]), abs=1e-8
-            )
-            assert adjacency_radius(g).value == pytest.approx(
-                float(np.linalg.eigvalsh(adjacency_matrix(g))[-1]), abs=1e-8
-            )
-            assert np.allclose(
-                full_spectrum(g, "Q"), np.linalg.eigvalsh(q_matrix(g)), atol=1e-10
-            )
-            assert np.allclose(
-                full_spectrum(g, "A"), np.linalg.eigvalsh(adjacency_matrix(g)), atol=1e-10
-            )
+            q, a = _matrices(g.adj, "Q"), _matrices(g.adj, "A")
+            assert q_index(g).value == pytest.approx(float(np.linalg.eigvalsh(q)[-1]), abs=1e-8)
+            assert adjacency_radius(g).value == pytest.approx(float(np.linalg.eigvalsh(a)[-1]), abs=1e-8)
+            assert np.allclose(full_spectrum(g, "Q"), np.linalg.eigvalsh(q), atol=1e-10)
+            assert np.allclose(full_spectrum(g, "A"), np.linalg.eigvalsh(a), atol=1e-10)
 
 
 class TestSpectralFacts:
@@ -168,28 +148,28 @@ class TestSpectralFacts:
             lam = adjacency_radius(g).value
             if g.edge_count() > 0:
                 assert q >= g.max_degree() + 1 - 1e-9
-                assert 2 * g.min_degree() - 1e-9 <= q <= 2 * g.max_degree() + 1e-9
+                assert 2 * min(g.degrees()) - 1e-9 <= q <= 2 * g.max_degree() + 1e-9
             assert lam >= 2 * g.edge_count() / g.n - 1e-9
 
     def test_regular_equality(self, petersen):
-        for g in (complete_graph(4), cycle_graph(5), cycle_graph(6), petersen):
+        for g in (complete_graph(4), circulant(5, [1]), circulant(6, [1]), petersen):
             d = g.regular_degree()
             assert q_index(g).value == pytest.approx(2 * d, abs=1e-9)
 
 
 def _edge_form(g, x):
     """Edge sum of (x_u + x_v)^2: the quadratic form of Q, as an oracle."""
-    return sum((x[u] + x[v]) ** 2 for u, v in g.edges())
+    return sum((x[u] + x[v]) ** 2 for u, v in edges(g))
 
 
 class TestRayleighEdgeForm:
     def test_single_edge(self):
         x = np.full(2, 1 / math.sqrt(2))
-        assert x @ q_matrix(complete_graph(2)) @ x == pytest.approx(2.0, abs=1e-12)
+        assert x @ _matrices(complete_graph(2).adj, "Q") @ x == pytest.approx(2.0, abs=1e-12)
 
     def test_c4_uniform(self):
         x = np.full(4, 0.5)
-        assert x @ q_matrix(cycle_graph(4)) @ x == pytest.approx(4.0, abs=1e-12)
+        assert x @ _matrices(circulant(4, [1]).adj, "Q") @ x == pytest.approx(4.0, abs=1e-12)
 
     def test_matches_quadratic_form(self):
         rng = random.Random(8)
@@ -197,7 +177,7 @@ class TestRayleighEdgeForm:
             g = random_graph(rng, rng.randint(2, 10), 0.5)
             x = np.array([rng.gauss(0, 1) for _ in range(g.n)])
             x /= np.linalg.norm(x)
-            direct = float(x @ q_matrix(g) @ x)
+            direct = float(x @ _matrices(g.adj, "Q") @ x)
             assert _edge_form(g, x) == pytest.approx(direct, abs=1e-10)
 
     def test_perron_vector_reproduces_value(self):
@@ -205,4 +185,4 @@ class TestRayleighEdgeForm:
         for _ in range(40):
             g = random_graph(rng, rng.randint(2, 12), 0.5)
             r = q_index(g)
-            assert abs(r.vector @ q_matrix(g) @ r.vector - r.value) <= 10 * 1e-10 + 1e-12
+            assert abs(r.vector @ _matrices(g.adj, "Q") @ r.vector - r.value) <= 10 * 1e-10 + 1e-12
