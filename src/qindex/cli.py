@@ -8,7 +8,7 @@ stay visible without drowning in noise.  ``tolerances`` lists exactly the
 tolerances the command used.
 
 A command takes only the flags it honours; ``--format csv`` is for
-``bounds`` only.  Every reported q is scored at the eigensolver residual
+``bounds`` only.  Every reported q is certified to the eigenpair residual
 ``spectral.DEFAULT_TOL``, and ``verify``, ``prop4`` and ``hunt`` compare
 it with a closed-form cap by the fixed policy of ``search``: no flag
 changes either.
@@ -162,8 +162,6 @@ def _run(args) -> tuple[dict, list, dict, bool]:
                 "edges": g.edge_count(),
                 "max_degree": g.max_degree(),
                 "q": q.value,
-                "q_method": q.method,
-                "q_iterations": q.iterations,
                 "q_residual": q.residual,
                 "lambda": lam.value,
                 "merris_bound": mb,

@@ -52,7 +52,7 @@ from .graphs import (MAX_ORDER, Graph, _bits, empty_graph, graph6_decode, graph6
 from .spectral import DEFAULT_TOL, _matrices, q_index
 # bench/spans.py wraps this name as spectral.full; the rename waits for ROADMAP item 1
 from .spectral import _eigvalsh as _jacobi
-from .spectral import _power_largest  # unused: bench/spans.py wraps it until ROADMAP item 1
+from .spectral import _eigvalsh as _power_largest  # unused; bench/spans.py wraps it until ROADMAP item 1
 
 BUILTIN_MAX_ORDER = 9
 T_START, T_END = 1.0, 1e-3  # annealing temperatures, cooled geometrically over the budget
@@ -95,7 +95,7 @@ def _on_canonical_labels(lab: list[int], perms: list[list[int]]) -> list[list[in
 
 
 def _deleted(adj: list[int], u: int) -> list[int]:
-    """Masks of the graph with vertex u deleted and later vertices shifted down."""
+    """Masks of the graph with vertex u deleted and later vertices renumbered down one."""
     low = (1 << u) - 1
     return [m & low | m >> 1 & ~low for v, m in enumerate(adj) if v != u]
 

@@ -1,17 +1,11 @@
 """Eigenvalue solvers for the signless Laplacian Q = A + D and the
-adjacency matrix A.
+adjacency matrix A, all from LAPACK through numpy.
 
-Largest eigenvalue: power iteration on the entrywise-nonnegative matrix,
-per connected component (so the iteration always acts on a primitive
-matrix and converges geometrically).  Convergence is certified by the
-residual ||Mx - qx|| <= ``DEFAULT_TOL``; after ``DEFAULT_MAX_ITER`` steps
-the solver falls back to a full LAPACK decomposition (``numpy.linalg.eigh``)
-rather than failing silently; both are fixed module constants.  The whole
-spectrum comes from LAPACK (``numpy.linalg.eigvalsh``), and so do the
-annealing hunt's score of each proposal (``search.heuristic_max_q``) and
-the exhaustive scans' screening scores (``search._screened_q``); every q a
-report prints or decides by comes from ``q_index``.
-
+Largest eigenvalue: the top eigenpair of ``numpy.linalg.eigh`` on each
+connected component, certified by the residual ||Mx - qx|| <= ``DEFAULT_TOL``
+(or ``InvariantViolated``); every q a report prints or decides by comes
+from ``q_index``.  The whole spectrum (``numpy.linalg.eigvalsh``) also
+scores the hunt's proposals and screens the exhaustive scans (``search``).
 One builder, ``_matrices``, makes every Q and A matrix from neighbor
 bitmasks, for one graph or a stack of same-order graphs alike.
 
@@ -23,15 +17,14 @@ spectrum (``free-check``, ``bounds``, ``ledger``) never loads numpy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, ClassVar
 
-from .errors import Unsupported
+from .errors import InvariantViolated, Unsupported
 from .graphs import Graph, _bits
 
 if TYPE_CHECKING:
     import numpy as np
 DEFAULT_TOL = 1e-10
-DEFAULT_MAX_ITER = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -39,19 +32,16 @@ class SpectralResult:
     """Largest eigenvalue with its certified eigenvector.
 
     value     largest eigenvalue of the requested matrix
-    vector    unit eigenvector, zero outside the winning component
-    residual  ||M @ vector - value * vector||_2 at return
-    iterations  total power-iteration steps spent (all components)
-    method    'iterative' if the winning component converged by power
-              iteration, 'full' if it hit the iteration cap and was
-              solved by LAPACK instead
+    vector    nonnegative unit eigenvector, zero outside the winning component
+    residual  ||M @ vector - value * vector||_2, at most ``DEFAULT_TOL``
     """
 
     value: float
     vector: np.ndarray
     residual: float
-    iterations: int
-    method: str
+    # bench/spans.py reads these from every result until ROADMAP item 1
+    iterations: ClassVar[int] = 0
+    method: ClassVar[str] = "lapack"
 
 
 def _matrices(masks, which: str = "Q") -> np.ndarray:
@@ -65,63 +55,26 @@ def _matrices(masks, which: str = "Q") -> np.ndarray:
     return m
 
 
-def _power_largest(m: np.ndarray, tol: float, max_iter: int):
-    """Power iteration; returns (value, unit vector, residual, iters, converged)."""
-    import numpy as np
-    k = m.shape[0]
-    x = np.full(k, 1.0 / np.sqrt(k))
-    lam = 0.0
-    res = np.inf
-    it = 0
-    while it < max_iter:
-        it += 1
-        y = m @ x
-        lam = float(x @ y)
-        res = float(np.linalg.norm(y - lam * x))
-        if res <= tol:
-            return lam, x, res, it, True
-        norm = np.linalg.norm(y)
-        if norm == 0.0:
-            # x is in the nullspace and the matrix is nonnegative: 0 is top
-            return 0.0, x, 0.0, it, True
-        x = y / norm
-    return lam, x, res, it, False
-
-
 def _largest_per_component(g: Graph, which: str) -> SpectralResult:
     import numpy as np
     full = _matrices(g.adj, which)
-    # (value, vector, vertices, residual, method); edgeless: eigenvalue 0, any unit vector
-    best = (0.0, np.ones(1), [0], 0.0, "iterative")
-    total_iters = 0
+    # (value, vector, vertices); edgeless: eigenvalue 0, any unit vector
+    best = (0.0, np.ones(1), [0])
     for comp in g.components():
         if comp.bit_count() == 1:
             continue  # isolated vertex contributes eigenvalue 0
         verts = list(_bits(comp))
-        m = full[np.ix_(verts, verts)]  # no edge leaves a component
-        shift = 0.0
-        if which == "A":
-            # make the matrix entrywise nonnegative with positive diagonal
-            shift = float(m.sum(axis=1).max()) + 1.0
-            m = m + shift * np.eye(len(verts))
-        val, vec, res, iters, ok = _power_largest(m, DEFAULT_TOL, DEFAULT_MAX_ITER)
-        total_iters += iters
-        method = "iterative"
-        if not ok:
-            w, vmat = np.linalg.eigh(m)
-            val = float(w[-1])
-            vec = vmat[:, -1]
-            if vec.sum() < 0:
-                vec = -vec
-            res = float(np.linalg.norm(m @ vec - val * vec))
-            method = "full"
-        val -= shift
-        if val > best[0]:  # a component with an edge has a positive top eigenvalue
-            best = (val, vec, verts, res, method)
-    val, vec, verts, res, method = best
+        w, vecs = np.linalg.eigh(full[np.ix_(verts, verts)])  # no edge leaves a component
+        if w[-1] > best[0]:  # a component with an edge has a positive top eigenvalue
+            # connected, so the top eigenvector is a Perron vector: one sign up to rounding
+            best = (float(w[-1]), np.abs(vecs[:, -1]), verts)
+    value, vec, verts = best
     vector = np.zeros(g.n)
     vector[verts] = vec
-    return SpectralResult(val, vector, res, total_iters, method)
+    residual = float(np.linalg.norm(full @ vector - value * vector))
+    if residual > DEFAULT_TOL:
+        raise InvariantViolated(f"eigenpair residual {residual:.3g} exceeds {DEFAULT_TOL:g}")
+    return SpectralResult(value, vector, residual)
 
 
 def q_index(g: Graph) -> SpectralResult:
@@ -145,4 +98,3 @@ def _eigvalsh(m) -> np.ndarray:
     """Ascending eigenvalues of each symmetric matrix in ``m``, shape (..., n, n), from LAPACK."""
     import numpy as np
     return np.linalg.eigvalsh(m)
-

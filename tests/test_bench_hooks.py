@@ -35,17 +35,22 @@ def test_traced_name_resolves(module, name):
     assert callable(obj)
 
 
-# spans a traced command must record: the hunt scores every proposal, and
-# prop4 screens its joins, through search._jacobi, which the tracer names
+# spans a traced command must record: qindex, the hunt and prop4 certify
+# their q by q_index (spectral.q); the hunt scores every proposal, and prop4
+# screens its joins, through search._jacobi, which the tracer names
 # spectral.full; the verify --stream case scores no graph, so it has no entry
-RECORDED_SPANS = {"hunt": ["spectral.full"], "prop4": ["spectral.full"]}
+RECORDED_SPANS = {
+    "qindex": ["spectral.q"],
+    "hunt": ["spectral.q", "spectral.full"],
+    "prop4": ["spectral.q", "spectral.full"],
+}
 
 
 @pytest.mark.parametrize("argv, counters", [
-    (["qindex", "FILE"], ["spectral.q_iters"]),
-    (["hunt", "--n", "8", "--t", "2", "--s", "1", "--budget", "50"], ["spectral.q_iters"]),
+    (["qindex", "FILE"], []),
+    (["hunt", "--n", "8", "--t", "2", "--s", "1", "--budget", "50"], []),
     (["verify", "--n", "6", "--t", "2", "--s", "2", "--stream", "FILE6"], ["canonical.classes"]),
-    (["prop4", "--m", "6", "--s", "2"], ["spectral.q_iters"]),
+    (["prop4", "--m", "6", "--s", "2"], []),
 ])
 def test_traced_run_fills_its_counters(tmp_path, argv, counters):
     # the observers read SpectralResult.iterations/.method and the keys

@@ -46,6 +46,10 @@ class TestSchema:
         # P_5: q = 2 + 2cos(pi/5)
         assert payload["results"][0]["q"] == pytest.approx(2 + 2 * math.cos(math.pi / 5), abs=1e-6)
         assert payload["results"][1]["merris_bound"] is None
+        for result in payload["results"]:
+            assert set(result) == {
+                "graph6", "n", "edges", "max_degree", "q", "q_residual", "lambda", "merris_bound",
+            }
 
     def test_ten_significant_digits(self, capsys):
         code, out, _ = run(capsys, "bounds", "--n", "13", "--s", "1", "--t", "2")
@@ -491,8 +495,9 @@ def test_no_assert_statements_in_src():
 
 
 def test_no_unused_imports_in_src():
-    # bench/spans.py wraps search._power_largest by name, so search imports
-    # it unused until the bench reads report counters (ROADMAP item 1)
+    # bench/spans.py wraps search._power_largest by name, so search binds
+    # spectral._eigvalsh to it unused until the bench reads report counters
+    # (ROADMAP item 1)
     allowed = {"search.py:_power_largest"}
     src = Path(cli.__file__).parent
     unused = []

@@ -4,9 +4,8 @@ import random
 import numpy as np
 import pytest
 
-import qindex.spectral as spectral
 from qindex.constructions import circulant
-from qindex.errors import Unsupported
+from qindex.errors import InvariantViolated, Unsupported
 from qindex.graphs import complete_graph, empty_graph, from_edge_list, join
 from qindex.spectral import _matrices, adjacency_radius, full_spectrum, q_index
 from conftest import disjoint_union, edges, path_graph, random_graph
@@ -45,25 +44,40 @@ class TestQIndexExamples:
         m = _matrices(g.adj, "Q")
         assert np.linalg.norm(m @ r.vector - r.value * r.vector) <= 1e-9
 
-    def test_iteration_cap_falls_back_to_full(self, monkeypatch):
-        monkeypatch.setattr(spectral, "DEFAULT_MAX_ITER", 3)
-        g = path_graph(12)
+    def test_tied_components_take_one(self):
+        # 2 K3 + K1: both triangles have q = 4; the vector lives on one of them
+        g = disjoint_union(disjoint_union(complete_graph(3), complete_graph(3)), empty_graph(1))
         r = q_index(g)
-        assert r.method == "full"
-        assert r.value == pytest.approx(max(full_spectrum(g, "Q")), abs=1e-9)
+        assert r.value == pytest.approx(4.0, abs=1e-10)
+        assert np.linalg.norm(r.vector) == pytest.approx(1.0, abs=1e-12)
+        assert (r.vector >= 0).all()
+        support = set(np.flatnonzero(r.vector).tolist())
+        assert support in ({0, 1, 2}, {3, 4, 5})
 
     @pytest.mark.parametrize("g", [
         path_graph(12),
         disjoint_union(path_graph(5), complete_graph(3)),
         path_graph(62),
     ], ids=["P12", "P5+C3", "P62"])
-    def test_iteration_cap_returns_a_perron_vector(self, monkeypatch, g):
-        monkeypatch.setattr(spectral, "DEFAULT_MAX_ITER", 3)
+    def test_returns_a_perron_vector(self, g):
         r = q_index(g)
         assert np.linalg.norm(r.vector) == pytest.approx(1.0, abs=1e-12)
         assert (r.vector >= 0).all()
         assert r.residual <= 1e-12
         assert r.value == pytest.approx(max(full_spectrum(g, "Q")), abs=1e-12)
+
+    def test_uncertified_eigenpair_raises(self, monkeypatch):
+        eigh = np.linalg.eigh
+
+        def perturbed(m):
+            w, v = eigh(m)
+            v = v.copy()
+            v[0, -1] += 1e-6
+            return w, v
+
+        monkeypatch.setattr(np.linalg, "eigh", perturbed)
+        with pytest.raises(InvariantViolated):
+            q_index(path_graph(6))
 
 
 class TestAdjacencyExamples:
@@ -73,8 +87,8 @@ class TestAdjacencyExamples:
         assert adjacency_radius(petersen).value == pytest.approx(3.0, abs=1e-9)
 
     def test_shift_does_not_leak(self):
-        # bipartite graphs have symmetric adjacency spectrum; shifted power
-        # iteration must still return the top of A itself
+        # bipartite graphs have symmetric adjacency spectrum: the top of A
+        # is +sqrt(12), not the equally large -sqrt(12)
         g = join(empty_graph(3), empty_graph(4))
         assert adjacency_radius(g).value == pytest.approx(math.sqrt(12), abs=1e-9)
 
