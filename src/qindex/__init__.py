@@ -17,7 +17,6 @@ from .bounds import (
     merris_bound,
     q_bound_t2,
     q_bound_t2_applicable,
-    q_bound_window,
     q_cap_ledger,
 )
 from .canonical import canonical_graph, canonical_graph6, canonical_key
@@ -38,7 +37,6 @@ from .graphs import (
     from_edge_list,
     graph6_decode,
     graph6_encode,
-    induced,
     join,
 )
 from .search import (
@@ -94,14 +92,12 @@ __all__ = [
     "graph6_decode",
     "graph6_encode",
     "heuristic_max_q",
-    "induced",
     "is_extremal_join",
     "join",
     "join_cap_scan",
     "merris_bound",
     "q_bound_t2",
     "q_bound_t2_applicable",
-    "q_bound_window",
     "q_cap_ledger",
     "q_index",
     "random_regular",

@@ -2,9 +2,11 @@
 of numeric inequality steps behind the q(G) < n cap for graphs without a
 dominating vertex.
 
-The closed forms are double-precision arithmetic.  Comparisons against
-computed eigenvalues follow one fixed policy, owned by ``search``; the
-ledger's steps are rational and are checked exactly, with no slack.
+The closed forms are double-precision arithmetic.  For large n the t = 2
+cap lies within an ulp of n + 2s/(n-2s), so its bracketing window is a
+test oracle, not a runtime check.  Comparisons against computed
+eigenvalues follow one fixed policy, owned by ``search``; the ledger's
+steps are rational and are checked exactly, with no slack.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from .errors import (
     DiscriminantNegative,
     HypothesisViolated,
     InvalidParameter,
-    InvariantViolated,
     IsolatedVertex,
     NoEdges,
 )
@@ -92,18 +93,6 @@ def merris_bound(g: Graph) -> float:
     return max(f_value(g, u) for u in range(g.n) if g.degree(u) > 0)
 
 
-def q_bound_window(n: int, s: int) -> tuple[float, float]:
-    """Open interval (n, n + 2s/(n-2s)) that strictly brackets the t = 2 cap.
-
-    Requires n > 2s.
-    """
-    if s < 1:
-        raise HypothesisViolated(f"need s >= 1, got {s}")
-    if n <= 2 * s:
-        raise HypothesisViolated(f"window needs n > 2s, got n={n}, s={s}")
-    return (float(n), n + 2.0 * s / (n - 2 * s))
-
-
 def q_cap_ledger(s: int, n: int) -> dict[str, bool]:
     """Named inequality checks certifying q(G) < n for K_{2,s+1}-free graphs
     of order n >= s^2 + 6s + 6 without a dominating vertex.
@@ -146,26 +135,18 @@ def q_cap_ledger(s: int, n: int) -> dict[str, bool]:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """All closed-form bounds evaluated at one (n, s, t), with the hypothesis
-    flags callers need before trusting each value.
-
-    ``adjacency``/``edge`` are None when s < t (their hypothesis).
-    """
+    """All closed-form bounds at one (n, s, t), with the hypothesis flags
+    callers need before trusting each value; ``asdict`` of it is a ``qx
+    bounds`` row.  ``adjacency_bound``/``edge_bound`` are None when s < t."""
 
     n: int
     s: int
     t: int
-    adjacency: float | None
-    edge: float | None
-    q_t2: float
-    conjecture: float | None
+    adjacency_bound: float | None
+    edge_bound: float | None
+    q_bound_t2: float
+    conjecture_bound: float | None
     applicability: dict[str, bool] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.n > 2 * self.s:
-            lo, hi = q_bound_window(self.n, self.s)
-            if not lo < self.q_t2 < hi:
-                raise InvariantViolated("t=2 cap escaped its bracketing window")
 
 
 def bound_report(n: int, s: int, t: int) -> BoundReport:

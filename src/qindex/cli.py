@@ -4,8 +4,10 @@ Every subcommand emits one machine-readable report on stdout: JSON by
 default (schema: command, parameters, results, tolerances, seed,
 runtime_ms, version), CSV for bounds sweeps, or plain text.  Numeric
 output is limited to 10 significant digits so slack-level discrepancies
-stay visible without drowning in noise.  ``tolerances`` lists exactly the
-tolerances the command used.
+stay visible without drowning in noise.  A command computes only its
+results; ``main`` adds the rest: ``parameters`` are the parsed flags
+except command, format and seed, and ``tolerances`` (exactly those the
+command used) come from one table.
 
 A command takes only the flags it honours; ``--format csv`` is for
 ``bounds`` only.  Every reported q is certified to the eigenpair residual
@@ -14,7 +16,7 @@ it with a closed-form cap by the fixed policy of ``search``: no flag
 changes either.
 
 Exit codes: 0 success, 1 usage error, 2 computation error (message on
-stderr), 3 a verified bound violation was found.
+stderr), 3 a result has the verdict ``bound_violated``.
 
 The ``qx`` console script and ``python -m qindex.cli`` both enter through
 ``_entry``: it runs ``main``, then freezes the garbage collector before
@@ -37,7 +39,7 @@ from dataclasses import asdict
 from . import __version__
 from .bounds import bound_report, conjecture_bound, merris_bound, q_cap_ledger
 from .constructions import ExtremalSpec, build_extremal
-from .errors import NoEdges, QxError
+from .errors import QxError
 from .forbidden import ForbiddenPattern, find_kst
 from .graphs import Graph, graph6_decode, graph6_encode
 from .search import EPS, exhaustive_max_q, heuristic_max_q, join_cap_scan
@@ -141,21 +143,25 @@ def _round10(obj):
     return obj
 
 
-def _run(args) -> tuple[dict, list, dict, bool]:
-    """Execute one subcommand; returns (parameters, results, tolerances used,
-    violation_flag)."""
+# the tolerances each command's results depend on; the others use none
+_TOLERANCES = {
+    "qindex": {"tol": DEFAULT_TOL}, "construct": {"tol": DEFAULT_TOL},
+    **dict.fromkeys(("verify", "prop4", "hunt"), {"tol": DEFAULT_TOL, "eps": EPS}),
+}
+
+
+def _witness(witness) -> dict | None:
+    return None if witness is None else {"left": list(witness[0]), "right": list(witness[1])}
+
+
+def _run(args) -> list:
+    """Execute one subcommand; returns its results."""
     cmd = args.command
-    violation = False
 
     if cmd == "qindex":
         results = []
         for line, g in _read_graphs(args.file):
             q = q_index(g)
-            lam = adjacency_radius(g)
-            try:
-                mb = merris_bound(g)
-            except NoEdges:
-                mb = None
             results.append({
                 "graph6": line,
                 "n": g.n,
@@ -163,20 +169,14 @@ def _run(args) -> tuple[dict, list, dict, bool]:
                 "max_degree": g.max_degree(),
                 "q": q.value,
                 "q_residual": q.residual,
-                "lambda": lam.value,
-                "merris_bound": mb,
+                "lambda": adjacency_radius(g).value,
+                "merris_bound": merris_bound(g) if g.edge_count() else None,
             })
-        return {"file": args.file}, results, {"tol": DEFAULT_TOL}, violation
+        return results
 
     if cmd == "spectrum":
-        results = []
-        for line, g in _read_graphs(args.file):
-            results.append({
-                "graph6": line,
-                "matrix": args.matrix,
-                "eigenvalues": full_spectrum(g, args.matrix),
-            })
-        return {"file": args.file, "matrix": args.matrix}, results, {}, violation
+        return [{"graph6": line, "matrix": args.matrix, "eigenvalues": full_spectrum(g, args.matrix)}
+                for line, g in _read_graphs(args.file)]
 
     if cmd == "free-check":
         pat = ForbiddenPattern.from_ts(args.t, args.s)
@@ -187,40 +187,21 @@ def _run(args) -> tuple[dict, list, dict, bool]:
                 "graph6": line,
                 "pattern": str(pat),
                 "verdict": "contains" if witness else "free",
-                "witness": None if witness is None else {
-                    "left": list(witness[0]),
-                    "right": list(witness[1]),
-                },
+                "witness": _witness(witness),
             })
-        return {"file": args.file, "t": args.t, "s": args.s}, results, {}, violation
+        return results
 
     if cmd == "bounds":
-        results = []
-        for n in args.n:
-            for s in args.s:
-                for t in args.t:
-                    rep = bound_report(n, s, t)
-                    results.append({
-                        "n": n, "s": s, "t": t,
-                        "adjacency_bound": rep.adjacency,
-                        "edge_bound": rep.edge,
-                        "q_bound_t2": rep.q_t2,
-                        "conjecture_bound": rep.conjecture,
-                        "applicability": rep.applicability,
-                    })
-        return {"n": args.n, "s": args.s, "t": args.t}, results, {}, violation
+        return [asdict(bound_report(n, s, t)) for n in args.n for s in args.s for t in args.t]
 
     if cmd == "construct":
         built = build_extremal(ExtremalSpec(args.n, args.s, args.t), seed=args.seed)
         q = q_index(built.graph).value
         bound = conjecture_bound(args.n, args.s, args.t)
-        results = [{
+        return [{
             "graph6": graph6_encode(built.graph),
             "free": built.free,
-            "witness": None if built.witness is None else {
-                "left": list(built.witness[0]),
-                "right": list(built.witness[1]),
-            },
+            "witness": _witness(built.witness),
             "strategy_used": built.strategy_used,
             "seed_used": built.seed_used,
             "attempts": built.attempts,
@@ -228,12 +209,10 @@ def _run(args) -> tuple[dict, list, dict, bool]:
             "bound": bound,
             "gap": bound - q,
         }]
-        return {"n": args.n, "s": args.s, "t": args.t}, results, {"tol": DEFAULT_TOL}, violation
 
     if cmd == "ledger":
         checks = q_cap_ledger(args.s, args.n)
-        results = [{"s": args.s, "n": args.n, "checks": checks, "all_passed": all(checks.values())}]
-        return {"s": args.s, "n": args.n}, results, {}, violation
+        return [{"s": args.s, "n": args.n, "checks": checks, "all_passed": all(checks.values())}]
 
     if cmd == "verify":
         pat = ForbiddenPattern.from_ts(args.t, args.s)
@@ -242,30 +221,21 @@ def _run(args) -> tuple[dict, list, dict, bool]:
                 report = exhaustive_max_q(args.n, pat, stream=fh)
         else:
             report = exhaustive_max_q(args.n, pat)
-        parameters = {"n": args.n, "s": args.s, "t": args.t, "stream": args.stream}
     elif cmd == "prop4":
         report = join_cap_scan(args.m, args.s)
-        parameters = {"m": args.m, "s": args.s}
     elif cmd == "hunt":
         pat = ForbiddenPattern.from_ts(args.t, args.s)
         report = heuristic_max_q(args.n, pat, budget=args.budget, seed=args.seed)
-        parameters = {"n": args.n, "s": args.s, "t": args.t, "budget": args.budget}
     else:
         raise AssertionError(f"unhandled command {cmd}")
-    violation = report.verdict == "bound_violated"
-    return parameters, [asdict(report)], {"tol": DEFAULT_TOL, "eps": EPS}, violation
+    return [asdict(report)]
 
 
 def _render_text(command: str, results: list) -> str:
     lines = [f"# qx {command}"]
     for entry in results:
-        parts = []
-        for k, v in entry.items():
-            if isinstance(v, float):
-                parts.append(f"{k}={v:.10g}")
-            else:
-                parts.append(f"{k}={v}")
-        lines.append("  ".join(parts))
+        lines.append("  ".join(f"{k}={v:.10g}" if isinstance(v, float) else f"{k}={v}"
+                               for k, v in entry.items()))
     return "\n".join(lines) + "\n"
 
 
@@ -280,8 +250,6 @@ def _render_csv(results: list) -> str:
             if isinstance(v, dict):
                 for kk, vv in v.items():
                     row[f"{k}.{kk}"] = vv
-            elif isinstance(v, list):
-                row[k] = ";".join(str(x) for x in v)
             else:
                 row[k] = "" if v is None else (f"{v:.10g}" if isinstance(v, float) else v)
         flat.append(row)
@@ -300,26 +268,27 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        parameters, results, tolerances, violation = _run(args)
+        results = _round10(_run(args))
     except (QxError, OSError) as exc:
         sys.stderr.write(f"qx: error: {exc}\n")
         return 2
     if args.format == "csv":
-        sys.stdout.write(_render_csv(_round10(results)))
+        sys.stdout.write(_render_csv(results))
     elif args.format == "text":
-        sys.stdout.write(_render_text(args.command, _round10(results)))
+        sys.stdout.write(_render_text(args.command, results))
     else:
+        flags = vars(args)
         payload = {
             "command": args.command,
-            "parameters": _round10(parameters),
-            "results": _round10(results),
-            "tolerances": tolerances,
-            "seed": getattr(args, "seed", None),
+            "parameters": {k: v for k, v in flags.items() if k not in ("command", "format", "seed")},
+            "results": results,
+            "tolerances": _TOLERANCES.get(args.command, {}),
+            "seed": flags.get("seed"),
             "runtime_ms": int((time.perf_counter() - t0) * 1000),
             "version": __version__,
         }
         sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    return 3 if violation else 0
+    return 3 if any(r.get("verdict") == "bound_violated" for r in results) else 0
 
 
 def _entry() -> None:

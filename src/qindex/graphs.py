@@ -127,15 +127,6 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _mask_of(vertices: Iterable[int], n: int) -> int:
-    mask = 0
-    for v in vertices:
-        if not 0 <= v < n:
-            raise IndexOutOfRange(f"vertex {v} outside 0..{n - 1}")
-        mask |= 1 << v
-    return mask
-
-
 # constructors
 
 def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -172,22 +163,6 @@ def join(g: Graph, h: Graph) -> Graph:
     adj = [m | h_mask for m in g.adj]
     adj += [(m << g.n) | g_mask for m in h.adj]
     return Graph(n, adj)
-
-
-# vertex-set operations
-
-def induced(g: Graph, vertices: Iterable[int]) -> Graph:
-    """Subgraph induced by the set, relabeled by increasing original index."""
-    mask = _mask_of(vertices, g.n)
-    if mask == 0:
-        raise InvalidVertexSet("induced subgraph needs a nonempty vertex set")
-    kept = list(_bits(mask))
-    pos = {v: i for i, v in enumerate(kept)}
-    adj = [0] * len(kept)
-    for v in kept:
-        for w in _bits(g.adj[v] & mask):
-            adj[pos[v]] |= 1 << pos[w]
-    return Graph(len(kept), adj)
 
 
 # graph6 codec (order <= 62: single-byte header, upper triangle packed

@@ -47,8 +47,7 @@ from .errors import (
     UseStreamSource,
 )
 from .forbidden import ForbiddenPattern, _contains_through, _walk, contains_kst
-from .graphs import (MAX_ORDER, Graph, _bits, empty_graph, graph6_decode, graph6_encode,
-                     induced, join)
+from .graphs import MAX_ORDER, Graph, _bits, empty_graph, graph6_decode, graph6_encode, join
 from .spectral import DEFAULT_TOL, _matrices, q_index
 # bench/spans.py wraps this name as spectral.full; the rename waits for ROADMAP item 1
 from .spectral import _eigvalsh as _jacobi
@@ -184,17 +183,13 @@ def _free_predicate(pat: ForbiddenPattern):
 
 
 def is_extremal_join(g: Graph, s: int, t: int) -> bool:
-    """Whether g is a join of a (t-1)-clique with an s-regular graph."""
-    if g.n < t:
+    """Whether g is a join of a (t-1)-clique with an s-regular graph: the
+    first t-1 dominating vertices form the hub, and every other vertex
+    (there must be one) has degree s + t - 1, s of it inside the rest."""
+    hub = g.dominating_vertices()[: t - 1]
+    if len(hub) < t - 1 or g.n < t:
         return False
-    dom = g.dominating_vertices()
-    if len(dom) < t - 1:
-        return False
-    hub = set(dom[: t - 1])
-    rest = [v for v in range(g.n) if v not in hub]
-    if not rest:
-        return False
-    return induced(g, rest).regular_degree() == s
+    return all(d == s + t - 1 for v, d in enumerate(g.degrees()) if v not in hub)
 
 
 @dataclass(frozen=True)

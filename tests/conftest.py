@@ -45,6 +45,14 @@ def disjoint_union(*graphs: Graph) -> Graph:
     return Graph(len(adj), adj)
 
 
+def q_bound_window(n: int, s: int) -> tuple[float, float]:
+    """Open interval (n, n + 2s/(n-2s)) that strictly brackets the t = 2 cap,
+    for n > 2s.  In doubles the bracket is resolvable only at small n: from
+    n = 12,144 (s = 1) the cap lies within an ulp of the top end."""
+    assert n > 2 * s >= 2
+    return (float(n), n + 2.0 * s / (n - 2 * s))
+
+
 def exhaustive_scan(max_n: int, pat) -> list:
     """One exhaustive ``SearchReport`` per order 1..max_n, each as
     ``exhaustive_max_q`` builds it, from a single builtin enumeration

@@ -20,7 +20,6 @@ from qindex.bounds import (
     conjecture_bound,
     merris_bound,
     q_bound_t2,
-    q_bound_window,
     q_cap_ledger,
 )
 from qindex.canonical import canonical_key
@@ -37,7 +36,7 @@ from qindex.graphs import (
 )
 from qindex.search import heuristic_max_q
 from qindex.spectral import adjacency_radius, full_spectrum, q_index
-from conftest import exhaustive_scan, random_graph
+from conftest import exhaustive_scan, q_bound_window, random_graph
 
 
 def _report(num: int, name: str, ok: bool, detail: str):

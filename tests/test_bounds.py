@@ -12,14 +12,13 @@ from qindex.bounds import (
     merris_bound,
     q_bound_t2,
     q_bound_t2_applicable,
-    q_bound_window,
     q_cap_ledger,
 )
 from qindex.constructions import circulant
 from qindex.errors import HypothesisViolated, IsolatedVertex, NoEdges, QxError
 from qindex.graphs import complete_graph, empty_graph, from_edge_list, join
 from qindex.spectral import q_index
-from conftest import random_graph
+from conftest import q_bound_window, random_graph
 
 
 class TestAdjacencyBound:
@@ -155,10 +154,6 @@ class TestWindow:
                 v = q_bound_t2(n, s)
                 assert lo < v < hi
 
-    def test_hypothesis(self):
-        with pytest.raises(HypothesisViolated):
-            q_bound_window(4, 2)
-
 
 class TestCapLedger:
     def test_smallest_admissible_orders(self):
@@ -197,13 +192,13 @@ class TestBoundReport:
         rep = bound_report(13, 1, 2)
         assert rep.applicability["adjacency_edge"] is False  # s < t
         assert rep.applicability["q_t2_proved"] is True
-        assert rep.adjacency is None
-        assert rep.conjecture == pytest.approx(rep.q_t2, abs=1e-10)
+        assert rep.adjacency_bound is None
+        assert rep.conjecture_bound == pytest.approx(rep.q_bound_t2, abs=1e-10)
 
     def test_with_graph(self):
         # the per-graph Merris value is reported by ``qx qindex``, not here
         rep = bound_report(4, 2, 2)
-        assert rep.adjacency is not None
+        assert rep.adjacency_bound is not None
 
     def test_bad_parameters(self):
         with pytest.raises(HypothesisViolated):

@@ -16,7 +16,7 @@ import qindex.cli as cli
 import qindex.constructions as constructions
 from qindex.constructions import circulant
 from qindex.graphs import Graph, complete_graph, from_edge_list, graph6_encode, join
-from qindex.search import SearchReport
+from qindex.search import JoinCapReport, SearchReport
 from conftest import disjoint_union, random_graph, relabel
 
 
@@ -211,6 +211,24 @@ class TestExitCodes:
         )
         monkeypatch.setattr(cli, "exhaustive_max_q", lambda *a, **k: fake)
         code, out, _ = run(capsys, "verify", "--n", "5", "--t", "2", "--s", "1")
+        assert code == 3
+        assert json.loads(out)["results"][0]["verdict"] == "bound_violated"
+
+    @pytest.mark.parametrize("name, fake, argv", [
+        ("join_cap_scan", JoinCapReport(
+            m=4, s=1, classes=1, bound=4.56, max_q=99.0, all_capped=False, equality_graph6=[],
+            equality_all_regular=True, regular_all_equality=False, runtime_ms=0,
+            verdict="bound_violated",
+        ), ("prop4", "--m", "4", "--s", "1")),
+        ("heuristic_max_q", SearchReport(
+            n=6, s=1, t=2, graphs_seen=1, free_graphs=1, max_q=99.0, argmax=["E?Bw"],
+            bound_value=6.53, bound_applicable=False, verdict="bound_violated",
+            argmax_is_extremal_join=False, exhaustive=False, runtime_ms=0, seed=0, budget=10,
+        ), ("hunt", "--n", "6", "--t", "2", "--s", "1", "--budget", "10")),
+    ], ids=["prop4", "hunt"])
+    def test_violation_exit_code_of_each_scan(self, capsys, monkeypatch, name, fake, argv):
+        monkeypatch.setattr(cli, name, lambda *a, **k: fake)
+        code, out, _ = run(capsys, *argv)
         assert code == 3
         assert json.loads(out)["results"][0]["verdict"] == "bound_violated"
 
@@ -436,6 +454,52 @@ def test_report_keys_pinned(capsys, argv, keys):
     payload = json.loads(out)
     assert set(payload["parameters"]) == PARAMETER_KEYS[argv[0]]
     assert set(payload["results"][0]) == keys
+
+
+SCORED = {"tol": 1e-10, "eps": 1e-7}
+
+
+# "FILE" is a graph6 file of mixed orders, "STREAM" one of order-5 graphs
+@pytest.mark.parametrize("argv, parameters, tolerances, seed", [
+    (("qindex", "FILE"), {"file": "FILE"}, {"tol": 1e-10}, None),
+    (("spectrum", "FILE", "--matrix", "A"), {"file": "FILE", "matrix": "A"}, {}, None),
+    (("free-check", "FILE", "--t", "2", "--s", "1"), {"file": "FILE", "t": 2, "s": 1}, {}, None),
+    (("bounds", "--n", "13", "22", "--s", "1", "--t", "2", "3"),
+     {"n": [13, 22], "s": [1], "t": [2, 3]}, {}, None),
+    (("construct", "--n", "6", "--s", "2", "--t", "2"), {"n": 6, "s": 2, "t": 2}, {"tol": 1e-10}, 0),
+    (("verify", "--n", "5", "--t", "2", "--s", "1"), {"n": 5, "s": 1, "t": 2, "stream": None}, SCORED, None),
+    (("verify", "--n", "5", "--t", "2", "--s", "1", "--stream", "STREAM"),
+     {"n": 5, "s": 1, "t": 2, "stream": "STREAM"}, SCORED, None),
+    (("prop4", "--m", "4", "--s", "1"), {"m": 4, "s": 1}, SCORED, None),
+    (("hunt", "--n", "6", "--t", "2", "--s", "1", "--budget", "50", "--seed", "3"),
+     {"n": 6, "s": 1, "t": 2, "budget": 50}, SCORED, 3),
+    (("ledger", "--s", "1", "--n", "13"), {"s": 1, "n": 13}, {}, None),
+], ids=["qindex", "spectrum", "free-check", "bounds", "construct", "verify", "verify-stream", "prop4",
+        "hunt", "ledger"])
+def test_envelope_pinned(capsys, tmp_path, g6_file, argv, parameters, tolerances, seed):
+    stream = tmp_path / "order5.g6"
+    stream.write_text("DQc\nD~{\n")
+    paths = {"FILE": g6_file, "STREAM": str(stream)}
+    code, out, _ = run(capsys, *(paths.get(a, a) for a in argv))
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["command"] == argv[0]
+    assert payload["parameters"] == {k: paths.get(v, v) if isinstance(v, str) else v
+                                     for k, v in parameters.items()}
+    assert (payload["tolerances"], payload["seed"]) == (tolerances, seed)
+
+
+@pytest.mark.parametrize("n", [12144, 16389, 10 ** 6, 10 ** 9])
+@pytest.mark.parametrize("t", [2, 3])
+def test_bounds_at_orders_where_the_cap_meets_its_window_top(capsys, n, t):
+    # from these orders on the t = 2 cap n + 2s/(n-2s) - O(n^-3) rounds to
+    # within an ulp of n + 2s/(n-2s), so no float comparison can separate them
+    code, out, _ = run(capsys, "bounds", "--n", str(n), "--s", "1", "2", "3", "--t", str(t))
+    assert code == 0
+    for row in json.loads(out)["results"]:
+        s = row["s"]
+        exact = n + 4 * s / (math.sqrt((n - 2 * s) ** 2 + 8 * s) + n - 2 * s)
+        assert f"{row['q_bound_t2']:.10g}" == f"{exact:.10g}", row
 
 
 def test_construct_without_a_free_join_reports_its_witness(capsys):

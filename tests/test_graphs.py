@@ -7,7 +7,6 @@ import pytest
 from qindex.errors import (
     IndexOutOfRange,
     InvalidEdge,
-    InvalidVertexSet,
     MalformedGraph6,
     OrderOverflow,
     Unsupported,
@@ -21,7 +20,6 @@ from qindex.graphs import (
     from_edge_list,
     graph6_decode,
     graph6_encode,
-    induced,
     join,
 )
 from conftest import edges, random_graph
@@ -173,18 +171,6 @@ class TestGraph6:
             assert mine == theirs
             back = nx.from_graph6_bytes(mine.encode())
             assert set(back.edges()) == set(edges(g))
-
-
-class TestVertexSets:
-    def test_induced_relabels_in_order(self):
-        g = circulant(5, [1])
-        sub = induced(g, [1, 2, 4])
-        assert sub.n == 3
-        assert edges(sub) == [(0, 1)]  # only 1-2 survives
-
-    def test_induced_empty_rejected(self):
-        with pytest.raises(InvalidVertexSet):
-            induced(circulant(4, [1]), [])
 
 
 class TestStructure:

@@ -571,3 +571,22 @@ class TestExtremalJoinRecognition:
     def test_negative_cases(self, petersen):
         assert not is_extremal_join(petersen, 3, 2)  # no dominating vertex
         assert not is_extremal_join(join(complete_graph(1), path_graph(4)), 1, 2)
+        assert not is_extremal_join(complete_graph(2), 2, 3)  # n = t - 1: no rest at all
+        assert not is_extremal_join(join(complete_graph(1), circulant(5, [1])), 1, 2)  # wrong s
+        # a second dominating vertex left in the rest has degree n - 1, not s + 1
+        assert not is_extremal_join(join(complete_graph(2), circulant(6, [1])), 2, 2)
+
+    def test_agrees_with_a_search_over_hubs(self, all_graphs_upto_8):
+        # the definition: some t-1 vertices adjacent to every other vertex,
+        # and the rest (at least one vertex) spanning an s-regular graph
+        def hub_join(g, hub, s):
+            rest = (1 << g.n) - 1 & ~sum(1 << v for v in hub)
+            return (rest != 0 and all(g.degree(v) == g.n - 1 for v in hub)
+                    and all((g.adj[v] & rest).bit_count() == s for v in _bits(rest)))
+
+        for order in range(1, 8):
+            for g in all_graphs_upto_8[order]:
+                for t in (2, 3, 4):
+                    for s in range(1, 6):
+                        want = any(hub_join(g, hub, s) for hub in itertools.combinations(range(g.n), t - 1))
+                        assert is_extremal_join(g, s, t) == want, (graph6_encode(g), s, t)
