@@ -14,13 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import (
-    DiscriminantNegative,
-    HypothesisViolated,
-    InvalidParameter,
-    IsolatedVertex,
-    NoEdges,
-)
+from .errors import HypothesisViolated, InvalidParameter
 from .graphs import Graph, _bits
 
 
@@ -74,7 +68,7 @@ def conjecture_bound(n: int, s: int, t: int) -> float:
         raise HypothesisViolated(f"order must be >= 1, got {n}")
     disc = (n - 2 + 2 * s) ** 2 - 8 * s * (n - 2) + 4 * (t - 1) * (n - t + 1)
     if disc < 0:
-        raise DiscriminantNegative(f"negative discriminant {disc} at n={n}, s={s}, t={t}")
+        raise HypothesisViolated(f"negative discriminant {disc} at n={n}, s={s}, t={t}")
     return n / 2.0 + s + t - 2 + 0.5 * math.sqrt(disc)
 
 
@@ -82,14 +76,14 @@ def f_value(g: Graph, u: int) -> float:
     """d(u) + (1/d(u)) * sum of neighbor degrees; u must be nonisolated."""
     d = g.degree(u)
     if d == 0:
-        raise IsolatedVertex(f"vertex {u} is isolated")
+        raise InvalidParameter(f"vertex {u} is isolated")
     return d + sum(g.degree(v) for v in _bits(g.adj[u])) / d
 
 
 def merris_bound(g: Graph) -> float:
     """Merris-type degree bound: q(G) never exceeds the max of f_value."""
     if g.edge_count() == 0:
-        raise NoEdges("Merris bound needs at least one edge")
+        raise InvalidParameter("Merris bound needs at least one edge")
     return max(f_value(g, u) for u in range(g.n) if g.degree(u) > 0)
 
 
@@ -168,7 +162,7 @@ def bound_report(n: int, s: int, t: int) -> BoundReport:
             try:
                 conjecture = conjecture_bound(n, s, t)
                 applicability["conjecture_discriminant"] = True
-            except DiscriminantNegative:
+            except HypothesisViolated:  # n, s, t and the shape are checked above
                 applicability["conjecture_discriminant"] = False
         q_t2 = q_bound_t2(n, s)
     except OverflowError:  # an int too large to convert to float

@@ -13,14 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 
-from .errors import (
-    GenerationFailed,
-    HypothesisViolated,
-    InvalidOffsets,
-    InvariantViolated,
-    NoRegularGraphExists,
-    OrderOverflow,
-)
+from .errors import HypothesisViolated, InvalidParameter, InvariantViolated, QxError
 from .forbidden import ForbiddenPattern, Witness, find_kst
 from .graphs import MAX_ORDER, Graph, complete_graph, empty_graph, from_edge_list, join
 
@@ -44,7 +37,7 @@ class ExtremalSpec:
         if self.n < self.t:
             raise HypothesisViolated(f"need n >= t, got n={self.n}, t={self.t}")
         if self.n > MAX_ORDER:
-            raise OrderOverflow(f"graph order {self.n} exceeds the ceiling of {MAX_ORDER}")
+            raise InvalidParameter(f"graph order {self.n} exceeds the ceiling of {MAX_ORDER}")
 
     @property
     def m(self) -> int:
@@ -66,7 +59,7 @@ def circulant(m: int, offsets) -> Graph:
     """Circulant graph: i ~ i +- c (mod m) for each offset c in 1..m//2."""
     offs = sorted(set(int(c) for c in offsets))
     if any(c < 1 or c > m // 2 for c in offs):
-        raise InvalidOffsets(f"offsets {offs} outside 1..{m // 2}")
+        raise InvalidParameter(f"offsets {offs} outside 1..{m // 2}")
     edges = []
     for c in offs:
         for i in range(m):
@@ -78,9 +71,9 @@ def random_regular(m: int, s: int, seed: int) -> Graph:
     """Uniform s-regular graph by the pairing model, restarting on any loop
     or repeated pair.  Deterministic for a given seed."""
     if s < 0 or s >= m:
-        raise NoRegularGraphExists(f"degree {s} impossible on {m} vertices")
+        raise InvalidParameter(f"degree {s} impossible on {m} vertices")
     if (m * s) % 2 != 0:
-        raise NoRegularGraphExists(f"parity: {s}-regular on {m} vertices needs s*m even")
+        raise InvalidParameter(f"parity: {s}-regular on {m} vertices needs s*m even")
     if s == 0:
         return empty_graph(m)
     if s == m - 1:
@@ -99,7 +92,7 @@ def random_regular(m: int, s: int, seed: int) -> Graph:
             seen.add((min(u, v), max(u, v)))
         if ok:
             return from_edge_list(m, sorted(seen))
-    raise GenerationFailed(f"no simple {s}-regular pairing on {m} vertices after {RESTART_CAP} restarts")
+    raise QxError(f"no simple {s}-regular pairing on {m} vertices after {RESTART_CAP} restarts")
 
 
 def _circulant_offsets(m: int, s: int) -> list[int]:
@@ -121,9 +114,9 @@ def build_extremal(spec: ExtremalSpec, seed: int = 0) -> BuildResult:
     """
     m = spec.m
     if m <= spec.s:
-        raise NoRegularGraphExists(f"{spec.s}-regular needs order > {spec.s}, H has {m}")
+        raise InvalidParameter(f"{spec.s}-regular needs order > {spec.s}, H has {m}")
     if (m * spec.s) % 2 != 0:
-        raise NoRegularGraphExists(f"parity: {spec.s}-regular on {m} vertices impossible")
+        raise InvalidParameter(f"parity: {spec.s}-regular on {m} vertices impossible")
     pat = ForbiddenPattern.from_ts(spec.t, spec.s)
     clique = complete_graph(spec.t - 1)
     first: BuildResult | None = None

@@ -14,14 +14,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-from .errors import (
-    IndexOutOfRange,
-    InvalidEdge,
-    InvalidVertexSet,
-    MalformedGraph6,
-    OrderOverflow,
-    Unsupported,
-)
+from .errors import InvalidParameter
 
 MAX_ORDER = 62
 
@@ -33,25 +26,25 @@ class Graph:
 
     def __init__(self, n: int, adj: Sequence[int]):
         if n < 1:
-            raise OrderOverflow(f"graph order must be >= 1, got {n}")
+            raise InvalidParameter(f"graph order must be >= 1, got {n}")
         if n > MAX_ORDER:
-            raise OrderOverflow(f"graph order {n} exceeds the ceiling of {MAX_ORDER}")
+            raise InvalidParameter(f"graph order {n} exceeds the ceiling of {MAX_ORDER}")
         if len(adj) != n:
-            raise InvalidVertexSet(f"expected {n} adjacency masks, got {len(adj)}")
+            raise InvalidParameter(f"expected {n} adjacency masks, got {len(adj)}")
         masks = tuple(int(m) for m in adj)
         full = (1 << n) - 1
         for u, m in enumerate(masks):
             if m & ~full:
-                raise IndexOutOfRange(f"adjacency mask of vertex {u} mentions vertices >= {n}")
+                raise InvalidParameter(f"adjacency mask of vertex {u} mentions vertices >= {n}")
             if m >> u & 1:
-                raise InvalidEdge(f"loop at vertex {u}")
+                raise InvalidParameter(f"loop at vertex {u}")
         for u, m in enumerate(masks):
             rest = m
             while rest:
                 v = (rest & -rest).bit_length() - 1
                 rest &= rest - 1
                 if not masks[v] >> u & 1:
-                    raise InvalidEdge(f"asymmetric adjacency between {u} and {v}")
+                    raise InvalidParameter(f"asymmetric adjacency between {u} and {v}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "adj", masks)
 
@@ -96,28 +89,9 @@ class Graph:
         want = self.n - 1
         return tuple(u for u, m in enumerate(self.adj) if m.bit_count() == want)
 
-    def components(self) -> list[int]:
-        """Connected components as vertex bitmasks, by smallest member."""
-        seen = 0
-        comps = []
-        for u in range(self.n):
-            if seen >> u & 1:
-                continue
-            comp = 1 << u
-            frontier = self.adj[u] & ~comp
-            while frontier:
-                comp |= frontier
-                nxt = 0
-                for v in _bits(frontier):
-                    nxt |= self.adj[v]
-                frontier = nxt & ~comp
-            comps.append(comp)
-            seen |= comp
-        return comps
-
     def _check_vertex(self, u: int):
         if not 0 <= u < self.n:
-            raise IndexOutOfRange(f"vertex {u} outside 0..{self.n - 1}")
+            raise InvalidParameter(f"vertex {u} outside 0..{self.n - 1}")
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -132,13 +106,13 @@ def _bits(mask: int) -> Iterator[int]:
 def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Graph on n vertices with the given edges; duplicates collapse."""
     if n < 1 or n > MAX_ORDER:
-        raise OrderOverflow(f"order must be in 1..{MAX_ORDER}, got {n}")
+        raise InvalidParameter(f"order must be in 1..{MAX_ORDER}, got {n}")
     adj = [0] * n
     for u, v in edges:
         if u == v:
-            raise InvalidEdge(f"loop edge ({u}, {v})")
+            raise InvalidParameter(f"loop edge ({u}, {v})")
         if not (0 <= u < n and 0 <= v < n):
-            raise IndexOutOfRange(f"edge ({u}, {v}) outside 0..{n - 1}")
+            raise InvalidParameter(f"edge ({u}, {v}) outside 0..{n - 1}")
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     return Graph(n, adj)
@@ -157,7 +131,7 @@ def join(g: Graph, h: Graph) -> Graph:
     """Disjoint union plus every edge between the two vertex sets."""
     n = g.n + h.n
     if n > MAX_ORDER:
-        raise OrderOverflow(f"join order {n} exceeds {MAX_ORDER}")
+        raise InvalidParameter(f"join order {n} exceeds {MAX_ORDER}")
     g_mask = (1 << g.n) - 1
     h_mask = ((1 << h.n) - 1) << g.n
     adj = [m | h_mask for m in g.adj]
@@ -189,32 +163,32 @@ def graph6_decode(text: str) -> Graph:
     if text.endswith("\n"):
         text = text[:-1]
     if not text:
-        raise MalformedGraph6("empty graph6 line")
+        raise InvalidParameter("empty graph6 line")
     try:
         data = text.encode("latin-1")
     except UnicodeEncodeError:
-        raise MalformedGraph6("non-byte characters in graph6 line") from None
+        raise InvalidParameter("non-byte characters in graph6 line") from None
     first = data[0]
     if first == 126:
-        raise Unsupported("multi-byte graph6 order header (order > 62) not supported")
+        raise InvalidParameter("multi-byte graph6 order header (order > 62) not supported")
     if not 63 <= first <= 126:
-        raise MalformedGraph6(f"order byte {first} outside 63..126")
+        raise InvalidParameter(f"order byte {first} outside 63..126")
     n = first - 63
     if n == 0:
-        raise Unsupported("order-0 graph6 string")
+        raise InvalidParameter("order-0 graph6 string")
     need = (n * (n - 1) // 2 + 5) // 6
     payload = data[1:]
     if len(payload) != need:
-        raise MalformedGraph6(f"expected {need} payload bytes for order {n}, got {len(payload)}")
+        raise InvalidParameter(f"expected {need} payload bytes for order {n}, got {len(payload)}")
     bits = []
     for byte in payload:
         if not 63 <= byte <= 126:
-            raise MalformedGraph6(f"payload byte {byte} outside 63..126")
+            raise InvalidParameter(f"payload byte {byte} outside 63..126")
         val = byte - 63
         bits.extend((val >> k) & 1 for k in range(5, -1, -1))
     m = n * (n - 1) // 2
     if any(bits[m:]):
-        raise MalformedGraph6("nonzero padding bits")
+        raise InvalidParameter("nonzero padding bits")
     adj = [0] * n
     i = 0
     for v in range(1, n):

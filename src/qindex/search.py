@@ -36,16 +36,7 @@ from dataclasses import dataclass
 
 from .bounds import conjecture_bound, q_bound_t2, q_bound_t2_applicable
 from .canonical import _canonical, canonical_graph6, canonical_key
-from .errors import (
-    DiscriminantNegative,
-    HypothesisViolated,
-    InvalidBudget,
-    InvalidVertexSet,
-    InvariantViolated,
-    MalformedGraph6,
-    OrderOverflow,
-    UseStreamSource,
-)
+from .errors import HypothesisViolated, InvalidParameter, InvariantViolated
 from .forbidden import ForbiddenPattern, _contains_through, _walk, contains_kst
 from .graphs import MAX_ORDER, Graph, _bits, empty_graph, graph6_decode, graph6_encode, join
 from .spectral import DEFAULT_TOL, _matrices, q_index
@@ -144,7 +135,7 @@ def enumerate_levels(max_n: int, keep=None):
     certificates; a ``Graph`` is built only for a kept class.
     """
     if max_n < 1:
-        raise InvalidVertexSet("enumeration needs max_n >= 1")
+        raise InvalidParameter("enumeration needs max_n >= 1")
     k1 = empty_graph(1)
     # a kept class: its Graph on canonical labels and the automorphisms found, on those labels
     kept = {k1.adj: (k1, [])} if keep is None or keep(k1.adj) else {}
@@ -249,7 +240,7 @@ def _verdict(max_q: float, pat: ForbiddenPattern, n: int):
     """Compare a maximum against the conjectured cap, minding its hypothesis."""
     try:
         bound = conjecture_bound(n, pat.s, pat.t)
-    except (HypothesisViolated, DiscriminantNegative):
+    except HypothesisViolated:
         return None, "bound_inapplicable"
     return bound, "bound_violated" if _above(max_q, bound) else "bound_holds"
 
@@ -334,7 +325,7 @@ def exhaustive_max_q(n: int, pat: ForbiddenPattern, stream=None) -> SearchReport
     keep = _free_predicate(pat)
     if stream is None:
         if n > BUILTIN_MAX_ORDER:
-            raise UseStreamSource(f"builtin enumeration capped at order {BUILTIN_MAX_ORDER}")
+            raise InvalidParameter(f"builtin enumeration capped at order {BUILTIN_MAX_ORDER}")
         *_, (_, kept, classes) = enumerate_levels(n, keep)
         return _finish_report(n, pat, kept, classes, len(kept), t0, True)
     seen: set = set()
@@ -345,10 +336,10 @@ def exhaustive_max_q(n: int, pat: ForbiddenPattern, stream=None) -> SearchReport
             continue
         try:
             g = graph6_decode(line)
-        except MalformedGraph6 as exc:
-            raise MalformedGraph6(f"stream line {lineno}: {exc}") from None
+        except InvalidParameter as exc:
+            raise InvalidParameter(f"stream line {lineno}: {exc}") from None
         if g.n != n:
-            raise InvalidVertexSet(f"stream line {lineno}: order {g.n}, expected {n}")
+            raise InvalidParameter(f"stream line {lineno}: order {g.n}, expected {n}")
         key = canonical_key(g)
         if key in seen:
             continue
@@ -356,7 +347,7 @@ def exhaustive_max_q(n: int, pat: ForbiddenPattern, stream=None) -> SearchReport
         if keep(key[1]):
             free[key] = Graph(*key)
     if not seen:
-        raise InvalidVertexSet(f"stream has no graph line, so it enumerates no order-{n} class")
+        raise InvalidParameter(f"stream has no graph line, so it enumerates no order-{n} class")
     free_list = [free[k] for k in sorted(free)]
     return _finish_report(n, pat, free_list, len(seen), len(free_list), t0, True)
 
@@ -387,7 +378,7 @@ class JoinCapReport:
 def join_cap_scan(m: int, s: int) -> JoinCapReport:
     """Exhaustively verify the hub-join cap over every H with max degree <= s."""
     if m > 8:
-        raise UseStreamSource("join scan enumerates H internally; capped at order 8")
+        raise InvalidParameter("join scan enumerates H internally; capped at order 8")
     if s < 1:
         raise HypothesisViolated(f"need s >= 1, got {s}")
     t0 = time.perf_counter()
@@ -427,11 +418,11 @@ def heuristic_max_q(n: int, pat: ForbiddenPattern, budget: int, seed: int) -> Se
     per seed.  Returns a lower-bound report (``exhaustive=False``).
     """
     if n < 2:
-        raise InvalidVertexSet(f"an edge-toggle walk needs n >= 2, got {n}")
+        raise InvalidParameter(f"an edge-toggle walk needs n >= 2, got {n}")
     if n > MAX_ORDER:
-        raise OrderOverflow(f"graph order {n} exceeds the ceiling of {MAX_ORDER}")
+        raise InvalidParameter(f"graph order {n} exceeds the ceiling of {MAX_ORDER}")
     if budget < 1:
-        raise InvalidBudget(f"budget must be >= 1, got {budget}")
+        raise InvalidParameter(f"budget must be >= 1, got {budget}")
     t0 = time.perf_counter()
     rng = random.Random(seed)
     alpha = (T_END / T_START) ** (1.0 / budget)

@@ -1,11 +1,12 @@
 """Eigenvalue solvers for the signless Laplacian Q = A + D and the
 adjacency matrix A, all from LAPACK through numpy.
 
-Largest eigenvalue: the top eigenpair of ``numpy.linalg.eigh`` on each
-connected component, certified by the residual ||Mx - qx|| <= ``DEFAULT_TOL``
-(or ``InvariantViolated``); every q a report prints or decides by comes
-from ``q_index``.  The whole spectrum (``numpy.linalg.eigvalsh``) also
-scores the hunt's proposals and screens the exhaustive scans (``search``).
+Largest eigenvalue: the top eigenpair of one ``numpy.linalg.eigh`` call on
+the whole matrix, its vector taken in absolute value and certified by the
+residual ||Mx - qx|| <= ``DEFAULT_TOL`` (or ``InvariantViolated``); every q
+a report prints or decides by comes from ``q_index``.  The whole spectrum
+(``numpy.linalg.eigvalsh``) also scores the hunt's proposals and screens
+the exhaustive scans (``search``).
 One builder, ``_matrices``, makes every Q and A matrix from neighbor
 bitmasks, for one graph or a stack of same-order graphs alike.
 
@@ -19,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, ClassVar
 
-from .errors import InvariantViolated, Unsupported
-from .graphs import Graph, _bits
+from .errors import InvalidParameter, InvariantViolated
+from .graphs import Graph
 
 if TYPE_CHECKING:
     import numpy as np
@@ -32,7 +33,9 @@ class SpectralResult:
     """Largest eigenvalue with its certified eigenvector.
 
     value     largest eigenvalue of the requested matrix
-    vector    nonnegative unit eigenvector, zero outside the winning component
+    vector    nonnegative unit eigenvector of the whole matrix; on a
+              disconnected graph its entries off the components attaining
+              ``value`` are zero up to rounding, not necessarily exact zeros
     residual  ||M @ vector - value * vector||_2, at most ``DEFAULT_TOL``
     """
 
@@ -55,23 +58,14 @@ def _matrices(masks, which: str = "Q") -> np.ndarray:
     return m
 
 
-def _largest_per_component(g: Graph, which: str) -> SpectralResult:
+def _largest(g: Graph, which: str) -> SpectralResult:
     import numpy as np
-    full = _matrices(g.adj, which)
-    # (value, vector, vertices); edgeless: eigenvalue 0, any unit vector
-    best = (0.0, np.ones(1), [0])
-    for comp in g.components():
-        if comp.bit_count() == 1:
-            continue  # isolated vertex contributes eigenvalue 0
-        verts = list(_bits(comp))
-        w, vecs = np.linalg.eigh(full[np.ix_(verts, verts)])  # no edge leaves a component
-        if w[-1] > best[0]:  # a component with an edge has a positive top eigenvalue
-            # connected, so the top eigenvector is a Perron vector: one sign up to rounding
-            best = (float(w[-1]), np.abs(vecs[:, -1]), verts)
-    value, vec, verts = best
-    vector = np.zeros(g.n)
-    vector[verts] = vec
-    residual = float(np.linalg.norm(full @ vector - value * vector))
+    m = _matrices(g.adj, which)
+    w, vecs = np.linalg.eigh(m)
+    # a Perron vector is one-signed on its component; a tie between components
+    # mixes one-signed vectors with disjoint supports, so abs stays an eigenvector
+    value, vector = float(w[-1]), np.abs(vecs[:, -1])
+    residual = float(np.linalg.norm(m @ vector - value * vector))
     if residual > DEFAULT_TOL:
         raise InvariantViolated(f"eigenpair residual {residual:.3g} exceeds {DEFAULT_TOL:g}")
     return SpectralResult(value, vector, residual)
@@ -79,18 +73,18 @@ def _largest_per_component(g: Graph, which: str) -> SpectralResult:
 
 def q_index(g: Graph) -> SpectralResult:
     """Largest eigenvalue of the signless Laplacian A + D."""
-    return _largest_per_component(g, "Q")
+    return _largest(g, "Q")
 
 
 def adjacency_radius(g: Graph) -> SpectralResult:
     """Largest eigenvalue (spectral radius) of the adjacency matrix."""
-    return _largest_per_component(g, "A")
+    return _largest(g, "A")
 
 
 def full_spectrum(g: Graph, matrix: str = "Q") -> list[float]:
     """All n eigenvalues of Q or A, ascending, from LAPACK."""
     if matrix not in ("Q", "A"):
-        raise Unsupported(f"matrix must be 'Q' or 'A', got {matrix!r}")
+        raise InvalidParameter(f"matrix must be 'Q' or 'A', got {matrix!r}")
     return _eigvalsh(_matrices(g.adj, matrix)).tolist()
 
 

@@ -45,6 +45,19 @@ def disjoint_union(*graphs: Graph) -> Graph:
     return Graph(len(adj), adj)
 
 
+def is_connected(g: Graph) -> bool:
+    """Whether every vertex is reached from vertex 0."""
+    reached, frontier = 1, 1
+    while frontier:
+        nxt = 0
+        for u in range(g.n):
+            if frontier >> u & 1:
+                nxt |= g.adj[u]
+        frontier = nxt & ~reached
+        reached |= frontier
+    return reached == (1 << g.n) - 1
+
+
 def q_bound_window(n: int, s: int) -> tuple[float, float]:
     """Open interval (n, n + 2s/(n-2s)) that strictly brackets the t = 2 cap,
     for n > 2s.  In doubles the bracket is resolvable only at small n: from

@@ -24,7 +24,6 @@ from qindex.bounds import (
 )
 from qindex.canonical import canonical_key
 from qindex.constructions import random_regular
-from qindex.errors import NoRegularGraphExists
 from qindex.forbidden import ForbiddenPattern
 from qindex.graphs import (
     MAX_ORDER,

@@ -276,11 +276,13 @@ class TestExitCodes:
         ("verify", "--n", "5", "--t", "2", "--s", "1", "--stream", "FILE"),
     ])
     def test_non_ascii_graph6_file_is_a_computation_error(self, capsys, tmp_path, argv):
+        # a non-ASCII byte, then a multi-byte (order > 62) header: each names its line
         path = tmp_path / "bad.g6"
-        path.write_bytes(b"DQc\nD\xffw\n")
-        code, _, err = run(capsys, *[str(path) if a == "FILE" else a for a in argv])
-        assert code == 2
-        assert "line 2" in err
+        for data in (b"DQc\nD\xffw\n", b"DQc\n~??@??\n"):
+            path.write_bytes(data)
+            code, _, err = run(capsys, *[str(path) if a == "FILE" else a for a in argv])
+            assert code == 2
+            assert "line 2" in err
 
 
 class TestRuntime:
@@ -577,6 +579,24 @@ def test_no_unused_imports_in_src():
                     if name not in used:
                         unused.append(f"{path.name}:{name}")
     assert [name for name in unused if name not in allowed] == []
+
+
+def test_every_error_class_is_caught_or_a_kind():
+    # an exception class earns its place by a distinction some caller makes:
+    # the CLI's base, every rejected input, or a broken certificate;
+    # any other class must be named in an ``except`` somewhere in src/
+    import qindex.errors as errors
+
+    kinds = {"QxError", "InvalidParameter", "InvariantViolated"}
+    classes = {name for name, obj in vars(errors).items()
+               if isinstance(obj, type) and obj.__module__ == errors.__name__}
+    caught = set()
+    for path in Path(cli.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                caught |= {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)}
+    assert classes >= kinds
+    assert sorted(classes - kinds - caught) == []
 
 
 def test_every_public_name_has_a_caller_in_src():

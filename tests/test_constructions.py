@@ -6,17 +6,11 @@ import pytest
 import qindex.constructions as constructions
 from qindex.bounds import adjacency_bound, conjecture_bound, q_bound_t2
 from qindex.constructions import ExtremalSpec, build_extremal, circulant, random_regular
-from qindex.errors import (
-    GenerationFailed,
-    HypothesisViolated,
-    InvalidOffsets,
-    NoRegularGraphExists,
-    OrderOverflow,
-)
+from qindex.errors import HypothesisViolated, InvalidParameter, QxError
 from qindex.forbidden import ForbiddenPattern, contains_kst
 from qindex.graphs import complete_graph, from_edge_list, join
 from qindex.spectral import adjacency_radius, q_index
-from conftest import disjoint_union
+from conftest import disjoint_union, is_connected
 
 
 class TestCirculant:
@@ -37,9 +31,9 @@ class TestCirculant:
         assert g.regular_degree() == 1
 
     def test_bad_offsets(self):
-        with pytest.raises(InvalidOffsets):
+        with pytest.raises(InvalidParameter, match=r"offsets \[0\] outside 1\.\.3"):
             circulant(6, {0})
-        with pytest.raises(InvalidOffsets):
+        with pytest.raises(InvalidParameter, match=r"offsets \[4\] outside 1\.\.3"):
             circulant(6, {4})
 
 
@@ -53,7 +47,7 @@ class TestRandomRegular:
     def test_two_regular_on_five_is_pentagon(self):
         g = random_regular(5, 2, 1)
         assert g.regular_degree() == 2
-        assert len(g.components()) == 1  # 5 = 3 + 2 has no valid cycle split
+        assert is_connected(g)  # 5 = 3 + 2 has no valid cycle split
 
     def test_three_regular_on_ten(self):
         g = random_regular(10, 3, 7)
@@ -63,14 +57,14 @@ class TestRandomRegular:
         assert random_regular(12, 3, 5) == random_regular(12, 3, 5)
 
     def test_parity_rejected(self):
-        with pytest.raises(NoRegularGraphExists):
+        with pytest.raises(InvalidParameter, match=r"parity: 1-regular on 5 vertices needs s\*m even"):
             random_regular(5, 1, 0)
-        with pytest.raises(NoRegularGraphExists):
+        with pytest.raises(InvalidParameter, match="degree 4 impossible on 4 vertices"):
             random_regular(4, 4, 0)
 
     def test_restart_cap(self, monkeypatch):
         monkeypatch.setattr(constructions, "RESTART_CAP", 0)
-        with pytest.raises(GenerationFailed):
+        with pytest.raises(QxError, match="no simple 3-regular pairing on 8 vertices after 0 restarts"):
             random_regular(8, 3, 0)
 
     def test_degrees_across_seeds(self):
@@ -91,7 +85,7 @@ class TestBuildExtremal:
         assert q_index(r.graph).value == pytest.approx(q_bound_t2(6, 2), abs=1e-8)
 
     def test_parity_failure(self):
-        with pytest.raises(NoRegularGraphExists):
+        with pytest.raises(InvalidParameter, match="parity: 1-regular on 5 vertices impossible"):
             build_extremal(ExtremalSpec(6, 1, 2))
 
     def test_threshold_order(self):
@@ -156,11 +150,11 @@ class TestBuildExtremal:
         assert count >= 10
 
     def test_spec_validation(self):
-        with pytest.raises(NoRegularGraphExists):
+        with pytest.raises(InvalidParameter, match="2-regular needs order > 2, H has 2"):
             build_extremal(ExtremalSpec(3, 2, 2))  # H order 2 cannot be 2-regular
         with pytest.raises(HypothesisViolated, match="n=5, t=9"):
             ExtremalSpec(5, 1, 9)  # the clique side alone needs t-1 = 8 vertices
-        with pytest.raises(OrderOverflow, match="graph order 63 exceeds the ceiling of 62"):
+        with pytest.raises(InvalidParameter, match="graph order 63 exceeds the ceiling of 62"):
             ExtremalSpec(63, 2, 2)
 
 

@@ -11,7 +11,7 @@ import qindex.search as search
 from qindex.bounds import q_bound_t2
 from qindex.canonical import canonical_graph6, canonical_key, refinement_cells
 from qindex.constructions import circulant
-from qindex.errors import InvalidBudget, InvalidVertexSet, MalformedGraph6, OrderOverflow, UseStreamSource
+from qindex.errors import InvalidParameter
 from qindex.forbidden import ForbiddenPattern
 from qindex.graphs import (
     Graph,
@@ -194,7 +194,7 @@ class TestExhaustive:
             assert replace(direct, runtime_ms=0) == replace(scanned, runtime_ms=0)
 
     def test_builtin_cap(self):
-        with pytest.raises(UseStreamSource):
+        with pytest.raises(InvalidParameter, match="builtin enumeration capped at order 9"):
             exhaustive_max_q(10, ForbiddenPattern(2, 2))
 
     def test_stream_source_relabel_invariant(self):
@@ -213,13 +213,15 @@ class TestExhaustive:
         assert rep_stream.argmax == rep_builtin.argmax
 
     def test_stream_errors(self):
-        with pytest.raises(MalformedGraph6, match="line 2"):
+        with pytest.raises(InvalidParameter, match="stream line 2: order byte 33 outside"):
             exhaustive_max_q(3, ForbiddenPattern(2, 2), stream=iter(["Bw", "!!"]))
-        with pytest.raises(InvalidVertexSet, match="line 1"):
+        with pytest.raises(InvalidParameter, match=r"stream line 2: multi-byte graph6 order header \(order > 62\)"):
+            exhaustive_max_q(3, ForbiddenPattern(2, 2), stream=iter(["Bw", "~??@??"]))
+        with pytest.raises(InvalidParameter, match="stream line 1: order 5, expected 3"):
             exhaustive_max_q(3, ForbiddenPattern(2, 2), stream=iter(["DQc"]))
         # no graph line at all is no enumeration, not a proof of the bound
         for lines in ([], ["", "  \n"]):
-            with pytest.raises(InvalidVertexSet, match="no graph line"):
+            with pytest.raises(InvalidParameter, match="no graph line"):
                 exhaustive_max_q(5, ForbiddenPattern(2, 2), stream=iter(lines))
 
     def test_free_graphs_reverified(self):
@@ -353,7 +355,7 @@ class TestHeuristic:
         assert not contains_kst(g, pat)
 
     def test_bad_budget(self):
-        with pytest.raises(InvalidBudget):
+        with pytest.raises(InvalidParameter, match="budget must be >= 1, got 0"):
             heuristic_max_q(5, ForbiddenPattern(2, 2), budget=0, seed=0)
 
     def test_one_lapack_call_per_evaluated_proposal(self, monkeypatch):
@@ -375,7 +377,7 @@ class TestHeuristic:
             raise AssertionError("the walk ran before the order was checked")
 
         monkeypatch.setattr(search, "_contains_through", walked)
-        with pytest.raises(OrderOverflow):
+        with pytest.raises(InvalidParameter, match="graph order 63 exceeds the ceiling of 62"):
             heuristic_max_q(63, ForbiddenPattern(2, 2), budget=10 ** 6, seed=0)
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qindex.constructions import circulant
-from qindex.errors import InvariantViolated, Unsupported
+from qindex.errors import InvalidParameter, InvariantViolated
 from qindex.graphs import complete_graph, empty_graph, from_edge_list, join
 from qindex.spectral import _matrices, adjacency_radius, full_spectrum, q_index
 from conftest import disjoint_union, edges, path_graph, random_graph
@@ -111,7 +111,7 @@ class TestFullSpectrum:
             assert sum(full_spectrum(g, "A")) == pytest.approx(0.0, abs=1e-8)
 
     def test_bad_matrix_name(self):
-        with pytest.raises(Unsupported):
+        with pytest.raises(InvalidParameter, match="matrix must be 'Q' or 'A', got 'L'"):
             full_spectrum(complete_graph(2), "L")
 
 
