@@ -20,13 +20,7 @@ from .bounds import (
     q_cap_ledger,
 )
 from .canonical import canonical_graph, canonical_graph6, canonical_key
-from .constructions import (
-    BuildResult,
-    ExtremalSpec,
-    build_extremal,
-    circulant,
-    random_regular,
-)
+from .constructions import BuildResult, ExtremalSpec, build_extremal, circulant
 from .errors import QxError
 from .forbidden import ForbiddenPattern, contains_kst, find_kst
 from .graphs import (
@@ -100,5 +94,4 @@ __all__ = [
     "q_bound_t2_applicable",
     "q_cap_ledger",
     "q_index",
-    "random_regular",
 ]

@@ -81,7 +81,6 @@ def _build_parser() -> _Parser:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--s", type=int, required=True)
     sp.add_argument("--t", type=int, required=True)
-    sp.add_argument("--seed", type=int, default=0)
 
     sp = sub.add_parser("verify", help="exhaustive max-q search at one order")
     sp.add_argument("--n", type=int, required=True)
@@ -195,7 +194,7 @@ def _run(args) -> list:
         return [asdict(bound_report(n, s, t)) for n in args.n for s in args.s for t in args.t]
 
     if cmd == "construct":
-        built = build_extremal(ExtremalSpec(args.n, args.s, args.t), seed=args.seed)
+        built = build_extremal(ExtremalSpec(args.n, args.s, args.t))
         q = q_index(built.graph).value
         bound = conjecture_bound(args.n, args.s, args.t)
         return [{
@@ -203,7 +202,7 @@ def _run(args) -> list:
             "free": built.free,
             "witness": _witness(built.witness),
             "strategy_used": built.strategy_used,
-            "seed_used": built.seed_used,
+            "exhaustive": built.exhaustive,
             "attempts": built.attempts,
             "q": q,
             "bound": bound,

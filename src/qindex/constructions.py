@@ -3,22 +3,23 @@ s-regular graph.
 
 Regularity alone does not make the join K_{t,s+1}-free (pairs inside H may
 share too many neighbors once the hub is added), so every build carries an
-explicit freeness certificate: a circulant H is checked first, then random
-regular graphs under fresh seeds; if none is free, the first join comes
-back with its witness.
+explicit freeness certificate.  A circulant H is checked first.  If its
+join contains the pattern, the other s-regular graphs of order m are taken
+through the sparser of H and its complement, of degree d = min(s, m-1-s):
+for d <= 1 the circulant is the only one (a perfect matching, its
+complement, or K_m), and for d >= 2 the builtin enumerator lists them in
+canonical order up to ``search.BUILTIN_MAX_ORDER``.  The first free join
+comes back; if none is, the circulant's join comes back with its witness.
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .errors import HypothesisViolated, InvalidParameter, InvariantViolated, QxError
+from .errors import HypothesisViolated, InvalidParameter, InvariantViolated
 from .forbidden import ForbiddenPattern, Witness, find_kst
-from .graphs import MAX_ORDER, Graph, complete_graph, empty_graph, from_edge_list, join
-
-MAX_ATTEMPTS = 20  # random regular graphs tried after the circulant
-RESTART_CAP = 200000  # pairing-model shuffles before random_regular gives up
+from .graphs import MAX_ORDER, Graph, complete_graph, from_edge_list, join
+from .search import BUILTIN_MAX_ORDER, enumerate_graphs
 
 
 @dataclass(frozen=True)
@@ -38,6 +39,8 @@ class ExtremalSpec:
             raise HypothesisViolated(f"need n >= t, got n={self.n}, t={self.t}")
         if self.n > MAX_ORDER:
             raise InvalidParameter(f"graph order {self.n} exceeds the ceiling of {MAX_ORDER}")
+        if self.s < self.t - 1:
+            raise HypothesisViolated(f"need s >= t-1, got s={self.s}, t={self.t}")
 
     @property
     def m(self) -> int:
@@ -47,11 +50,16 @@ class ExtremalSpec:
 
 @dataclass(frozen=True)
 class BuildResult:
+    """A join and its certificate.  ``exhaustive`` says that the join is not
+    free and that every s-regular H of its order was checked, so no free
+    K_{t-1} v (s-regular) graph of order n exists; ``attempts`` counts every
+    join built."""
+
     graph: Graph
     free: bool
     witness: Witness | None
     strategy_used: str
-    seed_used: int | None
+    exhaustive: bool
     attempts: int
 
 
@@ -67,34 +75,6 @@ def circulant(m: int, offsets) -> Graph:
     return from_edge_list(m, edges)
 
 
-def random_regular(m: int, s: int, seed: int) -> Graph:
-    """Uniform s-regular graph by the pairing model, restarting on any loop
-    or repeated pair.  Deterministic for a given seed."""
-    if s < 0 or s >= m:
-        raise InvalidParameter(f"degree {s} impossible on {m} vertices")
-    if (m * s) % 2 != 0:
-        raise InvalidParameter(f"parity: {s}-regular on {m} vertices needs s*m even")
-    if s == 0:
-        return empty_graph(m)
-    if s == m - 1:
-        return complete_graph(m)
-    rng = random.Random(seed)
-    stubs = [v for v in range(m) for _ in range(s)]
-    for _ in range(RESTART_CAP):
-        rng.shuffle(stubs)
-        seen = set()
-        ok = True
-        for i in range(0, len(stubs), 2):
-            u, v = stubs[i], stubs[i + 1]
-            if u == v or (min(u, v), max(u, v)) in seen:
-                ok = False
-                break
-            seen.add((min(u, v), max(u, v)))
-        if ok:
-            return from_edge_list(m, sorted(seen))
-    raise QxError(f"no simple {s}-regular pairing on {m} vertices after {RESTART_CAP} restarts")
-
-
 def _circulant_offsets(m: int, s: int) -> list[int]:
     # s even: offsets 1..s/2; s odd needs the antipodal offset (m even)
     offs = list(range(1, s // 2 + 1))
@@ -103,35 +83,46 @@ def _circulant_offsets(m: int, s: int) -> list[int]:
     return offs
 
 
-def build_extremal(spec: ExtremalSpec, seed: int = 0) -> BuildResult:
+def _regular_graphs(m: int, s: int, d: int) -> list[Graph]:
+    """One s-regular graph of order m per class: the d-regular classes of the
+    builtin enumerator, in canonical order, complemented when d < s."""
+    sparse = [h for h in enumerate_graphs(m, keep=lambda adj: all(a.bit_count() <= d for a in adj))
+              if h.regular_degree() == d]
+    if d == s:
+        return sparse
+    full = (1 << m) - 1
+    return [Graph(m, [full ^ a ^ (1 << v) for v, a in enumerate(h.adj)]) for h in sparse]
+
+
+def build_extremal(spec: ExtremalSpec) -> BuildResult:
     """Join a (t-1)-clique with an s-regular graph of order n-t+1 and certify
     the result K_{t,s+1}-free.
 
-    Tries a circulant first; if the join contains the pattern, retries with
-    random regular graphs under seeds seed, seed+1, ... up to
-    ``MAX_ATTEMPTS``.  Returns the first free join, or else the first join
-    with its witness (the caller checks ``.free``); ``attempts`` counts every join built.
+    Checks the circulant first.  If its join contains the pattern and the
+    s-regular graphs of order m are not unique, joins each of them in turn
+    when m <= ``BUILTIN_MAX_ORDER``.  Returns the first free join, or else
+    the circulant's join with its witness (the caller checks ``.free``).
     """
-    m = spec.m
-    if m <= spec.s:
-        raise InvalidParameter(f"{spec.s}-regular needs order > {spec.s}, H has {m}")
-    if (m * spec.s) % 2 != 0:
-        raise InvalidParameter(f"parity: {spec.s}-regular on {m} vertices impossible")
-    pat = ForbiddenPattern.from_ts(spec.t, spec.s)
+    m, s = spec.m, spec.s
+    if m <= s:
+        raise InvalidParameter(f"{s}-regular needs order > {s}, H has {m}")
+    if (m * s) % 2 != 0:
+        raise InvalidParameter(f"parity: {s}-regular on {m} vertices impossible")
+    pat = ForbiddenPattern.from_ts(spec.t, s)
     clique = complete_graph(spec.t - 1)
-    first: BuildResult | None = None
-    for tried, sd in enumerate([None] + [seed + k for k in range(MAX_ATTEMPTS)], start=1):
-        if sd is None:
-            kind, h = "circulant", circulant(m, _circulant_offsets(m, spec.s))
-        else:
-            kind, h = "random_regular", random_regular(m, spec.s, sd)
-        if h.regular_degree() != spec.s:
-            raise InvariantViolated("regular part failed its degree check")
-        g = join(clique, h)
-        witness = find_kst(g, pat)
-        result = BuildResult(g, witness is None, witness, kind, sd, tried)
-        if result.free:
-            return result
-        if first is None:
-            first = result
-    return replace(first, attempts=tried)
+    h = circulant(m, _circulant_offsets(m, s))
+    if h.regular_degree() != s:
+        raise InvariantViolated("regular part failed its degree check")
+    g = join(clique, h)
+    witness = find_kst(g, pat)
+    if witness is None:
+        return BuildResult(g, True, None, "circulant", False, 1)
+    d = min(s, m - 1 - s)
+    # for d <= 1 the circulant is the only s-regular graph of order m
+    exhaustive = d <= 1 or m <= BUILTIN_MAX_ORDER
+    others = _regular_graphs(m, s, d) if d >= 2 and exhaustive else []
+    for tried, other in enumerate(others, start=2):
+        joined = join(clique, other)
+        if find_kst(joined, pat) is None:
+            return BuildResult(joined, True, None, "enumerated", False, tried)
+    return BuildResult(g, False, witness, "circulant", exhaustive, 1 + len(others))

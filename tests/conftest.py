@@ -22,6 +22,18 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     return from_edge_list(n, edges)
 
 
+def random_regular(m: int, s: int, seed: int) -> Graph:
+    """Seeded s-regular graph on m vertices (s*m even) by the pairing model,
+    reshuffling the stubs until no pair is a loop or a repeat."""
+    rng = random.Random(seed)
+    stubs = [v for v in range(m) for _ in range(s)]
+    while True:
+        rng.shuffle(stubs)
+        pairs = {(min(u, v), max(u, v)) for u, v in zip(stubs[::2], stubs[1::2]) if u != v}
+        if len(pairs) == len(stubs) // 2:
+            return from_edge_list(m, sorted(pairs))
+
+
 def edges(g: Graph) -> list[tuple[int, int]]:
     """Edges (u, v) with u < v, in lexicographic order."""
     return [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if g.adj[u] >> v & 1]
@@ -43,19 +55,6 @@ def disjoint_union(*graphs: Graph) -> Graph:
     for g in graphs:
         adj += [m << len(adj) for m in g.adj]
     return Graph(len(adj), adj)
-
-
-def is_connected(g: Graph) -> bool:
-    """Whether every vertex is reached from vertex 0."""
-    reached, frontier = 1, 1
-    while frontier:
-        nxt = 0
-        for u in range(g.n):
-            if frontier >> u & 1:
-                nxt |= g.adj[u]
-        frontier = nxt & ~reached
-        reached |= frontier
-    return reached == (1 << g.n) - 1
 
 
 def q_bound_window(n: int, s: int) -> tuple[float, float]:

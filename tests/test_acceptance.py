@@ -23,7 +23,6 @@ from qindex.bounds import (
     q_cap_ledger,
 )
 from qindex.canonical import canonical_key
-from qindex.constructions import random_regular
 from qindex.forbidden import ForbiddenPattern
 from qindex.graphs import (
     MAX_ORDER,
@@ -35,7 +34,7 @@ from qindex.graphs import (
 )
 from qindex.search import heuristic_max_q
 from qindex.spectral import adjacency_radius, full_spectrum, q_index
-from conftest import exhaustive_scan, q_bound_window, random_graph
+from conftest import exhaustive_scan, q_bound_window, random_graph, random_regular
 
 
 def _report(num: int, name: str, ok: bool, detail: str):

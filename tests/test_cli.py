@@ -318,8 +318,7 @@ FUZZ_ARGS = {
     "free-check": {"FILE": None, "--t": _ints(-1, 4), "--s": _ints(-1, 3)},
     "bounds": {"--n": _ints(-2, 40), "--s": _ints(-1, 5), "--t": _ints(-1, 5),
                "--format": _pick(None, "json", "csv", "text")},
-    "construct": {"--n": _ints(0, 20), "--s": _ints(0, 3), "--t": _ints(1, 4),
-                  "--seed": _ints(-1, 9)},
+    "construct": {"--n": _ints(0, 20), "--s": _ints(0, 3), "--t": _ints(1, 4)},
     "verify": {"--n": _ints(-1, 6), "--t": _ints(-1, 3), "--s": _ints(-1, 3),
                "--stream": _pick(None, None, "FILE", "-")},
     "prop4": {"--m": _ints(-1, 5), "--s": _ints(-1, 3)},
@@ -400,8 +399,10 @@ class TestFlags:
         ("verify", "--n", "5", "--t", "2", "--s", "1", "--format", "csv"),
         # every q is scored at spectral.DEFAULT_TOL, which no flag changes
         ("construct", "--n", "6", "--s", "2", "--t", "2", "--tol", "0"),
-        # the build always tries the circulant first, then random regular graphs
+        # the build always tries the circulant first, then the enumerated regular graphs
         ("construct", "--n", "6", "--s", "2", "--t", "2", "--strategy", "circulant"),
+        # the build is deterministic, so no seed picks a regular part
+        ("construct", "--n", "6", "--s", "2", "--t", "2", "--seed", "3"),
         ("qindex", "FILE", "--tol", "nan"),
         ("qindex", "FILE", "--tol", "inf"),
         # verdicts compare against closed-form caps by one fixed policy
@@ -435,7 +436,7 @@ JOIN_CAP_KEYS = {
     "equality_all_regular", "regular_all_equality", "verdict", "runtime_ms",
 }
 CONSTRUCT_KEYS = {
-    "graph6", "free", "witness", "strategy_used", "seed_used", "attempts", "q", "bound", "gap",
+    "graph6", "free", "witness", "strategy_used", "exhaustive", "attempts", "q", "bound", "gap",
 }
 PARAMETER_KEYS = {
     "verify": {"n", "s", "t", "stream"},
@@ -468,7 +469,7 @@ SCORED = {"tol": 1e-10, "eps": 1e-7}
     (("free-check", "FILE", "--t", "2", "--s", "1"), {"file": "FILE", "t": 2, "s": 1}, {}, None),
     (("bounds", "--n", "13", "22", "--s", "1", "--t", "2", "3"),
      {"n": [13, 22], "s": [1], "t": [2, 3]}, {}, None),
-    (("construct", "--n", "6", "--s", "2", "--t", "2"), {"n": 6, "s": 2, "t": 2}, {"tol": 1e-10}, 0),
+    (("construct", "--n", "6", "--s", "2", "--t", "2"), {"n": 6, "s": 2, "t": 2}, {"tol": 1e-10}, None),
     (("verify", "--n", "5", "--t", "2", "--s", "1"), {"n": 5, "s": 1, "t": 2, "stream": None}, SCORED, None),
     (("verify", "--n", "5", "--t", "2", "--s", "1", "--stream", "STREAM"),
      {"n": 5, "s": 1, "t": 2, "stream": "STREAM"}, SCORED, None),
@@ -514,6 +515,24 @@ def test_construct_without_a_free_join_reports_its_witness(capsys):
     g = join(complete_graph(1), circulant(4, [1]))
     assert report["graph6"] == graph6_encode(g)
     assert all(g.has_edge(u, v) for u in left for v in right)
+
+
+@pytest.mark.parametrize("argv, free, exhaustive, strategy", [
+    # m = 8, d = 1: K_8 minus a perfect matching is the only 6-regular H
+    (("--n", "9", "--s", "6", "--t", "2"), False, True, "circulant"),
+    # K_1 v K_{3,3} contains K_{2,4}; the prism is the other 3-regular H
+    (("--n", "7", "--s", "3", "--t", "2"), True, False, "enumerated"),
+    # m = 10 is past the builtin enumerator, so no proof either way
+    (("--n", "13", "--s", "7", "--t", "4"), False, False, "circulant"),
+], ids=["no-free-join", "prism", "past-enumeration"])
+def test_construct_past_an_unfree_circulant(capsys, argv, free, exhaustive, strategy):
+    code, out, _ = run(capsys, "construct", *argv)
+    payload = json.loads(out)
+    report = payload["results"][0]
+    assert code == 0
+    assert (report["free"], report["exhaustive"], report["strategy_used"]) == (free, exhaustive, strategy)
+    assert (report["witness"] is None) == free
+    assert payload["runtime_ms"] < 1000
 
 
 @pytest.mark.parametrize("n, t", [("2000000", "2"), ("40002", "20001")])

@@ -1,16 +1,16 @@
 import math
-import random
 
 import pytest
 
-import qindex.constructions as constructions
 from qindex.bounds import adjacency_bound, conjecture_bound, q_bound_t2
-from qindex.constructions import ExtremalSpec, build_extremal, circulant, random_regular
-from qindex.errors import HypothesisViolated, InvalidParameter, QxError
-from qindex.forbidden import ForbiddenPattern, contains_kst
-from qindex.graphs import complete_graph, from_edge_list, join
+from qindex.canonical import canonical_key
+from qindex.constructions import ExtremalSpec, build_extremal, circulant
+from qindex.errors import HypothesisViolated, InvalidParameter
+from qindex.forbidden import ForbiddenPattern, contains_kst, find_kst
+from qindex.graphs import MAX_ORDER, complete_graph, from_edge_list, join
+from qindex.search import is_extremal_join
 from qindex.spectral import adjacency_radius, q_index
-from conftest import disjoint_union, is_connected
+from conftest import disjoint_union
 
 
 class TestCirculant:
@@ -37,46 +37,6 @@ class TestCirculant:
             circulant(6, {4})
 
 
-class TestRandomRegular:
-    def test_unique_one_regular_on_four(self):
-        for seed in range(5):
-            g = random_regular(4, 1, seed)
-            assert g.degrees() == [1, 1, 1, 1]
-            assert g.edge_count() == 2
-
-    def test_two_regular_on_five_is_pentagon(self):
-        g = random_regular(5, 2, 1)
-        assert g.regular_degree() == 2
-        assert is_connected(g)  # 5 = 3 + 2 has no valid cycle split
-
-    def test_three_regular_on_ten(self):
-        g = random_regular(10, 3, 7)
-        assert g.regular_degree() == 3
-
-    def test_deterministic_per_seed(self):
-        assert random_regular(12, 3, 5) == random_regular(12, 3, 5)
-
-    def test_parity_rejected(self):
-        with pytest.raises(InvalidParameter, match=r"parity: 1-regular on 5 vertices needs s\*m even"):
-            random_regular(5, 1, 0)
-        with pytest.raises(InvalidParameter, match="degree 4 impossible on 4 vertices"):
-            random_regular(4, 4, 0)
-
-    def test_restart_cap(self, monkeypatch):
-        monkeypatch.setattr(constructions, "RESTART_CAP", 0)
-        with pytest.raises(QxError, match="no simple 3-regular pairing on 8 vertices after 0 restarts"):
-            random_regular(8, 3, 0)
-
-    def test_degrees_across_seeds(self):
-        rng = random.Random(0)
-        for _ in range(40):
-            m = rng.randint(3, 20)
-            s = rng.randint(1, min(5, m - 1))
-            if (m * s) % 2:
-                continue
-            assert random_regular(m, s, rng.randint(0, 999)).regular_degree() == s
-
-
 class TestBuildExtremal:
     def test_hub_join_pentagon(self):
         r = build_extremal(ExtremalSpec(6, 2, 2))
@@ -100,15 +60,28 @@ class TestBuildExtremal:
         assert r.witness is not None
 
     def test_unfree_build_counts_every_join(self):
-        # no join at order 5 is free: the circulant and every random regular
-        # graph are built, and the first join comes back with its witness
+        # m = 4 and d = min(2, 4 - 1 - 2) = 1: C_4 is the only 2-regular graph
+        # of order 4, so its one join is every join, and it is not free
         r = build_extremal(ExtremalSpec(5, 2, 2))
-        assert r.attempts == constructions.MAX_ATTEMPTS + 1
-        assert r.strategy_used == "circulant"
-        assert r.seed_used is None
+        assert (r.attempts, r.exhaustive, r.strategy_used) == (1, True, "circulant")
         assert r.graph == join(complete_graph(1), circulant(4, [1]))
         assert contains_kst(r.graph, ForbiddenPattern.from_ts(2, 2))
-        assert build_extremal(ExtremalSpec(6, 2, 2)).attempts == 1  # free at the circulant
+        free = build_extremal(ExtremalSpec(6, 2, 2))  # free at the circulant
+        assert (free.attempts, free.exhaustive) == (1, False)
+
+    def test_enumeration_finds_the_prism(self):
+        # K_1 v K_{3,3} contains K_{2,4}; the other 3-regular graph of order 6,
+        # the prism (complement of C_6), gives a free join
+        r = build_extremal(ExtremalSpec(7, 3, 2))
+        assert (r.free, r.exhaustive, r.strategy_used) == (True, False, "enumerated")
+        prism = from_edge_list(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)])
+        assert canonical_key(r.graph) == canonical_key(join(complete_graph(1), prism))
+
+    def test_unfree_past_the_enumeration_order_is_not_exhaustive(self):
+        # m = 10 > 9 with d = 2: the other 7-regular graphs are not enumerated
+        r = build_extremal(ExtremalSpec(13, 7, 4))
+        assert (r.free, r.exhaustive, r.strategy_used, r.attempts) == (False, False, "circulant", 1)
+        assert r.witness == find_kst(r.graph, ForbiddenPattern.from_ts(4, 7))
 
     def test_larger_clique_side(self):
         r = build_extremal(ExtremalSpec(8, 2, 3))
@@ -119,10 +92,7 @@ class TestBuildExtremal:
         # q of K_1 v (s-regular H) must hit the closed form regardless of
         # which s-regular H came out, certified or not
         for s, m in [(1, 8), (2, 9), (3, 8), (4, 9), (2, 21)]:
-            try:
-                r = build_extremal(ExtremalSpec(m + 1, s, 2))
-            except NoRegularGraphExists:
-                continue
+            r = build_extremal(ExtremalSpec(m + 1, s, 2))
             assert q_index(r.graph).value == pytest.approx(q_bound_t2(m + 1, s), abs=1e-7)
 
     def test_cycle_union_joins_stay_free(self):
@@ -156,6 +126,43 @@ class TestBuildExtremal:
             ExtremalSpec(5, 1, 9)  # the clique side alone needs t-1 = 8 vertices
         with pytest.raises(InvalidParameter, match="graph order 63 exceeds the ceiling of 62"):
             ExtremalSpec(63, 2, 2)
+        with pytest.raises(HypothesisViolated, match="need s >= t-1, got s=4, t=6"):
+            ExtremalSpec(14, 4, 6)  # outside the conjecture: the cap is undefined there
+
+
+# (n, s, t) -> (free, exhaustive, strategy_used) for every grid spec whose
+# circulant join contains K_{t,s+1}; the rest are free at the circulant
+UNFREE_CIRCULANT = {
+    (5, 2, 2): (False, True, "circulant"),
+    (7, 3, 2): (True, False, "enumerated"),
+    (7, 4, 2): (False, True, "circulant"),
+    (9, 6, 2): (False, True, "circulant"),
+    (11, 8, 2): (False, True, "circulant"),
+    (6, 2, 3): (False, True, "circulant"),
+    (8, 3, 3): (True, False, "enumerated"),
+    (8, 4, 3): (False, True, "circulant"),
+    (10, 6, 3): (False, True, "circulant"),
+    (12, 8, 3): (False, True, "circulant"),
+    (9, 3, 4): (True, False, "enumerated"),
+    (9, 4, 4): (False, True, "circulant"),
+    (11, 6, 4): (False, True, "circulant"),
+    (13, 7, 4): (False, False, "circulant"),
+    (13, 8, 4): (False, True, "circulant"),
+}
+
+
+def test_every_spec_of_the_grid_builds_deterministically():
+    specs = [(n, s, t) for t in (2, 3, 4) for s in range(t - 1, 9) for n in range(t, MAX_ORDER + 1)
+             if n - t + 1 > s and (n - t + 1) * s % 2 == 0]
+    assert len(specs) == 882
+    outcomes = {}
+    for n, s, t in specs:
+        r = build_extremal(ExtremalSpec(n, s, t))
+        assert build_extremal(ExtremalSpec(n, s, t)) == r
+        assert (r.witness is None) == r.free
+        assert is_extremal_join(r.graph, s, t)
+        outcomes[n, s, t] = (r.free, r.exhaustive, r.strategy_used)
+    assert {k: v for k, v in outcomes.items() if v != (True, False, "circulant")} == UNFREE_CIRCULANT
 
 
 class TestDesignGraph:

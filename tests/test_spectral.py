@@ -8,7 +8,14 @@ from qindex.constructions import circulant
 from qindex.errors import InvalidParameter, InvariantViolated
 from qindex.graphs import complete_graph, empty_graph, from_edge_list, join
 from qindex.spectral import _matrices, adjacency_radius, full_spectrum, q_index
-from conftest import disjoint_union, edges, path_graph, random_graph
+from conftest import disjoint_union, edges, path_graph, random_graph, relabel
+
+
+def _relabeled(g, seed):
+    """g under a seeded random relabeling (None: unchanged), with the
+    permutation old -> new."""
+    perm = list(range(g.n)) if seed is None else random.Random(seed).sample(range(g.n), g.n)
+    return relabel(g, perm), perm
 
 
 class TestQIndexExamples:
@@ -29,11 +36,12 @@ class TestQIndexExamples:
         assert r.value == 0.0
         assert np.linalg.norm(r.vector) == pytest.approx(1.0)
 
-    def test_disconnected_takes_component_max(self):
-        g = disjoint_union(complete_graph(3), empty_graph(1))
+    @pytest.mark.parametrize("seed", [None, 2], ids=["blocks", "relabeled"])
+    def test_disconnected_takes_component_max(self, seed):
+        g, perm = _relabeled(disjoint_union(complete_graph(3), empty_graph(1)), seed)
         r = q_index(g)
         assert r.value == pytest.approx(4.0, abs=1e-10)
-        assert r.vector[3] == 0.0  # zero-padded outside the winning component
+        assert abs(r.vector[perm[3]]) <= 1e-12  # zero up to rounding outside the winning component
 
     def test_result_contract(self):
         g = from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)])
@@ -44,15 +52,17 @@ class TestQIndexExamples:
         m = _matrices(g.adj, "Q")
         assert np.linalg.norm(m @ r.vector - r.value * r.vector) <= 1e-9
 
-    def test_tied_components_take_one(self):
+    @pytest.mark.parametrize("seed", [None, 2], ids=["blocks", "relabeled"])
+    def test_tied_components_take_one(self, seed):
         # 2 K3 + K1: both triangles have q = 4; the vector lives on one of them
-        g = disjoint_union(disjoint_union(complete_graph(3), complete_graph(3)), empty_graph(1))
+        g, perm = _relabeled(disjoint_union(disjoint_union(complete_graph(3), complete_graph(3)),
+                                            empty_graph(1)), seed)
         r = q_index(g)
         assert r.value == pytest.approx(4.0, abs=1e-10)
         assert np.linalg.norm(r.vector) == pytest.approx(1.0, abs=1e-12)
         assert (r.vector >= 0).all()
-        support = set(np.flatnonzero(r.vector).tolist())
-        assert support in ({0, 1, 2}, {3, 4, 5})
+        support = {v for v in range(g.n) if r.vector[v] > 1e-12}
+        assert support in ({perm[v] for v in (0, 1, 2)}, {perm[v] for v in (3, 4, 5)})
 
     @pytest.mark.parametrize("g", [
         path_graph(12),
