@@ -7,15 +7,16 @@ explicit freeness certificate.  A circulant H is checked first.  If its
 join contains the pattern, the other s-regular graphs of order m are taken
 through the sparser of H and its complement, of degree d = min(s, m-1-s):
 for d <= 1 the circulant is the only one (a perfect matching, its
-complement, or K_m), and for d >= 2 the builtin enumerator lists them in
-canonical order up to ``search.BUILTIN_MAX_ORDER``.  The first free join
-comes back; if none is, the circulant's join comes back with its witness.
+complement, or K_m), and for d >= 2 the builtin enumerator lists the other
+classes up to ``search.BUILTIN_MAX_ORDER``.  The first free join comes
+back; if none is, the circulant's join comes back with its witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .canonical import canonical_key
 from .errors import HypothesisViolated, InvalidParameter, InvariantViolated
 from .forbidden import ForbiddenPattern, Witness, find_kst
 from .graphs import MAX_ORDER, Graph, complete_graph, from_edge_list, join
@@ -52,8 +53,8 @@ class ExtremalSpec:
 class BuildResult:
     """A join and its certificate.  ``exhaustive`` says that the join is not
     free and that every s-regular H of its order was checked, so no free
-    K_{t-1} v (s-regular) graph of order n exists; ``attempts`` counts every
-    join built."""
+    K_{t-1} v (s-regular) graph of order n exists; ``attempts`` counts the
+    joins built, each of a distinct H."""
 
     graph: Graph
     free: bool
@@ -99,9 +100,9 @@ def build_extremal(spec: ExtremalSpec) -> BuildResult:
     the result K_{t,s+1}-free.
 
     Checks the circulant first.  If its join contains the pattern and the
-    s-regular graphs of order m are not unique, joins each of them in turn
-    when m <= ``BUILTIN_MAX_ORDER``.  Returns the first free join, or else
-    the circulant's join with its witness (the caller checks ``.free``).
+    s-regular graphs of order m are not unique, joins each other class in
+    turn when m <= ``BUILTIN_MAX_ORDER``.  Returns the first free
+    join, or else the circulant's join with its witness (``.free`` says which).
     """
     m, s = spec.m, spec.s
     if m <= s:
@@ -120,7 +121,8 @@ def build_extremal(spec: ExtremalSpec) -> BuildResult:
     d = min(s, m - 1 - s)
     # for d <= 1 the circulant is the only s-regular graph of order m
     exhaustive = d <= 1 or m <= BUILTIN_MAX_ORDER
-    others = _regular_graphs(m, s, d) if d >= 2 and exhaustive else []
+    own = canonical_key(h) if d >= 2 and exhaustive else None
+    others = [o for o in _regular_graphs(m, s, d) if canonical_key(o) != own] if own else []
     for tried, other in enumerate(others, start=2):
         joined = join(clique, other)
         if find_kst(joined, pat) is None:

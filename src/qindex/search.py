@@ -10,9 +10,9 @@ key, by an old vertex the predicate lets be deleted is dropped before
 labeling; the rest are labeled and deduplicated by certificate.  Builtin
 generation is capped at order 9; beyond that a graph6 stream from an
 external enumerator is deduplicated and scanned the same way.  A scan
-scores all its graphs with one stacked LAPACK call
-(``numpy.linalg.eigvalsh``) and rescores by the certified ``q_index`` only
-the graphs an argmax, a tie or a cap comparison depends on.  Its report
+certifies the q of every graph it scores in one stacked LAPACK call
+(``spectral._top``: ``numpy.linalg.eigh`` and a residual check), so every
+argmax, tie and cap comparison is decided by certified values.  Its report
 also carries the paper's dominating-vertex split: the best class with a
 vertex of degree n - 1 is K_1 v H, capped by ``join_cap_scan``'s closed
 form, and the best class without one is compared with n, the cap that
@@ -39,7 +39,7 @@ from .canonical import _canonical, canonical_graph6, canonical_key
 from .errors import HypothesisViolated, InvalidParameter, InvariantViolated
 from .forbidden import ForbiddenPattern, _contains_through, _walk, contains_kst
 from .graphs import MAX_ORDER, Graph, _bits, empty_graph, graph6_decode, graph6_encode, join
-from .spectral import DEFAULT_TOL, _matrices, q_index
+from .spectral import DEFAULT_TOL, _matrices, _top, q_index
 # bench/spans.py wraps this name as spectral.full; the rename waits for ROADMAP item 1
 from .spectral import _eigvalsh as _jacobi
 from .spectral import _eigvalsh as _power_largest  # unused; bench/spans.py wraps it until ROADMAP item 1
@@ -47,8 +47,7 @@ from .spectral import _eigvalsh as _power_largest  # unused; bench/spans.py wrap
 BUILTIN_MAX_ORDER = 9
 T_START, T_END = 1.0, 1e-3  # annealing temperatures, cooled geometrically over the budget
 EPS = 1e-7  # width of an argmax tie, and slack before a q above a cap is a violation
-SCREEN = 1e-9  # a scan certifies each graph whose LAPACK score is above a decision point - SCREEN
-CHUNK_ENTRIES = 1 << 20  # matrix entries per stacked eigvalsh call of a scan
+CHUNK_ENTRIES = 1 << 20  # matrix entries per stacked eigh call of a scan
 
 
 def _mask_orbit_representatives(n: int, perms: list[list[int]]) -> list[int]:
@@ -251,36 +250,26 @@ def _argmax(scored: list[tuple[float, Graph]]) -> tuple[float, list[Graph]]:
     return best, [g for q, g in scored if q >= best - EPS]
 
 
-def _screened_q(graphs: list[Graph], cap: float = math.inf) -> list[float]:
-    """q of each graph in a list of same-order graphs: one stacked
-    ``eigvalsh`` call per chunk scores them all, and ``q_index`` rescores
-    every graph scoring above ``SCREEN`` below a decision point (the
-    argmax band ``best - EPS`` of its own half of the dominating-vertex
-    split, and ``cap - DEFAULT_TOL``).  Each half's band contains the
-    graphs of the global band in it, so certified values decide every
-    argmax, tie and cap comparison, over all graphs and over either half.
-    A list of fewer than two graphs is certified directly."""
-    if len(graphs) < 2:
-        return [q_index(g).value for g in graphs]
-    qs: list[float] = []
+def _certified_q(graphs: list[Graph]) -> list[float]:
+    """Certified q of each graph in a list of same-order graphs, from one
+    stacked ``_top`` call per chunk of at most ``CHUNK_ENTRIES`` matrix entries."""
+    if not graphs:
+        return []
     step = max(1, CHUNK_ENTRIES // graphs[0].n ** 2)
-    for i in range(0, len(graphs), step):
-        qs += _jacobi(_matrices([g.adj for g in graphs[i:i + step]]))[:, -1].tolist()
-    halves = [g.max_degree() == g.n - 1 for g in graphs]  # has a dominating vertex
-    top = {h: max(q for q, k in zip(qs, halves) if k == h) for h in set(halves)}
-    floor = {h: min(best - EPS, cap - DEFAULT_TOL) - SCREEN for h, best in top.items()}
-    return [q_index(g).value if q >= floor[h] else q for q, h, g in zip(qs, halves, graphs)]
+    return [q for i in range(0, len(graphs), step)
+            for q in _top(_matrices([g.adj for g in graphs[i:i + step]]))[0].tolist()]
 
 
 def _finish_report(n, pat, free_list, graphs_seen, free_count, t0, exhaustive,
                    seed=None, budget=None) -> SearchReport:
-    """Score free graphs by ``_screened_q`` (certified q for the argmax bands,
-    LAPACK for the rest), pick argmaxes, re-verify them, and compare bounds;
-    an exhaustive report also takes the argmax of the classes without a
+    """Score free graphs by certified q (``_certified_q``, or ``q_index`` for a
+    hunt's one graph), pick argmaxes, re-verify them, and compare bounds; an
+    exhaustive report also takes the argmax of the classes without a
     dominating vertex.  An exhaustive scan passes only canonical graphs, so
     its argmaxes are encoded as they are; a hunt's graph is labeled first."""
     encode = graph6_encode if exhaustive else canonical_graph6
-    scored = list(zip(_screened_q(free_list), free_list))
+    qs = _certified_q(free_list) if exhaustive else [q_index(g).value for g in free_list]
+    scored = list(zip(qs, free_list))
     max_q, top = _argmax(scored)
     for g in top:
         if contains_kst(g, pat):
@@ -385,7 +374,7 @@ def join_cap_scan(m: int, s: int) -> JoinCapReport:
     k1 = empty_graph(1)
     bound = q_bound_t2(m + 1, s)
     hs = enumerate_graphs(m, keep=lambda adj: all(a.bit_count() <= s for a in adj))
-    qs = _screened_q([join(k1, h) for h in hs], bound)
+    qs = _certified_q([join(k1, h) for h in hs])
     at_cap = [_at_cap(q, bound) for q in qs]
     regular = [h.regular_degree() == s for h in hs]
     all_capped = not any(_above(q, bound) for q in qs)

@@ -1,12 +1,13 @@
 """Eigenvalue solvers for the signless Laplacian Q = A + D and the
 adjacency matrix A, all from LAPACK through numpy.
 
-Largest eigenvalue: the top eigenpair of one ``numpy.linalg.eigh`` call on
-the whole matrix, its vector taken in absolute value and certified by the
-residual ||Mx - qx|| <= ``DEFAULT_TOL`` (or ``InvariantViolated``); every q
-a report prints or decides by comes from ``q_index``.  The whole spectrum
-(``numpy.linalg.eigvalsh``) also scores the hunt's proposals and screens
-the exhaustive scans (``search``).
+Largest eigenvalue: ``_top`` takes the top eigenpair of each matrix in a
+stack from one ``numpy.linalg.eigh`` call, its vector in absolute value and
+certified by the residual ||Mx - qx|| <= ``DEFAULT_TOL`` (or
+``InvariantViolated``).  ``q_index`` and ``adjacency_radius`` run it on a
+stack of one, and the exhaustive scans (``search``) on every graph they
+score, so every q a report prints or decides by is certified.  The whole
+spectrum (``numpy.linalg.eigvalsh``) also scores the hunt's proposals.
 One builder, ``_matrices``, makes every Q and A matrix from neighbor
 bitmasks, for one graph or a stack of same-order graphs alike.
 
@@ -58,17 +59,24 @@ def _matrices(masks, which: str = "Q") -> np.ndarray:
     return m
 
 
-def _largest(g: Graph, which: str) -> SpectralResult:
+def _top(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Top eigenvalues, nonnegative eigenvectors and residuals of a stack ``m``
+    of symmetric matrices, shape (..., n, n), from one ``eigh`` call; raises
+    ``InvariantViolated`` if any residual exceeds ``DEFAULT_TOL``."""
     import numpy as np
-    m = _matrices(g.adj, which)
     w, vecs = np.linalg.eigh(m)
     # a Perron vector is one-signed on its component; a tie between components
     # mixes one-signed vectors with disjoint supports, so abs stays an eigenvector
-    value, vector = float(w[-1]), np.abs(vecs[:, -1])
-    residual = float(np.linalg.norm(m @ vector - value * vector))
-    if residual > DEFAULT_TOL:
-        raise InvariantViolated(f"eigenpair residual {residual:.3g} exceeds {DEFAULT_TOL:g}")
-    return SpectralResult(value, vector, residual)
+    values, x = w[..., -1], np.abs(vecs[..., -1:])
+    residuals = np.linalg.norm(m @ x - values[..., None, None] * x, axis=(-2, -1))
+    if residuals.max() > DEFAULT_TOL:
+        raise InvariantViolated(f"eigenpair residual {residuals.max():.3g} exceeds {DEFAULT_TOL:g}")
+    return values, x[..., 0], residuals
+
+
+def _largest(g: Graph, which: str) -> SpectralResult:
+    value, vector, residual = _top(_matrices(g.adj, which))
+    return SpectralResult(float(value), vector, float(residual))
 
 
 def q_index(g: Graph) -> SpectralResult:

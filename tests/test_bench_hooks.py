@@ -35,14 +35,15 @@ def test_traced_name_resolves(module, name):
     assert callable(obj)
 
 
-# spans a traced command must record: qindex, the hunt and prop4 certify
-# their q by q_index (spectral.q); the hunt scores every proposal, and prop4
-# screens its joins, through search._jacobi, which the tracer names
-# spectral.full; the verify --stream case scores no graph, so it has no entry
+# spans a traced command must record: qindex and the hunt certify their q
+# by q_index (spectral.q), and the hunt scores every proposal through
+# search._jacobi, which the tracer names spectral.full; prop4 certifies its
+# joins in one stacked call no traced name wraps, so only its scan span is
+# seen; the verify --stream case scores no graph, so it has no entry
 RECORDED_SPANS = {
     "qindex": ["spectral.q"],
     "hunt": ["spectral.q", "spectral.full"],
-    "prop4": ["spectral.q", "spectral.full"],
+    "prop4": ["search.scan"],
 }
 
 

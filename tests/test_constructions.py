@@ -69,13 +69,15 @@ class TestBuildExtremal:
         free = build_extremal(ExtremalSpec(6, 2, 2))  # free at the circulant
         assert (free.attempts, free.exhaustive) == (1, False)
 
-    def test_enumeration_finds_the_prism(self):
-        # K_1 v K_{3,3} contains K_{2,4}; the other 3-regular graph of order 6,
-        # the prism (complement of C_6), gives a free join
-        r = build_extremal(ExtremalSpec(7, 3, 2))
-        assert (r.free, r.exhaustive, r.strategy_used) == (True, False, "enumerated")
+    @pytest.mark.parametrize("n, s, t", [(7, 3, 2), (8, 3, 3), (9, 3, 4)])
+    def test_enumeration_finds_the_prism(self, n, s, t):
+        # m = 6: K_{t-1} v K_{3,3} (the circulant) contains K_{t,4}; the other
+        # 3-regular graph of order 6, the prism (complement of C_6), gives a
+        # free join, and the circulant's class is not joined a second time
+        r = build_extremal(ExtremalSpec(n, s, t))
+        assert (r.free, r.exhaustive, r.strategy_used, r.attempts) == (True, False, "enumerated", 2)
         prism = from_edge_list(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)])
-        assert canonical_key(r.graph) == canonical_key(join(complete_graph(1), prism))
+        assert canonical_key(r.graph) == canonical_key(join(complete_graph(t - 1), prism))
 
     def test_unfree_past_the_enumeration_order_is_not_exhaustive(self):
         # m = 10 > 9 with d = 2: the other 7-regular graphs are not enumerated

@@ -11,7 +11,7 @@ import qindex.search as search
 from qindex.bounds import q_bound_t2
 from qindex.canonical import canonical_graph6, canonical_key, refinement_cells
 from qindex.constructions import circulant
-from qindex.errors import InvalidParameter
+from qindex.errors import InvalidParameter, InvariantViolated
 from qindex.forbidden import ForbiddenPattern
 from qindex.graphs import (
     Graph,
@@ -31,7 +31,7 @@ from qindex.search import (
     is_extremal_join,
     join_cap_scan,
 )
-from qindex.spectral import q_index
+from qindex.spectral import _top, q_index
 from conftest import disjoint_union, exhaustive_scan, path_graph, random_graph, relabel
 
 UNLABELED_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
@@ -224,6 +224,15 @@ class TestExhaustive:
             with pytest.raises(InvalidParameter, match="no graph line"):
                 exhaustive_max_q(5, ForbiddenPattern(2, 2), stream=iter(lines))
 
+    def test_stream_with_no_free_class(self):
+        # K6, K_{2,4} twice (relabeled) and K_{3,3}: each contains K_{2,3},
+        # so the scan scores an empty list and both halves are vacuous
+        report = exhaustive_max_q(6, ForbiddenPattern.from_ts(2, 2),
+                                  stream=["E~~w", "E]r?", "E?~o", "EFz_"])
+        assert (report.graphs_seen, report.free_graphs) == (3, 0)
+        assert (report.max_q, report.argmax, report.verdict) == (0.0, [], "bound_holds")
+        assert (report.rest_max_q, report.rest_argmax, report.rest_below_n) == (0.0, [], True)
+
     def test_free_graphs_reverified(self):
         pat = ForbiddenPattern.from_ts(2, 1)
         for report in exhaustive_scan(6, pat):
@@ -413,7 +422,7 @@ def hub_join_stream(rng):
     return lines
 
 
-SCREENED_SCANS = {
+SCORED_SCANS = {
     **{f"exhaustive_scan(7, t={t}, s={s})":
        lambda t=t, s=s: exhaustive_scan(7, ForbiddenPattern.from_ts(t, s))
        for t, s in [(2, 1), (2, 2), (3, 2)]},
@@ -445,7 +454,7 @@ def run_scan(name, monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(search, "enumerate_levels", levels_once)
-        return without_runtime(SCREENED_SCANS[name]())
+        return without_runtime(SCORED_SCANS[name]())
 
 
 def certified_q(g):
@@ -456,91 +465,83 @@ def certified_q(g):
 
 
 def certified_scan(name, monkeypatch):
-    """The scan with every graph scored by ``q_index``: the reference the
-    LAPACK screen must reproduce."""
-    def certify(graphs, cap=math.inf):
+    """The scan with every graph scored by its own ``q_index`` call: the
+    per-graph reference the stacked scoring must reproduce."""
+    def certify(graphs):
         return [certified_q(g) for g in graphs]
 
     with monkeypatch.context() as m:
-        m.setattr(search, "_screened_q", certify)
+        m.setattr(search, "_certified_q", certify)
         return run_scan(name, m)
 
 
-def shifted_eigvalsh(shift):
-    """``eigvalsh`` whose stacked top values move by +shift and -shift,
-    alternating by matrix."""
-    def shifted(m):
-        w = eigvalsh(m)
-        if w.ndim == 2:
-            w[:, -1] += np.where(np.arange(len(w)) % 2, -shift, shift)
-        return w
+def counted_top(calls):
+    """``spectral._top`` that appends the stack size of each call to ``calls``."""
+    def top(m):
+        calls.append(len(m))
+        return _top(m)
 
-    return shifted
+    return top
 
 
-class TestScreenedScoring:
-    """Scans score by one stacked ``eigvalsh`` call and certify by
-    ``q_index`` only the graphs within ``SCREEN`` of a decision point."""
+ORDER7_SCANS = pytest.mark.parametrize("scan", [
+    lambda: exhaustive_max_q(7, ForbiddenPattern.from_ts(2, 2)),
+    lambda: join_cap_scan(7, 2),
+], ids=["exhaustive_max_q(7, K_{2,3})", "join_cap_scan(7, 2)"])
 
-    @pytest.mark.parametrize("name", SCREENED_SCANS)
+
+class TestCertifiedScoring:
+    """Scans certify every graph's q in one stacked ``_top`` call."""
+
+    @pytest.mark.parametrize("name", SCORED_SCANS)
     def test_same_report_as_certifying_every_graph(self, monkeypatch, name):
         assert run_scan(name, monkeypatch) == certified_scan(name, monkeypatch)
 
-    @pytest.mark.parametrize("name", SCREENED_SCANS)
-    @pytest.mark.parametrize("eps, shift", [(search.EPS, 5e-10), (0.0, 4e-10)])
-    def test_screen_margin_absorbs_lapack_error(self, monkeypatch, name, eps, shift):
-        # each stacked score moves by +-shift (SCREEN/2 and 0.4 SCREEN at
-        # SCREEN = 1e-9), alternating by graph; with EPS = 0 the hub joins
-        # that tie at the cap sit right at a decision point, and a smaller
-        # screen leaves one of them uncertified
-        monkeypatch.setattr(search, "EPS", eps)
-        expected = certified_scan(name, monkeypatch)
-        monkeypatch.setattr(search, "_jacobi", shifted_eigvalsh(shift))
-        assert run_scan(name, monkeypatch) == expected
-
     def test_cap_below_the_argmax_band_is_certified(self, monkeypatch):
         # a cap at the q of K1 v (C5 + K1), far below the band of the top
-        # joins: that join meets it only if the cap itself is a decision point
+        # joins: that join meets it, and the joins above it break it
         h = disjoint_union(circulant(5, [1]), complete_graph(1))
         cap = q_index(join(complete_graph(1), h)).value
         monkeypatch.setattr(search, "q_bound_t2", lambda n, s: cap)
-        monkeypatch.setattr(search, "_jacobi", shifted_eigvalsh(4e-10))
         report = join_cap_scan(6, 2)
         assert report.equality_graph6 == [canonical_graph6(h)]
         assert not report.all_capped
 
-    @pytest.mark.parametrize("scan", [
-        lambda: exhaustive_max_q(7, ForbiddenPattern.from_ts(2, 2)),
-        lambda: join_cap_scan(7, 2),
-    ], ids=["exhaustive_max_q(7, K_{2,3})", "join_cap_scan(7, 2)"])
-    def test_one_stacked_call_and_few_certified(self, monkeypatch, scan):
-        calls = {"q": 0, "eig": 0}
+    @ORDER7_SCANS
+    def test_one_stacked_call_and_no_q_index(self, monkeypatch, scan):
+        calls = []
 
         def q(g):
-            calls["q"] += 1
-            return q_index(g)
-
-        def eig(m):
-            calls["eig"] += 1
-            return eigvalsh(m)
+            raise AssertionError("a scan certified a graph through q_index")
 
         monkeypatch.setattr(search, "q_index", q)
-        monkeypatch.setattr(search, "_jacobi", eig)
+        monkeypatch.setattr(search, "_top", counted_top(calls))
         scan()
-        assert calls["eig"] == 1
-        assert calls["q"] <= 4
+        assert len(calls) == 1
+
+    @ORDER7_SCANS
+    def test_uncertified_eigenpair_in_the_stack_raises(self, monkeypatch, scan):
+        # one matrix of the stack gets a perturbed top eigenvector: its
+        # residual fails, so the scan stops instead of reporting its q
+        eigh = np.linalg.eigh
+
+        def perturbed(m):
+            w, v = eigh(m)
+            if v.ndim == 3:
+                v = v.copy()
+                v[len(v) // 2, 0, -1] += 1e-6
+            return w, v
+
+        monkeypatch.setattr(np.linalg, "eigh", perturbed)
+        with pytest.raises(InvariantViolated):
+            scan()
 
     def test_chunked_scoring_matches_one_call(self, monkeypatch):
         pat = ForbiddenPattern.from_ts(2, 1)
         whole = exhaustive_max_q(6, pat)
         calls = []
-
-        def eig(m):
-            calls.append(len(m))
-            return eigvalsh(m)
-
         monkeypatch.setattr(search, "CHUNK_ENTRIES", 2 * 6 * 6)
-        monkeypatch.setattr(search, "_jacobi", eig)
+        monkeypatch.setattr(search, "_top", counted_top(calls))
         chunked = exhaustive_max_q(6, pat)
         assert replace(chunked, runtime_ms=0) == replace(whole, runtime_ms=0)
         assert len(calls) == math.ceil(whole.free_graphs / 2) and max(calls) == 2
