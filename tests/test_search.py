@@ -484,6 +484,23 @@ def counted_top(calls):
     return top
 
 
+def perturbed_eigh(vector=0.0, value=0.0):
+    """``numpy.linalg.eigh`` that, on a stack of matrices, moves entry 0 of
+    the middle matrix's top eigenvector by ``vector`` and its top value by
+    ``value``."""
+    eigh = np.linalg.eigh
+
+    def perturbed(m):
+        w, v = eigh(m)
+        if v.ndim == 3:
+            w, v = w.copy(), v.copy()
+            w[len(w) // 2, -1] += value
+            v[len(v) // 2, 0, -1] += vector
+        return w, v
+
+    return perturbed
+
+
 ORDER7_SCANS = pytest.mark.parametrize("scan", [
     lambda: exhaustive_max_q(7, ForbiddenPattern.from_ts(2, 2)),
     lambda: join_cap_scan(7, 2),
@@ -519,22 +536,24 @@ class TestCertifiedScoring:
         scan()
         assert len(calls) == 1
 
-    @ORDER7_SCANS
-    def test_uncertified_eigenpair_in_the_stack_raises(self, monkeypatch, scan):
-        # one matrix of the stack gets a perturbed top eigenvector: its
-        # residual fails, so the scan stops instead of reporting its q
-        eigh = np.linalg.eigh
-
-        def perturbed(m):
-            w, v = eigh(m)
-            if v.ndim == 3:
-                v = v.copy()
-                v[len(v) // 2, 0, -1] += 1e-6
-            return w, v
-
-        monkeypatch.setattr(np.linalg, "eigh", perturbed)
+    @pytest.mark.parametrize("name", SCORED_SCANS)
+    @pytest.mark.parametrize("error", [{"vector": 1e-6}, {"value": 4e-10}], ids=["vector", "value"])
+    def test_uncertified_eigenpair_in_the_stack_raises(self, monkeypatch, name, error):
+        # one matrix of each stack gets a top eigenpair off by more than
+        # DEFAULT_TOL allows: a vector entry moved by 1e-6, or the value moved
+        # by 4e-10; its residual fails, so the scan stops instead of
+        # reporting its q
+        monkeypatch.setattr(np.linalg, "eigh", perturbed_eigh(**error))
         with pytest.raises(InvariantViolated):
-            scan()
+            run_scan(name, monkeypatch)
+
+    @pytest.mark.parametrize("name", SCORED_SCANS)
+    def test_rounding_error_in_the_stack_is_certified(self, monkeypatch, name):
+        # a vector entry moved by 1e-13, the scale of LAPACK's own error,
+        # keeps every residual under DEFAULT_TOL: the report is unchanged
+        expected = run_scan(name, monkeypatch)
+        monkeypatch.setattr(np.linalg, "eigh", perturbed_eigh(vector=1e-13))
+        assert run_scan(name, monkeypatch) == expected
 
     def test_chunked_scoring_matches_one_call(self, monkeypatch):
         pat = ForbiddenPattern.from_ts(2, 1)
