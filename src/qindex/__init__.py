@@ -19,7 +19,7 @@ from .bounds import (
     q_bound_t2_applicable,
     q_cap_ledger,
 )
-from .canonical import canonical_graph, canonical_graph6, canonical_key
+from .canonical import canonical_graph6, canonical_key
 from .constructions import BuildResult, ExtremalSpec, build_extremal, circulant
 from .errors import QxError
 from .forbidden import ForbiddenPattern, contains_kst, find_kst
@@ -67,7 +67,6 @@ __all__ = [
     "adjacency_radius",
     "bound_report",
     "build_extremal",
-    "canonical_graph",
     "canonical_graph6",
     "canonical_key",
     "circulant",

@@ -7,16 +7,16 @@ vertices, its certificate is the adjacency masks relabeled in that order,
 and the canonical form is the least certificate.  Automorphisms prune the
 tree: twin transpositions seed the generators, and every leaf whose
 certificate equals the first or the best leaf's adds one (``_canonical``
-returns them as full permutations, so vertex augmentation can extend a
-parent by one neighbour mask per orbit).  A child is skipped when a
-generator fixing the node's individualized prefix maps it onto a sibling
-already searched, and after an automorphism the search jumps back to
-the level where the two leaves' paths part (McKay & Piperno, "Practical
-graph isomorphism, II", 2014).  The hub joins of cycles, circulants and
-matchings the paper is about label in at most tens of milliseconds up
-to order 62; a graph whose refinement stalls without automorphisms to
-prune (a rigid regular graph) costs one subtree per vertex of the
-stalled cell.
+returns them as full permutations of the canonical labels, so vertex
+augmentation can extend a canonical form by one neighbour mask per orbit
+without a relabeling step).  A child is skipped when a generator fixing the
+node's individualized prefix maps it onto a sibling already searched, and
+after an automorphism the search jumps back to the level where the two
+leaves' paths part (McKay & Piperno, "Practical graph isomorphism, II",
+2014).  The hub joins of cycles, circulants and matchings the paper is
+about label in at most tens of milliseconds up to order 62; a graph whose
+refinement stalls without automorphisms to prune (a rigid regular graph)
+costs one subtree per vertex of the stalled cell.
 """
 
 from __future__ import annotations
@@ -108,9 +108,9 @@ def _certificate(adj: Sequence[int], lab: list[int]) -> tuple[int, ...]:
     return tuple(rows)
 
 
-def _canonical(n: int, adj: Sequence[int]) -> tuple[list[int], tuple[int, ...], list[list[int]]]:
-    """Least leaf: its vertex order (new -> old), its certificate, and the
-    automorphisms found on the way as full permutations (old -> old).
+def _canonical(n: int, adj: Sequence[int]) -> tuple[tuple[int, ...], list[list[int]]]:
+    """Least leaf's certificate, and the automorphisms found on the way as
+    full permutations of its canonical labels (i -> image of i).
 
     The automorphisms are the twin transpositions and one per leaf whose
     certificate equals the first or the best leaf's; a discrete root
@@ -118,8 +118,7 @@ def _canonical(n: int, adj: Sequence[int]) -> tuple[list[int], tuple[int, ...], 
     """
     root = refinement_cells(n, adj)
     if len(root) == n:
-        lab = [cell[0] for cell in root]
-        return lab, _certificate(adj, lab), []
+        return _certificate(adj, [cell[0] for cell in root]), []
     gens = _twin_generators(n, adj)
     path: list[int] = []  # individualized vertices, one per level
     first = best = None  # (lab, cert, path) of the first and of the least leaf
@@ -180,23 +179,23 @@ def _canonical(n: int, adj: Sequence[int]) -> tuple[list[int], tuple[int, ...], 
         return k - 1
 
     search(root)
+    lab, cert, _ = best
+    pos = [0] * n  # vertex -> canonical label
+    for i, v in enumerate(lab):
+        pos[v] = i
     perms = []
     for _, pairs in gens:
         perm = list(range(n))
         for v, w in pairs:
-            perm[v] = w
+            perm[pos[v]] = pos[w]
         perms.append(perm)
-    return best[0], best[1], perms
-
-
-def canonical_graph(g: Graph) -> Graph:
-    return Graph(g.n, _canonical(g.n, g.adj)[1])
+    return cert, perms
 
 
 def canonical_key(g: Graph) -> tuple[int, tuple[int, ...]]:
     """Hashable isomorphism invariant: order plus canonical adjacency masks."""
-    return g.n, _canonical(g.n, g.adj)[1]
+    return g.n, _canonical(g.n, g.adj)[0]
 
 
 def canonical_graph6(g: Graph) -> str:
-    return graph6_encode(canonical_graph(g))
+    return graph6_encode(Graph(*canonical_key(g)))

@@ -12,6 +12,7 @@ headers are rejected loudly rather than half-supported.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidParameter
@@ -31,7 +32,10 @@ class Graph:
             raise InvalidParameter(f"graph order {n} exceeds the ceiling of {MAX_ORDER}")
         if len(adj) != n:
             raise InvalidParameter(f"expected {n} adjacency masks, got {len(adj)}")
-        masks = tuple(int(m) for m in adj)
+        try:
+            masks = tuple(operator.index(m) for m in adj)
+        except TypeError:
+            raise InvalidParameter("adjacency masks must be integers") from None
         full = (1 << n) - 1
         for u, m in enumerate(masks):
             if m & ~full:

@@ -1,22 +1,25 @@
 """Search for Q-index maximizers among pattern-free graphs.
 
-Exhaustive side: isomorph-free generation by vertex augmentation.  Each
-canonical parent gets one child per orbit of neighbour masks under the
-automorphisms its own labeling found, built as raw adjacency masks.  A
-hereditary keep-predicate on those masks (pattern-freeness, degree caps)
-prunes whole subtrees, since deleting a vertex cannot create a forbidden
-subgraph.  A child whose new vertex is outranked, by an invariant vertex
-key, by an old vertex the predicate lets be deleted is dropped before
-labeling; the rest are labeled and deduplicated by certificate.  Builtin
-generation is capped at order 9; beyond that a graph6 stream from an
-external enumerator is deduplicated and scanned the same way.  A scan
-certifies the q of every graph it scores in one stacked LAPACK call
-(``spectral._top``: ``numpy.linalg.eigh`` and a residual check), so every
-argmax, tie and cap comparison is decided by certified values.  Its report
-also carries the paper's dominating-vertex split: the best class with a
-vertex of degree n - 1 is K_1 v H, capped by ``join_cap_scan``'s closed
-form, and the best class without one is compared with n, the cap that
-half obeys from order s^2 + 6s + 6 (``bounds.q_cap_ledger``).
+Exhaustive side: isomorph-free generation by vertex augmentation.  A class
+is its certificate (canonical adjacency masks) from generation to scoring:
+each kept certificate gets one child per orbit of neighbour masks under the
+automorphisms its labeling found, given on its canonical labels, and the
+child is built as raw adjacency masks.  A hereditary keep-predicate on
+those masks (pattern-freeness, degree caps) prunes whole subtrees, since
+deleting a vertex cannot create a forbidden subgraph.  A child whose new
+vertex is outranked, by an invariant vertex key, by an old vertex the
+predicate lets be deleted is dropped before labeling; the rest are labeled
+and deduplicated by certificate.  Builtin generation is capped at order 9;
+beyond that a graph6 stream from an external enumerator is deduplicated and
+scanned the same way.  A scan certifies the q of every certificate it
+scores in one stacked LAPACK call (``spectral._top``: ``numpy.linalg.eigh``
+and a residual check), so every argmax, tie and cap comparison is decided
+by certified values; a ``Graph`` is built only for the argmax classes the
+report prints.  Its report also carries the paper's dominating-vertex
+split: the best class with a vertex of degree n - 1 is K_1 v H, capped by
+``join_cap_scan``'s closed form, and the best class without one is compared
+with n, the cap that half obeys from order s^2 + 6s + 6
+(``bounds.q_cap_ledger``).
 
 Heuristic side: simulated annealing over single edge toggles with a
 geometric cooling schedule.  Toggles that would create the forbidden
@@ -74,15 +77,6 @@ def _mask_orbit_representatives(n: int, perms: list[list[int]]) -> list[int]:
     return reps
 
 
-def _on_canonical_labels(lab: list[int], perms: list[list[int]]) -> list[list[int]]:
-    """Vertex permutations of a graph carried to its canonical labeling,
-    given as ``lab`` (new -> old)."""
-    pos = [0] * len(lab)
-    for i, v in enumerate(lab):
-        pos[v] = i
-    return [[pos[perm[v]] for v in lab] for perm in perms]
-
-
 def _deleted(adj: list[int], u: int) -> list[int]:
     """Masks of the graph with vertex u deleted and later vertices renumbered down one."""
     low = (1 << u) - 1
@@ -115,12 +109,13 @@ def enumerate_levels(max_n: int, keep=None):
     ``keep`` is None or a hereditary predicate on a sequence of adjacency
     masks: it must not depend on the labeling, and whenever it holds for a
     graph it must hold for every graph left by deleting a vertex.  ``kept``
-    is the sorted list of canonical representatives it accepts; ``seen``
-    counts every distinct class generated at that order (the classes with a
-    vertex whose deletion is kept), kept or not.
+    is the sorted list of the certificates (canonical adjacency mask tuples)
+    it accepts; ``seen`` counts every distinct class generated at that order
+    (the classes with a vertex whose deletion is kept), kept or not.
 
-    Each kept class is extended by one new vertex per orbit of neighbour
-    masks under the automorphisms its labeling found (McKay, "Isomorph-free
+    Each kept certificate is extended by one new vertex per orbit of
+    neighbour masks under the automorphisms its labeling found, given as
+    full permutations of its canonical labels (McKay, "Isomorph-free
     exhaustive generation", J. Algorithms 1998).  Those automorphisms
     generate a subgroup of Aut(parent), and masks in one orbit of it give
     isomorphic children, so every class is still generated.  A child is
@@ -131,40 +126,39 @@ def enumerate_levels(max_n: int, keep=None):
     deletable vertex outranks that one.  Every level is complete because
     ``keep`` is hereditary, so that parent is kept.  The remaining children
     are built and labeled as adjacency masks and deduplicated by their
-    certificates; a ``Graph`` is built only for a kept class.
+    certificates; no ``Graph`` is built.
     """
     if max_n < 1:
         raise InvalidParameter("enumeration needs max_n >= 1")
-    k1 = empty_graph(1)
-    # a kept class: its Graph on canonical labels and the automorphisms found, on those labels
-    kept = {k1.adj: (k1, [])} if keep is None or keep(k1.adj) else {}
-    yield 1, [g for g, _ in kept.values()], 1
+    # a kept class: its certificate -> the automorphisms found, on its canonical labels
+    kept = {(0,): []} if keep is None or keep((0,)) else {}
+    yield 1, list(kept), 1
     for order in range(2, max_n + 1):
         new = 1 << (order - 1)
         parents = kept
         seen: set = set()
         kept = {}
-        for parent, perms in parents.values():
-            for mask in _mask_orbit_representatives(parent.n, perms):
-                adj = [m | new if mask >> u & 1 else m for u, m in enumerate(parent.adj)]
+        for parent, perms in parents.items():
+            for mask in _mask_orbit_representatives(order - 1, perms):
+                adj = [m | new if mask >> u & 1 else m for u, m in enumerate(parent)]
                 adj.append(mask)
                 if _outranked(adj, keep):
                     continue
-                lab, cert, auts = _canonical(order, adj)
+                cert, auts = _canonical(order, adj)
                 if cert in seen:
                     continue
                 seen.add(cert)
                 if keep is None or keep(cert):
-                    kept[cert] = Graph(order, cert), _on_canonical_labels(lab, auts)
+                    kept[cert] = auts
         kept = {cert: kept[cert] for cert in sorted(kept)}
-        yield order, [g for g, _ in kept.values()], len(seen)
+        yield order, list(kept), len(seen)
 
 
 def enumerate_graphs(n: int, keep=None) -> list[Graph]:
     """Canonical representatives of all order-n classes accepted by ``keep``,
     a hereditary predicate on adjacency masks (see ``enumerate_levels``)."""
     *_, (_, kept, _) = enumerate_levels(n, keep)
-    return kept
+    return [Graph(n, cert) for cert in kept]
 
 
 def _free_predicate(pat: ForbiddenPattern):
@@ -244,41 +238,45 @@ def _verdict(max_q: float, pat: ForbiddenPattern, n: int):
     return bound, "bound_violated" if _above(max_q, bound) else "bound_holds"
 
 
-def _argmax(scored: list[tuple[float, Graph]]) -> tuple[float, list[Graph]]:
-    """Top score (0.0 when empty) and every graph scoring within ``EPS`` of it."""
+def _argmax(scored: list[tuple[float, tuple[int, ...]]]) -> tuple[float, list[tuple[int, ...]]]:
+    """Top score (0.0 when empty) and every mask tuple scoring within ``EPS`` of it."""
     best = max((q for q, _ in scored), default=0.0)
-    return best, [g for q, g in scored if q >= best - EPS]
+    return best, [adj for q, adj in scored if q >= best - EPS]
 
 
-def _certified_q(graphs: list[Graph]) -> list[float]:
-    """Certified q of each graph in a list of same-order graphs, from one
-    stacked ``_top`` call per chunk of at most ``CHUNK_ENTRIES`` matrix entries."""
-    if not graphs:
+def _certified_q(masks: list[tuple[int, ...]]) -> list[float]:
+    """Certified q of each graph in a list of same-order adjacency mask
+    tuples, from one stacked ``_top`` call per chunk of at most
+    ``CHUNK_ENTRIES`` matrix entries."""
+    if not masks:
         return []
-    step = max(1, CHUNK_ENTRIES // graphs[0].n ** 2)
-    return [q for i in range(0, len(graphs), step)
-            for q in _top(_matrices([g.adj for g in graphs[i:i + step]]))[0].tolist()]
+    step = max(1, CHUNK_ENTRIES // len(masks[0]) ** 2)
+    return [q for i in range(0, len(masks), step)
+            for q in _top(_matrices(masks[i:i + step]))[0].tolist()]
 
 
 def _finish_report(n, pat, free_list, graphs_seen, free_count, t0, exhaustive,
                    seed=None, budget=None) -> SearchReport:
-    """Score free graphs by certified q (``_certified_q``, or ``q_index`` for a
-    hunt's one graph), pick argmaxes, re-verify them, and compare bounds; an
-    exhaustive report also takes the argmax of the classes without a
-    dominating vertex.  An exhaustive scan passes only canonical graphs, so
-    its argmaxes are encoded as they are; a hunt's graph is labeled first."""
+    """Score free graphs, given as adjacency mask tuples, by certified q
+    (``_certified_q``, or ``q_index`` for a hunt's one graph), pick argmaxes,
+    re-verify them, and compare bounds; an exhaustive report also takes the
+    argmax of the classes without a dominating vertex.  A ``Graph`` is built
+    only for an argmax.  An exhaustive scan passes only certificates, so its
+    argmaxes are encoded as they are; a hunt's graph is labeled first."""
     encode = graph6_encode if exhaustive else canonical_graph6
-    qs = _certified_q(free_list) if exhaustive else [q_index(g).value for g in free_list]
+    qs = _certified_q(free_list) if exhaustive else [q_index(Graph(n, a)).value for a in free_list]
     scored = list(zip(qs, free_list))
     max_q, top = _argmax(scored)
+    top = [Graph(n, adj) for adj in top]
     for g in top:
         if contains_kst(g, pat):
             raise InvariantViolated("argmax is not pattern-free")
     bound, verdict = _verdict(max_q, pat, n)
     rest_q = rest_argmax = rest_below_n = None
     if exhaustive:
-        rest_q, rest_top = _argmax([(q, g) for q, g in scored if g.max_degree() < n - 1])
-        rest_argmax = sorted(encode(g) for g in rest_top)
+        rest = [(q, adj) for q, adj in scored if all(m.bit_count() < n - 1 for m in adj)]
+        rest_q, rest_top = _argmax(rest)
+        rest_argmax = sorted(encode(Graph(n, adj)) for adj in rest_top)
         rest_below_n = rest_q < n - DEFAULT_TOL
     return SearchReport(
         n=n,
@@ -318,7 +316,7 @@ def exhaustive_max_q(n: int, pat: ForbiddenPattern, stream=None) -> SearchReport
         *_, (_, kept, classes) = enumerate_levels(n, keep)
         return _finish_report(n, pat, kept, classes, len(kept), t0, True)
     seen: set = set()
-    free: dict = {}
+    free = []
     for lineno, line in enumerate(stream, start=1):
         line = line.strip()
         if not line:
@@ -329,16 +327,15 @@ def exhaustive_max_q(n: int, pat: ForbiddenPattern, stream=None) -> SearchReport
             raise InvalidParameter(f"stream line {lineno}: {exc}") from None
         if g.n != n:
             raise InvalidParameter(f"stream line {lineno}: order {g.n}, expected {n}")
-        key = canonical_key(g)
-        if key in seen:
+        cert = canonical_key(g)[1]
+        if cert in seen:
             continue
-        seen.add(key)
-        if keep(key[1]):
-            free[key] = Graph(*key)
+        seen.add(cert)
+        if keep(cert):
+            free.append(cert)
     if not seen:
         raise InvalidParameter(f"stream has no graph line, so it enumerates no order-{n} class")
-    free_list = [free[k] for k in sorted(free)]
-    return _finish_report(n, pat, free_list, len(seen), len(free_list), t0, True)
+    return _finish_report(n, pat, sorted(free), len(seen), len(free), t0, True)
 
 
 # bounded-degree join scan
@@ -374,7 +371,7 @@ def join_cap_scan(m: int, s: int) -> JoinCapReport:
     k1 = empty_graph(1)
     bound = q_bound_t2(m + 1, s)
     hs = enumerate_graphs(m, keep=lambda adj: all(a.bit_count() <= s for a in adj))
-    qs = _certified_q([join(k1, h) for h in hs])
+    qs = _certified_q([join(k1, h).adj for h in hs])
     at_cap = [_at_cap(q, bound) for q in qs]
     regular = [h.regular_degree() == s for h in hs]
     all_capped = not any(_above(q, bound) for q in qs)
@@ -455,6 +452,4 @@ def heuristic_max_q(n: int, pat: ForbiddenPattern, budget: int, seed: int) -> Se
             m[v, u] -= delta
             m[u, u] -= delta
             m[v, v] -= delta
-    return _finish_report(
-        n, pat, [Graph(n, best_adj)], budget, evaluated, t0, False, seed=seed, budget=budget
-    )
+    return _finish_report(n, pat, [best_adj], budget, evaluated, t0, False, seed=seed, budget=budget)

@@ -116,5 +116,5 @@ def all_graphs_upto_8():
 
     by_order = {}
     for order, kept, _seen in enumerate_levels(8):
-        by_order[order] = kept
+        by_order[order] = [Graph(order, cert) for cert in kept]
     return by_order

@@ -51,11 +51,11 @@ RECORDED_SPANS = {
     (["qindex", "FILE"], []),
     (["hunt", "--n", "8", "--t", "2", "--s", "1", "--budget", "50"], []),
     (["verify", "--n", "6", "--t", "2", "--s", "2", "--stream", "FILE6"], ["canonical.classes"]),
-    (["prop4", "--m", "6", "--s", "2"], []),
+    (["prop4", "--m", "6", "--s", "2"], ["search.level_seen.6", "search.level_kept.6"]),
 ])
 def test_traced_run_fills_its_counters(tmp_path, argv, counters):
-    # the observers read SpectralResult.iterations/.method and the keys
-    # search.canonical_key returns
+    # the observers read SpectralResult.iterations/.method, the keys
+    # search.canonical_key returns and the kept list enumerate_levels yields
     graphs = tmp_path / "graphs.g6"
     graphs.write_text("DQc\nI?h]@eOWG\n")
     # K6, K_{2,4} twice (relabeled) and K_{3,3}: each contains K_{2,3}, so the

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from qindex.errors import InvalidParameter
@@ -56,6 +57,16 @@ class TestConstruction:
     def test_asymmetric_masks_rejected(self):
         with pytest.raises(InvalidParameter, match="asymmetric adjacency"):
             Graph(2, [0b10, 0b00])
+
+    @pytest.mark.parametrize("adj", [[2.7, 1.2], ["2", "1"], [None, 1]], ids=["float", "str", "None"])
+    def test_non_integer_masks_rejected(self, adj):
+        with pytest.raises(InvalidParameter, match="adjacency masks must be integers"):
+            Graph(2, adj)
+
+    def test_numpy_integer_and_bool_masks_accepted(self):
+        assert Graph(2, [np.uint64(2), np.int64(1)]).adj == (2, 1)
+        assert Graph(2, [2, True]).adj == (2, 1)
+        assert all(type(m) is int for m in Graph(2, [np.uint64(2), True]).adj)
 
     def test_handshake_on_random_graphs(self):
         rng = random.Random(11)

@@ -17,7 +17,6 @@ from qindex.graphs import (
     Graph,
     _bits,
     complete_graph,
-    empty_graph,
     from_edge_list,
     graph6_decode,
     graph6_encode,
@@ -41,22 +40,21 @@ def per_mask_levels(max_n, keep=None):
     """Reference for ``enumerate_levels``: every kept parent is extended by
     all 2^|P| neighbour masks, and each child is labeled through
     ``canonical_key``."""
-    k1 = empty_graph(1)
-    current = [k1] if keep is None or keep(k1.adj) else []
+    current = [(0,)] if keep is None or keep((0,)) else []
     yield 1, list(current), 1
     for order in range(2, max_n + 1):
         seen = set()
-        kept = {}
+        kept = set()
         for parent in current:
-            for mask in range(1 << parent.n):
-                adj = [m | 1 << parent.n if mask >> u & 1 else m for u, m in enumerate(parent.adj)]
-                key = canonical_key(Graph(order, adj + [mask]))
-                if key in seen:
+            for mask in range(1 << len(parent)):
+                adj = [m | 1 << len(parent) if mask >> u & 1 else m for u, m in enumerate(parent)]
+                _, cert = canonical_key(Graph(order, adj + [mask]))
+                if cert in seen:
                     continue
-                seen.add(key)
-                if keep is None or keep(key[1]):
-                    kept[key] = Graph(*key)
-        current = [kept[k] for k in sorted(kept)]
+                seen.add(cert)
+                if keep is None or keep(cert):
+                    kept.add(cert)
+        current = sorted(kept)
         yield order, current, len(seen)
 
 
@@ -137,9 +135,11 @@ class TestOrbitPrunedAugmentation:
         *_, (order, kept, seen) = enumerate_levels(8, free_of(2, 2))
         assert (order, len(kept), seen) == (8, 2197, 8423)
 
-    def test_one_graph_per_new_class(self, monkeypatch):
-        # children are built and labeled as masks; a Graph is built only for
-        # a class not seen before (the per-mask extension built 12,542 here)
+    def test_graphs_only_for_what_a_report_prints(self, monkeypatch):
+        # a class is its certificate from generation to scoring: enumeration
+        # builds no Graph (a Graph per kept class built 1,252 here), and a
+        # scan builds one per argmax class it encodes (526 when scoring took
+        # Graphs)
         built = []
         init = Graph.__init__
 
@@ -148,8 +148,10 @@ class TestOrbitPrunedAugmentation:
             init(self, n, adj)
 
         monkeypatch.setattr(Graph, "__init__", counted)
-        seen = sum(seen for _, _, seen in enumerate_levels(7))
-        assert len(built) <= 2 * seen
+        list(enumerate_levels(7))
+        assert built == []
+        report = exhaustive_max_q(7, ForbiddenPattern.from_ts(2, 2))
+        assert 0 < len(built) <= len(report.argmax) + len(report.rest_argmax)
 
     @pytest.mark.parametrize("name", ["unrestricted", "K_{2,3}-free"])
     def test_outranked_children_are_not_labeled(self, monkeypatch, name):
@@ -437,7 +439,7 @@ SCORED_SCANS = {
 # the runs of one scan differ only in scoring, so its classes are enumerated
 # once, and each graph's q_index value is computed once for every reference
 ENUMERATED: dict = {}  # (scan name, max order) -> enumerate_levels output
-CERTIFIED_Q: dict = {}  # (n, adj) -> q_index value
+CERTIFIED_Q: dict = {}  # adjacency mask tuple -> q_index value
 
 
 def without_runtime(report):
@@ -457,18 +459,17 @@ def run_scan(name, monkeypatch):
         return without_runtime(SCORED_SCANS[name]())
 
 
-def certified_q(g):
-    key = g.n, g.adj
-    if key not in CERTIFIED_Q:
-        CERTIFIED_Q[key] = search.q_index(g).value
-    return CERTIFIED_Q[key]
+def certified_q(adj):
+    if adj not in CERTIFIED_Q:
+        CERTIFIED_Q[adj] = search.q_index(Graph(len(adj), adj)).value
+    return CERTIFIED_Q[adj]
 
 
 def certified_scan(name, monkeypatch):
     """The scan with every graph scored by its own ``q_index`` call: the
     per-graph reference the stacked scoring must reproduce."""
-    def certify(graphs):
-        return [certified_q(g) for g in graphs]
+    def certify(masks):
+        return [certified_q(adj) for adj in masks]
 
     with monkeypatch.context() as m:
         m.setattr(search, "_certified_q", certify)
