@@ -27,7 +27,6 @@ from .graphs import (
     MAX_ORDER,
     Graph,
     complete_graph,
-    empty_graph,
     from_edge_list,
     graph6_decode,
     graph6_encode,
@@ -36,7 +35,6 @@ from .graphs import (
 from .search import (
     JoinCapReport,
     SearchReport,
-    enumerate_graphs,
     enumerate_levels,
     exhaustive_max_q,
     heuristic_max_q,
@@ -74,8 +72,6 @@ __all__ = [
     "conjecture_bound",
     "contains_kst",
     "edge_bound",
-    "empty_graph",
-    "enumerate_graphs",
     "enumerate_levels",
     "exhaustive_max_q",
     "f_value",

@@ -8,19 +8,21 @@ join contains the pattern, the other s-regular graphs of order m are taken
 through the sparser of H and its complement, of degree d = min(s, m-1-s):
 for d <= 1 the circulant is the only one (a perfect matching, its
 complement, or K_m), and for d >= 2 the builtin enumerator lists the other
-classes up to ``search.BUILTIN_MAX_ORDER``.  The first free join comes
-back; if none is, the circulant's join comes back with its witness.
+classes up to ``search.BUILTIN_MAX_ORDER`` as certificates, complemented on
+masks.  Each of their joins is built and tested as masks; a ``Graph`` is
+built only for the join a build returns.  The first free join comes back;
+if none is, the circulant's join comes back with its witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .canonical import canonical_key
+from .canonical import _canonical
 from .errors import HypothesisViolated, InvalidParameter, InvariantViolated
-from .forbidden import ForbiddenPattern, Witness, find_kst
+from .forbidden import ForbiddenPattern, Witness, _walk, find_kst
 from .graphs import MAX_ORDER, Graph, complete_graph, from_edge_list, join
-from .search import BUILTIN_MAX_ORDER, enumerate_graphs
+from .search import BUILTIN_MAX_ORDER, enumerate_levels
 
 
 @dataclass(frozen=True)
@@ -84,15 +86,15 @@ def _circulant_offsets(m: int, s: int) -> list[int]:
     return offs
 
 
-def _regular_graphs(m: int, s: int, d: int) -> list[Graph]:
-    """One s-regular graph of order m per class: the d-regular classes of the
-    builtin enumerator, in canonical order, complemented when d < s."""
-    sparse = [h for h in enumerate_graphs(m, keep=lambda adj: all(a.bit_count() <= d for a in adj))
-              if h.regular_degree() == d]
-    if d == s:
-        return sparse
+def _regular_graphs(m: int, s: int, d: int, h: Graph) -> list[tuple[int, ...]]:
+    """Masks of one s-regular graph of order m per class but h's: the d-regular
+    certificates of the builtin enumerator, in canonical order, complemented
+    when d < s (h's class is matched on the d-regular side)."""
     full = (1 << m) - 1
-    return [Graph(m, [full ^ a ^ (1 << v) for v, a in enumerate(h.adj)]) for h in sparse]
+    flip = (lambda adj: tuple(full ^ a ^ 1 << v for v, a in enumerate(adj))) if d < s else tuple
+    own = _canonical(m, flip(h.adj))[0]
+    *_, (_, kept, _) = enumerate_levels(m, keep=lambda adj: all(a.bit_count() <= d for a in adj))
+    return [flip(c) for c in kept if c != own and all(a.bit_count() == d for a in c)]
 
 
 def build_extremal(spec: ExtremalSpec) -> BuildResult:
@@ -121,10 +123,10 @@ def build_extremal(spec: ExtremalSpec) -> BuildResult:
     d = min(s, m - 1 - s)
     # for d <= 1 the circulant is the only s-regular graph of order m
     exhaustive = d <= 1 or m <= BUILTIN_MAX_ORDER
-    own = canonical_key(h) if d >= 2 and exhaustive else None
-    others = [o for o in _regular_graphs(m, s, d) if canonical_key(o) != own] if own else []
+    others = _regular_graphs(m, s, d, h) if d >= 2 and exhaustive else []
+    k = spec.t - 1
     for tried, other in enumerate(others, start=2):
-        joined = join(clique, other)
-        if find_kst(joined, pat) is None:
-            return BuildResult(joined, True, None, "enumerated", False, tried)
+        joined = g.adj[:k] + tuple(a << k | (1 << k) - 1 for a in other)
+        if _walk(joined, pat.t, pat.s_plus_1) is None:
+            return BuildResult(Graph(spec.n, joined), True, None, "enumerated", False, tried)
     return BuildResult(g, False, witness, "circulant", exhaustive, 1 + len(others))

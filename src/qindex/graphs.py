@@ -122,10 +122,6 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, adj)
 
 
-def empty_graph(n: int) -> Graph:
-    return Graph(n, [0] * n)
-
-
 def complete_graph(n: int) -> Graph:
     full = (1 << n) - 1
     return Graph(n, [full ^ (1 << u) for u in range(n)])

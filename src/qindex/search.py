@@ -15,7 +15,8 @@ scanned the same way.  A scan certifies the q of every certificate it
 scores in one stacked LAPACK call (``spectral._top``: ``numpy.linalg.eigh``
 and a residual check), so every argmax, tie and cap comparison is decided
 by certified values; a ``Graph`` is built only for the argmax classes the
-report prints.  Its report also carries the paper's dominating-vertex
+report prints (and, in ``join_cap_scan``, for its equality set).  Scans and
+hunts end in one report tail, ``_finish_report``.  Its report also carries the paper's dominating-vertex
 split: the best class with a vertex of degree n - 1 is K_1 v H, capped by
 ``join_cap_scan``'s closed form, and the best class without one is compared
 with n, the cap that half obeys from order s^2 + 6s + 6
@@ -37,11 +38,11 @@ import random
 import time
 from dataclasses import dataclass
 
-from .bounds import conjecture_bound, q_bound_t2, q_bound_t2_applicable
+from .bounds import conjecture_bound, q_bound_t2_applicable
 from .canonical import _canonical, canonical_graph6, canonical_key
 from .errors import HypothesisViolated, InvalidParameter, InvariantViolated
 from .forbidden import ForbiddenPattern, _contains_through, _walk, contains_kst
-from .graphs import MAX_ORDER, Graph, _bits, empty_graph, graph6_decode, graph6_encode, join
+from .graphs import MAX_ORDER, Graph, _bits, graph6_decode, graph6_encode
 from .spectral import DEFAULT_TOL, _matrices, _top, q_index
 # bench/spans.py wraps this name as spectral.full; the rename waits for ROADMAP item 1
 from .spectral import _eigvalsh as _jacobi
@@ -154,13 +155,6 @@ def enumerate_levels(max_n: int, keep=None):
         yield order, list(kept), len(seen)
 
 
-def enumerate_graphs(n: int, keep=None) -> list[Graph]:
-    """Canonical representatives of all order-n classes accepted by ``keep``,
-    a hereditary predicate on adjacency masks (see ``enumerate_levels``)."""
-    *_, (_, kept, _) = enumerate_levels(n, keep)
-    return [Graph(n, cert) for cert in kept]
-
-
 def _free_predicate(pat: ForbiddenPattern):
     """Hereditary mask predicate: the graph contains no ``pat``."""
     return lambda adj: _walk(adj, pat.t, pat.s_plus_1) is None
@@ -255,49 +249,40 @@ def _certified_q(masks: list[tuple[int, ...]]) -> list[float]:
             for q in _top(_matrices(masks[i:i + step]))[0].tolist()]
 
 
-def _finish_report(n, pat, free_list, graphs_seen, free_count, t0, exhaustive,
-                   seed=None, budget=None) -> SearchReport:
-    """Score free graphs, given as adjacency mask tuples, by certified q
-    (``_certified_q``, or ``q_index`` for a hunt's one graph), pick argmaxes,
-    re-verify them, and compare bounds; an exhaustive report also takes the
-    argmax of the classes without a dominating vertex.  A ``Graph`` is built
-    only for an argmax.  An exhaustive scan passes only certificates, so its
-    argmaxes are encoded as they are; a hunt's graph is labeled first."""
-    encode = graph6_encode if exhaustive else canonical_graph6
-    qs = _certified_q(free_list) if exhaustive else [q_index(Graph(n, a)).value for a in free_list]
-    scored = list(zip(qs, free_list))
-    max_q, top = _argmax(scored)
-    top = [Graph(n, adj) for adj in top]
-    for g in top:
+def _finish_report(n, pat, graphs, max_q, encode, t0, **fields) -> SearchReport:
+    """Shared tail of scans and hunts: re-verify the argmax ``Graph``s, compare
+    ``max_q`` with the cap and build the report, with ``encode`` printing each
+    argmax and ``fields`` the caller's own report fields."""
+    for g in graphs:
         if contains_kst(g, pat):
             raise InvariantViolated("argmax is not pattern-free")
     bound, verdict = _verdict(max_q, pat, n)
-    rest_q = rest_argmax = rest_below_n = None
-    if exhaustive:
-        rest = [(q, adj) for q, adj in scored if all(m.bit_count() < n - 1 for m in adj)]
-        rest_q, rest_top = _argmax(rest)
-        rest_argmax = sorted(encode(Graph(n, adj)) for adj in rest_top)
-        rest_below_n = rest_q < n - DEFAULT_TOL
     return SearchReport(
         n=n,
         s=pat.s,
         t=pat.t,
-        graphs_seen=graphs_seen,
-        free_graphs=free_count,
         max_q=max_q,
-        argmax=sorted({encode(g) for g in top}),
+        argmax=sorted({encode(g) for g in graphs}),
         bound_value=bound,
         bound_applicable=pat.t == 2 and q_bound_t2_applicable(n, pat.s),
         verdict=verdict,
-        argmax_is_extremal_join=any(is_extremal_join(g, pat.s, pat.t) for g in top),
-        exhaustive=exhaustive,
+        argmax_is_extremal_join=any(is_extremal_join(g, pat.s, pat.t) for g in graphs),
         runtime_ms=int((time.perf_counter() - t0) * 1000),
-        seed=seed,
-        budget=budget,
-        rest_max_q=rest_q,
-        rest_argmax=rest_argmax,
-        rest_below_n=rest_below_n,
+        **fields,
     )
+
+
+def _scan_report(n, pat, free, graphs_seen, t0) -> SearchReport:
+    """Report of a scan over the free certificates ``free``: certified q
+    (``_certified_q``), the argmax, and the argmax of the classes with no
+    dominating vertex; a ``Graph`` is built only for those argmaxes."""
+    scored = list(zip(_certified_q(free), free))
+    max_q, top = _argmax(scored)
+    rest_q, rest_top = _argmax([(q, adj) for q, adj in scored if all(m.bit_count() < n - 1 for m in adj)])
+    return _finish_report(n, pat, [Graph(n, adj) for adj in top], max_q, graph6_encode, t0,
+                          graphs_seen=graphs_seen, free_graphs=len(free), exhaustive=True,
+                          rest_max_q=rest_q, rest_below_n=rest_q < n - DEFAULT_TOL,
+                          rest_argmax=sorted(graph6_encode(Graph(n, adj)) for adj in rest_top))
 
 
 def exhaustive_max_q(n: int, pat: ForbiddenPattern, stream=None) -> SearchReport:
@@ -314,7 +299,7 @@ def exhaustive_max_q(n: int, pat: ForbiddenPattern, stream=None) -> SearchReport
         if n > BUILTIN_MAX_ORDER:
             raise InvalidParameter(f"builtin enumeration capped at order {BUILTIN_MAX_ORDER}")
         *_, (_, kept, classes) = enumerate_levels(n, keep)
-        return _finish_report(n, pat, kept, classes, len(kept), t0, True)
+        return _scan_report(n, pat, kept, classes, t0)
     seen: set = set()
     free = []
     for lineno, line in enumerate(stream, start=1):
@@ -335,7 +320,7 @@ def exhaustive_max_q(n: int, pat: ForbiddenPattern, stream=None) -> SearchReport
             free.append(cert)
     if not seen:
         raise InvalidParameter(f"stream has no graph line, so it enumerates no order-{n} class")
-    return _finish_report(n, pat, sorted(free), len(seen), len(free), t0, True)
+    return _scan_report(n, pat, sorted(free), len(seen), t0)
 
 
 # bounded-degree join scan
@@ -362,18 +347,22 @@ class JoinCapReport:
 
 
 def join_cap_scan(m: int, s: int) -> JoinCapReport:
-    """Exhaustively verify the hub-join cap over every H with max degree <= s."""
+    """Exhaustively verify the hub-join cap over every H with max degree <= s:
+    each H is a certificate from ``enumerate_levels``, scored joined to the
+    hub as masks, and a ``Graph`` is built only for the equality set printed."""
+    if m < 1:
+        raise InvalidParameter(f"need m >= 1, got {m}")
     if m > 8:
         raise InvalidParameter("join scan enumerates H internally; capped at order 8")
     if s < 1:
         raise HypothesisViolated(f"need s >= 1, got {s}")
     t0 = time.perf_counter()
-    k1 = empty_graph(1)
-    bound = q_bound_t2(m + 1, s)
-    hs = enumerate_graphs(m, keep=lambda adj: all(a.bit_count() <= s for a in adj))
-    qs = _certified_q([join(k1, h).adj for h in hs])
+    bound = conjecture_bound(m + 1, s, 2)
+    *_, (_, hs, _) = enumerate_levels(m, keep=lambda adj: all(a.bit_count() <= s for a in adj))
+    hub = (1 << m + 1) - 2
+    qs = _certified_q([(hub, *(a << 1 | 1 for a in h)) for h in hs])
     at_cap = [_at_cap(q, bound) for q in qs]
-    regular = [h.regular_degree() == s for h in hs]
+    regular = [all(a.bit_count() == s for a in h) for h in hs]
     all_capped = not any(_above(q, bound) for q in qs)
     eq_all_regular = all(r for e, r in zip(at_cap, regular) if e)
     reg_all_eq = all(e for e, r in zip(at_cap, regular) if r)
@@ -384,7 +373,7 @@ def join_cap_scan(m: int, s: int) -> JoinCapReport:
         bound=bound,
         max_q=max(qs),
         all_capped=all_capped,
-        equality_graph6=sorted(graph6_encode(h) for e, h in zip(at_cap, hs) if e),
+        equality_graph6=sorted(graph6_encode(Graph(m, h)) for e, h in zip(at_cap, hs) if e),
         equality_all_regular=eq_all_regular,
         regular_all_equality=reg_all_eq,
         runtime_ms=int((time.perf_counter() - t0) * 1000),
@@ -452,4 +441,7 @@ def heuristic_max_q(n: int, pat: ForbiddenPattern, budget: int, seed: int) -> Se
             m[v, u] -= delta
             m[u, u] -= delta
             m[v, v] -= delta
-    return _finish_report(n, pat, [best_adj], budget, evaluated, t0, False, seed=seed, budget=budget)
+    best = Graph(n, best_adj)
+    return _finish_report(n, pat, [best], q_index(best).value, canonical_graph6, t0,
+                          graphs_seen=budget, free_graphs=evaluated, exhaustive=False,
+                          seed=seed, budget=budget)

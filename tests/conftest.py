@@ -34,6 +34,17 @@ def random_regular(m: int, s: int, seed: int) -> Graph:
             return from_edge_list(m, sorted(pairs))
 
 
+def empty_graph(n: int) -> Graph:
+    return Graph(n, [0] * n)
+
+
+def enumerate_graphs(n: int, keep=None) -> list[Graph]:
+    """Canonical representatives of all order-n classes accepted by ``keep``,
+    a hereditary predicate on adjacency masks (see ``search.enumerate_levels``)."""
+    *_, (_, kept, _) = search.enumerate_levels(n, keep)
+    return [Graph(n, cert) for cert in kept]
+
+
 def edges(g: Graph) -> list[tuple[int, int]]:
     """Edges (u, v) with u < v, in lexicographic order."""
     return [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if g.adj[u] >> v & 1]
@@ -70,7 +81,7 @@ def exhaustive_scan(max_n: int, pat) -> list:
     ``exhaustive_max_q`` builds it, from a single builtin enumeration
     (``search.enumerate_levels``, looked up at call time)."""
     levels = search.enumerate_levels(max_n, search._free_predicate(pat))
-    return [search._finish_report(order, pat, kept, seen, len(kept), time.perf_counter(), True)
+    return [search._scan_report(order, pat, kept, seen, time.perf_counter())
             for order, kept, seen in levels]
 
 

@@ -16,9 +16,9 @@ from qindex.bounds import (
 )
 from qindex.constructions import circulant
 from qindex.errors import HypothesisViolated, InvalidParameter, QxError
-from qindex.graphs import complete_graph, empty_graph, from_edge_list, join
+from qindex.graphs import complete_graph, from_edge_list, join
 from qindex.spectral import q_index
-from conftest import q_bound_window, random_graph
+from conftest import empty_graph, q_bound_window, random_graph
 
 
 class TestAdjacencyBound:

@@ -21,13 +21,12 @@ from qindex.graphs import (
     Graph,
     _bits,
     complete_graph,
-    empty_graph,
     from_edge_list,
     graph6_decode,
     graph6_encode,
     join,
 )
-from conftest import disjoint_union, random_graph, relabel
+from conftest import disjoint_union, empty_graph, random_graph, relabel
 
 CALL_LIMIT_S = 5.0  # generous: the slowest family takes well under 0.1 s per call
 

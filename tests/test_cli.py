@@ -238,6 +238,8 @@ class TestExitCodes:
         ("verify", "--n", "5", "--t", "2", "--s", "0"),
         ("prop4", "--m", "4", "--s", "0"),
         ("prop4", "--m", "99", "--s", "1"),
+        ("prop4", "--m", "0", "--s", "1"),
+        ("prop4", "--m", "-1", "--s", "1"),
         ("hunt", "--n", "6", "--t", "0", "--s", "1", "--budget", "10"),
         ("ledger", "--s", "2", "--n", "0"),
         ("construct", "--n", "5", "--s", "1", "--t", "9"),
@@ -258,6 +260,11 @@ class TestExitCodes:
         assert code == 2
         assert "qx: error:" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("m", ["0", "-1"])
+    def test_prop4_order_error_names_its_own_flag(self, capsys, m):
+        code, _, err = run(capsys, "prop4", "--m", m, "--s", "1")
+        assert (code, err) == (2, f"qx: error: need m >= 1, got {m}\n")
 
     @pytest.mark.parametrize("argv", [
         ("prop4", "--m", "4", "--s", "1"),
@@ -618,9 +625,15 @@ def test_every_error_class_is_caught_or_a_kind():
     assert sorted(classes - kinds - caught) == []
 
 
-def test_every_public_name_has_a_caller_in_src():
-    # a name that only tests or the README use belongs in tests/, not src/;
-    # a reference inside the name's own definition does not count
+def _src_modules() -> dict[str, ast.Module]:
+    """Parsed source of each ``qindex`` module but ``__init__``, by file name."""
+    return {path.name: ast.parse(path.read_text())
+            for path in Path(cli.__file__).parent.glob("*.py") if path.name != "__init__.py"}
+
+
+def _src_references() -> tuple[set[str], set[str]]:
+    """Names and attribute names referenced in ``src/``; a reference inside
+    the definition of the name it refers to does not count."""
     names, attrs = set(), set()
 
     def visit(node, inside):
@@ -633,13 +646,28 @@ def test_every_public_name_has_a_caller_in_src():
         for child in ast.iter_child_nodes(node):
             visit(child, inside)
 
-    for path in Path(cli.__file__).parent.glob("*.py"):
-        if path.name != "__init__.py":
-            visit(ast.parse(path.read_text()), frozenset())
+    for tree in _src_modules().values():
+        visit(tree, frozenset())
+    return names, attrs
+
+
+def test_every_public_name_has_a_caller_in_src():
+    # a name that only tests or the README use belongs in tests/, not src/
+    names, attrs = _src_references()
     methods = {name for name, value in vars(Graph).items() if callable(value) and not name.startswith("_")}
     assert methods and qindex.__all__
     assert sorted(name for name in qindex.__all__ if name not in names | attrs) == []
     assert sorted(name for name in methods if name not in attrs) == []
+
+
+def test_every_top_level_def_has_a_caller_in_src():
+    # a helper dropped from __all__ but left in src/ is as dead as an
+    # unexported one: every module-level function and class needs a caller
+    names, attrs = _src_references()
+    defs = [f"{module}:{node.name}" for module, tree in _src_modules().items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    assert len(defs) > len(qindex.__all__)
+    assert sorted(d for d in defs if d.partition(":")[2] not in names | attrs) == []
 
 
 SRC = Path(cli.__file__).resolve().parent.parent

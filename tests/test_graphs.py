@@ -11,13 +11,12 @@ from qindex.graphs import (
     MAX_ORDER,
     Graph,
     complete_graph,
-    empty_graph,
     from_edge_list,
     graph6_decode,
     graph6_encode,
     join,
 )
-from conftest import edges, random_graph
+from conftest import edges, empty_graph, random_graph
 
 
 class TestConstruction:

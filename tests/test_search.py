@@ -23,7 +23,6 @@ from qindex.graphs import (
     join,
 )
 from qindex.search import (
-    enumerate_graphs,
     enumerate_levels,
     exhaustive_max_q,
     heuristic_max_q,
@@ -31,7 +30,7 @@ from qindex.search import (
     join_cap_scan,
 )
 from qindex.spectral import _top, q_index
-from conftest import disjoint_union, exhaustive_scan, path_graph, random_graph, relabel
+from conftest import disjoint_union, enumerate_graphs, exhaustive_scan, path_graph, random_graph, relabel
 
 UNLABELED_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
 
@@ -137,9 +136,11 @@ class TestOrbitPrunedAugmentation:
 
     def test_graphs_only_for_what_a_report_prints(self, monkeypatch):
         # a class is its certificate from generation to scoring: enumeration
-        # builds no Graph (a Graph per kept class built 1,252 here), and a
-        # scan builds one per argmax class it encodes (526 when scoring took
-        # Graphs)
+        # builds no Graph (a Graph per kept class built 1,252 here), a scan
+        # builds one per argmax class it encodes (526 when scoring took
+        # Graphs), the join scan one per equality class it prints (59 when
+        # each H and its join were Graphs), and a hunt one for its best graph
+        # plus one for its canonical form (3 when scoring rebuilt it)
         built = []
         init = Graph.__init__
 
@@ -152,6 +153,12 @@ class TestOrbitPrunedAugmentation:
         assert built == []
         report = exhaustive_max_q(7, ForbiddenPattern.from_ts(2, 2))
         assert 0 < len(built) <= len(report.argmax) + len(report.rest_argmax)
+        built.clear()
+        report = join_cap_scan(7, 2)
+        assert 0 < len(built) <= len(report.equality_graph6)
+        built.clear()
+        heuristic_max_q(16, ForbiddenPattern.from_ts(2, 2), 2000, 3)
+        assert 0 < len(built) <= 2
 
     @pytest.mark.parametrize("name", ["unrestricted", "K_{2,3}-free"])
     def test_outranked_children_are_not_labeled(self, monkeypatch, name):
@@ -520,7 +527,7 @@ class TestCertifiedScoring:
         # joins: that join meets it, and the joins above it break it
         h = disjoint_union(circulant(5, [1]), complete_graph(1))
         cap = q_index(join(complete_graph(1), h)).value
-        monkeypatch.setattr(search, "q_bound_t2", lambda n, s: cap)
+        monkeypatch.setattr(search, "conjecture_bound", lambda n, s, t: cap)
         report = join_cap_scan(6, 2)
         assert report.equality_graph6 == [canonical_graph6(h)]
         assert not report.all_capped

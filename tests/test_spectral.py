@@ -6,9 +6,9 @@ import pytest
 
 from qindex.constructions import circulant
 from qindex.errors import InvalidParameter, InvariantViolated
-from qindex.graphs import complete_graph, empty_graph, from_edge_list, join
+from qindex.graphs import complete_graph, from_edge_list, join
 from qindex.spectral import _matrices, adjacency_radius, full_spectrum, q_index
-from conftest import disjoint_union, edges, path_graph, random_graph, relabel
+from conftest import disjoint_union, edges, empty_graph, path_graph, random_graph, relabel
 
 
 def _relabeled(g, seed):
