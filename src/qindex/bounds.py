@@ -60,7 +60,10 @@ def conjecture_bound(n: int, s: int, t: int) -> float:
     """Conjectured Q-index cap for K_{t,s+1}-free graphs, s >= t-1 >= 1.
 
     Equals the Q-index of the join of a (t-1)-clique with an s-regular
-    graph of order n-t+1; reduces to ``q_bound_t2`` at t = 2.
+    graph of order n-t+1: the larger root of the 2x2 quotient of its
+    equitable partition {hub, H}, which ``build_extremal`` returns as the
+    join's q (so ``qx construct`` reports a gap of 0).  Reduces to
+    ``q_bound_t2`` at t = 2.
     """
     if not (t >= 2 and s >= t - 1):
         raise HypothesisViolated(f"need s >= t-1 >= 1, got s={s}, t={t}")

@@ -13,7 +13,9 @@ A command takes only the flags it honours; ``--format csv`` is for
 ``bounds`` only.  Every reported q is certified to the eigenpair residual
 ``spectral.DEFAULT_TOL``, and ``verify``, ``prop4`` and ``hunt`` compare
 it with a closed-form cap by the fixed policy of ``search``: no flag
-changes either.
+changes either.  ``construct`` is the exception: its q is the closed-form
+root of the join's equitable quotient (``build_extremal``), so it runs no
+eigensolver, reports no tolerance and never loads numpy.
 
 Exit codes: 0 success, 1 usage error, 2 computation error (message on
 stderr), 3 a result has the verdict ``bound_violated``.
@@ -117,17 +119,18 @@ def _open_graph6(path: str):
 
 
 def _read_graphs(path: str) -> list[tuple[str, Graph]]:
-    with _open_graph6(path) as fh:
-        lines = fh.read().splitlines()
+    # iterating the file, as ``verify --stream`` does, ends lines only at
+    # newlines; str.splitlines would also split at form feeds and the like
     out = []
-    for i, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            out.append((line, graph6_decode(line)))
-        except QxError as exc:
-            raise type(exc)(f"{path} line {i}: {exc}") from None
+    with _open_graph6(path) as fh:
+        for i, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                out.append((line, graph6_decode(line)))
+            except QxError as exc:
+                raise type(exc)(f"{path} line {i}: {exc}") from None
     return out
 
 
@@ -144,7 +147,7 @@ def _round10(obj):
 
 # the tolerances each command's results depend on; the others use none
 _TOLERANCES = {
-    "qindex": {"tol": DEFAULT_TOL}, "construct": {"tol": DEFAULT_TOL},
+    "qindex": {"tol": DEFAULT_TOL},
     **dict.fromkeys(("verify", "prop4", "hunt"), {"tol": DEFAULT_TOL, "eps": EPS}),
 }
 
@@ -195,7 +198,6 @@ def _run(args) -> list:
 
     if cmd == "construct":
         built = build_extremal(ExtremalSpec(args.n, args.s, args.t))
-        q = q_index(built.graph).value
         bound = conjecture_bound(args.n, args.s, args.t)
         return [{
             "graph6": graph6_encode(built.graph),
@@ -204,9 +206,9 @@ def _run(args) -> list:
             "strategy_used": built.strategy_used,
             "exhaustive": built.exhaustive,
             "attempts": built.attempts,
-            "q": q,
+            "q": built.q,
             "bound": bound,
-            "gap": bound - q,
+            "gap": bound - built.q,
         }]
 
     if cmd == "ledger":

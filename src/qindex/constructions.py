@@ -12,17 +12,23 @@ classes up to ``search.BUILTIN_MAX_ORDER`` as certificates, complemented on
 masks.  Each of their joins is built and tested as masks; a ``Graph`` is
 built only for the join a build returns.  The first free join comes back;
 if none is, the circulant's join comes back with its witness.
+
+The hub and H are an equitable partition of the join, so its q is the
+larger root of their 2x2 quotient matrix (Brouwer & Haemers, *Spectra of
+Graphs*, 2.3): a build checks that structure on the masks and returns that
+root without computing a spectrum.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .canonical import _canonical
 from .errors import HypothesisViolated, InvalidParameter, InvariantViolated
 from .forbidden import ForbiddenPattern, Witness, _walk, find_kst
 from .graphs import MAX_ORDER, Graph, complete_graph, from_edge_list, join
-from .search import BUILTIN_MAX_ORDER, enumerate_levels
+from .search import BUILTIN_MAX_ORDER, enumerate_levels, is_extremal_join
 
 
 @dataclass(frozen=True)
@@ -53,10 +59,11 @@ class ExtremalSpec:
 
 @dataclass(frozen=True)
 class BuildResult:
-    """A join and its certificate.  ``exhaustive`` says that the join is not
-    free and that every s-regular H of its order was checked, so no free
-    K_{t-1} v (s-regular) graph of order n exists; ``attempts`` counts the
-    joins built, each of a distinct H."""
+    """A join, its certificate and its Q-index.  ``exhaustive`` says that the
+    join is not free and that every s-regular H of its order was checked, so
+    no free K_{t-1} v (s-regular) graph of order n exists; ``attempts``
+    counts the joins built, each of a distinct H; ``q`` is the larger root
+    of the join's 2x2 quotient matrix."""
 
     graph: Graph
     free: bool
@@ -64,6 +71,7 @@ class BuildResult:
     strategy_used: str
     exhaustive: bool
     attempts: int
+    q: float
 
 
 def circulant(m: int, offsets) -> Graph:
@@ -119,7 +127,7 @@ def build_extremal(spec: ExtremalSpec) -> BuildResult:
     g = join(clique, h)
     witness = find_kst(g, pat)
     if witness is None:
-        return BuildResult(g, True, None, "circulant", False, 1)
+        return _certified(spec, g, True, None, "circulant", False, 1)
     d = min(s, m - 1 - s)
     # for d <= 1 the circulant is the only s-regular graph of order m
     exhaustive = d <= 1 or m <= BUILTIN_MAX_ORDER
@@ -128,5 +136,15 @@ def build_extremal(spec: ExtremalSpec) -> BuildResult:
     for tried, other in enumerate(others, start=2):
         joined = g.adj[:k] + tuple(a << k | (1 << k) - 1 for a in other)
         if _walk(joined, pat.t, pat.s_plus_1) is None:
-            return BuildResult(Graph(spec.n, joined), True, None, "enumerated", False, tried)
-    return BuildResult(g, False, witness, "circulant", exhaustive, 1 + len(others))
+            return _certified(spec, Graph(spec.n, joined), True, None, "enumerated", False, tried)
+    return _certified(spec, g, False, witness, "circulant", exhaustive, 1 + len(others))
+
+
+def _certified(spec: ExtremalSpec, g: Graph, *outcome) -> BuildResult:
+    """``BuildResult`` of a join certified K_{t-1} v (s-regular H) on its masks,
+    with q the larger root of the quotient [[a, b], [c, d]] of {hub, H}."""
+    n, s, t = g.n, spec.s, spec.t
+    if not is_extremal_join(g, s, t):
+        raise InvariantViolated(f"build is not K_{t - 1} v ({s}-regular)")
+    a, b, c, d = n + t - 3, n - t + 1, t - 1, 2 * s + t - 1
+    return BuildResult(g, *outcome, (a + d) / 2 + 0.5 * math.sqrt((a - d) ** 2 + 4 * b * c))

@@ -140,22 +140,18 @@ def join(g: Graph, h: Graph) -> Graph:
 
 
 # graph6 codec (order <= 62: single-byte header, upper triangle packed
-# column by column, 6 bits per printable byte offset by 63)
+# column by column, 6 bits per printable byte offset by 63, MSB first).  The
+# codec holds the stream as one integer whose bit k is its k-th bit, so
+# column v is the v-bit slice at v(v-1)/2, with bit u for the pair (u, v).
+_REV6 = [int(f"{v:06b}"[::-1], 2) for v in range(64)]  # 6-bit values, bits reversed
+
 
 def graph6_encode(g: Graph) -> str:
-    bits = []
+    bits = 0
     for v in range(1, g.n):
-        col = g.adj[v]
-        bits.extend((col >> u) & 1 for u in range(v))
-    out = [chr(63 + g.n)]
-    for i in range(0, len(bits), 6):
-        chunk = bits[i:i + 6]
-        chunk += [0] * (6 - len(chunk))
-        val = 0
-        for b in chunk:
-            val = val << 1 | b
-        out.append(chr(63 + val))
-    return "".join(out)
+        bits |= (g.adj[v] & (1 << v) - 1) << v * (v - 1) // 2
+    need = (g.n * (g.n - 1) // 2 + 5) // 6
+    return chr(63 + g.n) + "".join(chr(63 + _REV6[bits >> 6 * i & 63]) for i in range(need))
 
 
 def graph6_decode(text: str) -> Graph:
@@ -176,26 +172,22 @@ def graph6_decode(text: str) -> Graph:
     n = first - 63
     if n == 0:
         raise InvalidParameter("order-0 graph6 string")
-    need = (n * (n - 1) // 2 + 5) // 6
+    m = n * (n - 1) // 2
+    need = (m + 5) // 6
     payload = data[1:]
     if len(payload) != need:
         raise InvalidParameter(f"expected {need} payload bytes for order {n}, got {len(payload)}")
-    bits = []
-    for byte in payload:
+    bits = 0
+    for i, byte in enumerate(payload):
         if not 63 <= byte <= 126:
             raise InvalidParameter(f"payload byte {byte} outside 63..126")
-        val = byte - 63
-        bits.extend((val >> k) & 1 for k in range(5, -1, -1))
-    m = n * (n - 1) // 2
-    if any(bits[m:]):
+        bits |= _REV6[byte - 63] << 6 * i
+    if bits >> m:
         raise InvalidParameter("nonzero padding bits")
     adj = [0] * n
-    i = 0
     for v in range(1, n):
-        for u in range(v):
-            if bits[i]:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-            i += 1
+        col = bits >> v * (v - 1) // 2 & (1 << v) - 1
+        adj[v] = col
+        for u in _bits(col):
+            adj[u] |= 1 << v
     return Graph(n, adj)
-

@@ -13,7 +13,9 @@ bitmasks, for one graph or a stack of same-order graphs alike.
 
 This is the only module that imports numpy, and it does so on first use
 inside each function that needs it, so a ``qx`` command that computes no
-spectrum (``free-check``, ``bounds``, ``ledger``) never loads numpy.
+spectrum (``free-check``, ``bounds``, ``ledger``, and ``construct``, whose
+q is the closed-form root of its join's equitable quotient) never loads
+numpy.
 """
 
 from __future__ import annotations

@@ -291,6 +291,21 @@ class TestExitCodes:
             assert code == 2
             assert "line 2" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("qindex", "FILE"),
+        ("spectrum", "FILE"),
+        ("free-check", "FILE", "--t", "2", "--s", "1"),
+        ("verify", "--n", "3", "--t", "2", "--s", "1", "--stream", "FILE"),
+    ], ids=["qindex", "spectrum", "free-check", "verify-stream"])
+    def test_only_a_newline_ends_a_graph6_line(self, capsys, tmp_path, argv):
+        # a form feed is not a line break: the bad graph is on line 1
+        path = tmp_path / "ff.g6"
+        for data in (b"Bw\fBx\n", b"A_\fA_\nBw\n"):
+            path.write_bytes(data)
+            code, out, err = run(capsys, *[str(path) if a == "FILE" else a for a in argv])
+            assert (code, out) == (2, "")
+            assert "line 1: expected 1 payload bytes" in err
+
 
 class TestRuntime:
     @pytest.mark.parametrize("argv", [
@@ -431,6 +446,9 @@ class TestFlags:
         assert json.loads(out)["tolerances"] == {"tol": 1e-10, "eps": 1e-7}
         _, out, _ = run(capsys, "ledger", "--s", "2", "--n", "22")
         assert json.loads(out)["tolerances"] == {}
+        # construct reads q off the join's quotient, not an eigensolver
+        _, out, _ = run(capsys, "construct", "--n", "22", "--s", "2", "--t", "2")
+        assert json.loads(out)["tolerances"] == {}
 
 
 SEARCH_KEYS = {
@@ -476,7 +494,7 @@ SCORED = {"tol": 1e-10, "eps": 1e-7}
     (("free-check", "FILE", "--t", "2", "--s", "1"), {"file": "FILE", "t": 2, "s": 1}, {}, None),
     (("bounds", "--n", "13", "22", "--s", "1", "--t", "2", "3"),
      {"n": [13, 22], "s": [1], "t": [2, 3]}, {}, None),
-    (("construct", "--n", "6", "--s", "2", "--t", "2"), {"n": 6, "s": 2, "t": 2}, {"tol": 1e-10}, None),
+    (("construct", "--n", "6", "--s", "2", "--t", "2"), {"n": 6, "s": 2, "t": 2}, {}, None),
     (("verify", "--n", "5", "--t", "2", "--s", "1"), {"n": 5, "s": 1, "t": 2, "stream": None}, SCORED, None),
     (("verify", "--n", "5", "--t", "2", "--s", "1", "--stream", "STREAM"),
      {"n": 5, "s": 1, "t": 2, "stream": "STREAM"}, SCORED, None),
@@ -690,6 +708,8 @@ NUMPY_PROBE = "import sys\nfrom qindex.cli import main\nmain(sys.argv[1:])\nprin
     (["bounds", "--n", "13", "--s", "1", "--t", "2"], False),
     (["ledger", "--s", "2", "--n", "22"], False),
     (["bounds", "--n", "5"], False),  # usage error
+    (["construct", "--n", "22", "--s", "2", "--t", "2"], False),  # free circulant join
+    (["construct", "--n", "5", "--s", "2", "--t", "2"], False),  # not free
     (["qindex", "FILE"], True),  # control: the same file's q does load it
 ])
 def test_numpy_is_loaded_only_to_compute_a_spectrum(g6_file, argv, loads_numpy):

@@ -2,12 +2,13 @@ import math
 
 import pytest
 
+from qindex import constructions
 from qindex.bounds import adjacency_bound, conjecture_bound, q_bound_t2
 from qindex.canonical import canonical_key
 from qindex.constructions import ExtremalSpec, build_extremal, circulant
-from qindex.errors import HypothesisViolated, InvalidParameter
+from qindex.errors import HypothesisViolated, InvalidParameter, InvariantViolated
 from qindex.forbidden import ForbiddenPattern, contains_kst, find_kst
-from qindex.graphs import MAX_ORDER, complete_graph, from_edge_list, join
+from qindex.graphs import MAX_ORDER, Graph, complete_graph, from_edge_list, join
 from qindex.search import is_extremal_join
 from qindex.spectral import adjacency_radius, q_index
 from conftest import disjoint_union
@@ -163,8 +164,28 @@ def test_every_spec_of_the_grid_builds_deterministically():
         assert build_extremal(ExtremalSpec(n, s, t)) == r
         assert (r.witness is None) == r.free
         assert is_extremal_join(r.graph, s, t)
+        # the quotient's root is the join's q (LAPACK as the oracle) and the cap
+        assert abs(r.q - q_index(r.graph).value) <= 1e-9 * r.q
+        assert abs(conjecture_bound(n, s, t) - r.q) <= 1e-12 * r.q
         outcomes[n, s, t] = (r.free, r.exhaustive, r.strategy_used)
     assert {k: v for k, v in outcomes.items() if v != (True, False, "circulant")} == UNFREE_CIRCULANT
+
+
+# free circulant joins at t = 2 and 3, an unfree one with every H checked and
+# an unfree one past the enumeration order: each returns the circulant's join
+@pytest.mark.parametrize("n, s, t", [(22, 2, 2), (8, 2, 3), (5, 2, 2), (13, 7, 4)])
+def test_a_build_that_is_not_a_join_is_an_invariant_violation(monkeypatch, n, s, t):
+    # the quotient's root is q only for K_{t-1} v (s-regular H): a join whose
+    # first hub vertex misses the last vertex must not get a q
+    def broken_join(g, h):
+        adj = list(join(g, h).adj)
+        adj[0] &= ~(1 << len(adj) - 1)
+        adj[-1] &= ~1
+        return Graph(len(adj), adj)
+
+    monkeypatch.setattr(constructions, "join", broken_join)
+    with pytest.raises(InvariantViolated, match=f"not K_{t - 1} v"):
+        build_extremal(ExtremalSpec(n, s, t))
 
 
 class TestDesignGraph:

@@ -177,6 +177,27 @@ class TestGraph6:
             assert set(back.edges()) == set(edges(g))
 
 
+@pytest.mark.parametrize("n", range(1, MAX_ORDER + 1))
+def test_codec_at_every_order(n):
+    # the column slices start at v(v-1)/2, so every order puts the payload's
+    # byte and padding boundaries at a different place among them
+    rng = random.Random(n)
+    nxg = nx.gnp_random_graph(n, rng.random(), seed=rng.randrange(1 << 30))
+    text = nx.to_graph6_bytes(nxg, header=False).decode().strip()
+    g = graph6_decode(text)
+    back = nx.from_graph6_bytes(text.encode())
+    assert edges(g) == sorted(tuple(sorted(e)) for e in back.edges())
+    assert graph6_encode(g) == text
+    need = len(text) - 1
+    for k in range(6 * need - n * (n - 1) // 2):  # padding bits, low end of the last byte
+        bad = text[:-1] + chr(63 + (ord(text[-1]) - 63 ^ 1 << k))
+        with pytest.raises(InvalidParameter, match="nonzero padding bits"):
+            graph6_decode(bad)
+    if need:
+        with pytest.raises(InvalidParameter, match=f"expected {need} payload bytes for order {n}, got {need - 1}"):
+            graph6_decode(text[:-1])
+
+
 class TestStructure:
     def test_dominating_vertices(self):
         w = join(complete_graph(1), circulant(5, [1]))
