@@ -5,88 +5,38 @@ complete-bipartite subgraph freeness, evaluates the closed-form extremal
 bounds, constructs the conjectured extremal joins, and searches graph
 space (exhaustively at small orders, by annealing above) for violations
 of the conjectured caps.
-"""
 
-from .bounds import (
-    BoundReport,
-    adjacency_bound,
-    bound_report,
-    conjecture_bound,
-    edge_bound,
-    f_value,
-    merris_bound,
-    q_bound_t2,
-    q_bound_t2_applicable,
-    q_cap_ledger,
-)
-from .canonical import canonical_graph6, canonical_key
-from .constructions import BuildResult, ExtremalSpec, build_extremal, circulant
-from .errors import QxError
-from .forbidden import ForbiddenPattern, contains_kst, find_kst
-from .graphs import (
-    MAX_ORDER,
-    Graph,
-    complete_graph,
-    from_edge_list,
-    graph6_decode,
-    graph6_encode,
-    join,
-)
-from .search import (
-    JoinCapReport,
-    SearchReport,
-    enumerate_levels,
-    exhaustive_max_q,
-    heuristic_max_q,
-    is_extremal_join,
-    join_cap_scan,
-)
-from .spectral import (
-    SpectralResult,
-    adjacency_radius,
-    full_spectrum,
-    q_index,
-)
+Every public name resolves on first use (PEP 562): importing the package
+loads no module, and a name loads only the module that defines it and what
+that module imports.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundReport",
-    "BuildResult",
-    "ExtremalSpec",
-    "ForbiddenPattern",
-    "Graph",
-    "JoinCapReport",
-    "MAX_ORDER",
-    "QxError",
-    "SearchReport",
-    "SpectralResult",
-    "adjacency_bound",
-    "adjacency_radius",
-    "bound_report",
-    "build_extremal",
-    "canonical_graph6",
-    "canonical_key",
-    "circulant",
-    "complete_graph",
-    "conjecture_bound",
-    "contains_kst",
-    "edge_bound",
-    "enumerate_levels",
-    "exhaustive_max_q",
-    "f_value",
-    "find_kst",
-    "from_edge_list",
-    "full_spectrum",
-    "graph6_decode",
-    "graph6_encode",
-    "heuristic_max_q",
-    "is_extremal_join",
-    "join",
-    "join_cap_scan",
-    "merris_bound",
-    "q_bound_t2",
-    "q_bound_t2_applicable",
-    "q_cap_ledger",
-    "q_index",
-]
+# module -> the public names it defines
+_PUBLIC = {
+    "bounds": ("BoundReport", "adjacency_bound", "bound_report", "conjecture_bound", "edge_bound",
+               "f_value", "merris_bound", "q_bound_t2", "q_bound_t2_applicable", "q_cap_ledger"),
+    "canonical": ("canonical_graph6", "canonical_key"),
+    "constructions": ("BuildResult", "ExtremalSpec", "build_extremal", "circulant", "is_extremal_join"),
+    "errors": ("QxError",),
+    "forbidden": ("ForbiddenPattern", "contains_kst", "find_kst"),
+    "graphs": ("MAX_ORDER", "Graph", "complete_graph", "from_edge_list", "graph6_decode",
+               "graph6_encode", "join"),
+    "search": ("JoinCapReport", "SearchReport", "enumerate_levels", "exhaustive_max_q",
+               "heuristic_max_q", "join_cap_scan"),
+    "spectral": ("SpectralResult", "adjacency_radius", "full_spectrum", "q_index"),
+}
+_MODULE = {name: module for module, names in _PUBLIC.items() for name in names}
+
+__all__ = sorted(_MODULE)
+
+
+def __getattr__(name: str):
+    if name not in _MODULE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # ``from qindex.<module> import <name>``, through the import statement's
+    # machinery (which ``-X importtime`` times, unlike ``importlib.import_module``)
+    value = getattr(__import__(f"{__name__}.{_MODULE[name]}", fromlist=[name]), name)
+    globals()[name] = value
+    return value

@@ -12,7 +12,7 @@ steps are rational and are checked exactly, with no slack.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import HypothesisViolated, InvalidParameter
 from .graphs import Graph, _bits
@@ -130,10 +130,9 @@ def q_cap_ledger(s: int, n: int) -> dict[str, bool]:
     return checks
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """All closed-form bounds at one (n, s, t), with the hypothesis flags
-    callers need before trusting each value; ``asdict`` of it is a ``qx
+    callers need before trusting each value; its ``_asdict()`` is a ``qx
     bounds`` row.  ``adjacency_bound``/``edge_bound`` are None when s < t."""
 
     n: int
@@ -143,7 +142,7 @@ class BoundReport:
     edge_bound: float | None
     q_bound_t2: float
     conjecture_bound: float | None
-    applicability: dict[str, bool] = field(default_factory=dict)
+    applicability: dict[str, bool]
 
 
 def bound_report(n: int, s: int, t: int) -> BoundReport:

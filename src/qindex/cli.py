@@ -7,7 +7,7 @@ output is limited to 10 significant digits so slack-level discrepancies
 stay visible without drowning in noise.  A command computes only its
 results; ``main`` adds the rest: ``parameters`` are the parsed flags
 except command, format and seed, and ``tolerances`` (exactly those the
-command used) come from one table.
+command used) come from ``_tolerances``.
 
 A command takes only the flags it honours; ``--format csv`` is for
 ``bounds`` only.  Every reported q is certified to the eigenpair residual
@@ -16,6 +16,13 @@ it with a closed-form cap by the fixed policy of ``search``: no flag
 changes either.  ``construct`` is the exception: its q is the closed-form
 root of the join's equitable quotient (``build_extremal``), so it runs no
 eigensolver, reports no tolerance and never loads numpy.
+
+Imports follow the command: ``cli`` itself loads only the package and
+``errors``, and each library name ``_run`` calls resolves on first use
+through the package's lazy names (PEP 562, ``__getattr__`` below), so a
+command loads only the modules it runs (README, "CLI").  ``_run`` reaches
+each name as an attribute of this module, so a wrapper set on it sees every
+call.
 
 Exit codes: 0 success, 1 usage error, 2 computation error (message on
 stderr), 3 a result has the verdict ``bound_violated``.
@@ -36,16 +43,22 @@ import gc
 import json
 import sys
 import time
-from dataclasses import asdict
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .bounds import bound_report, conjecture_bound, merris_bound, q_cap_ledger
-from .constructions import ExtremalSpec, build_extremal
 from .errors import QxError
-from .forbidden import ForbiddenPattern, find_kst
-from .graphs import Graph, graph6_decode, graph6_encode
-from .search import EPS, exhaustive_max_q, heuristic_max_q, join_cap_scan
-from .spectral import DEFAULT_TOL, adjacency_radius, full_spectrum, q_index
+
+if TYPE_CHECKING:
+    from .graphs import Graph
+
+_cli = sys.modules[__name__]  # this module, whose attributes ``_run`` calls
+
+
+def __getattr__(name: str):
+    package = sys.modules[__package__]
+    if name not in package.__all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(package, name)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -128,7 +141,7 @@ def _read_graphs(path: str) -> list[tuple[str, Graph]]:
             if not line:
                 continue
             try:
-                out.append((line, graph6_decode(line)))
+                out.append((line, _cli.graph6_decode(line)))
             except QxError as exc:
                 raise type(exc)(f"{path} line {i}: {exc}") from None
     return out
@@ -145,11 +158,15 @@ def _round10(obj):
     return obj
 
 
-# the tolerances each command's results depend on; the others use none
-_TOLERANCES = {
-    "qindex": {"tol": DEFAULT_TOL},
-    **dict.fromkeys(("verify", "prop4", "hunt"), {"tol": DEFAULT_TOL, "eps": EPS}),
-}
+def _tolerances(cmd: str) -> dict:
+    """The tolerances a command's results depend on; the others use none."""
+    if cmd not in ("qindex", "verify", "prop4", "hunt"):
+        return {}
+    from .spectral import DEFAULT_TOL
+    if cmd == "qindex":
+        return {"tol": DEFAULT_TOL}
+    from .search import EPS
+    return {"tol": DEFAULT_TOL, "eps": EPS}
 
 
 def _witness(witness) -> dict | None:
@@ -163,7 +180,7 @@ def _run(args) -> list:
     if cmd == "qindex":
         results = []
         for line, g in _read_graphs(args.file):
-            q = q_index(g)
+            q = _cli.q_index(g)
             results.append({
                 "graph6": line,
                 "n": g.n,
@@ -171,20 +188,20 @@ def _run(args) -> list:
                 "max_degree": g.max_degree(),
                 "q": q.value,
                 "q_residual": q.residual,
-                "lambda": adjacency_radius(g).value,
-                "merris_bound": merris_bound(g) if g.edge_count() else None,
+                "lambda": _cli.adjacency_radius(g).value,
+                "merris_bound": _cli.merris_bound(g) if g.edge_count() else None,
             })
         return results
 
     if cmd == "spectrum":
-        return [{"graph6": line, "matrix": args.matrix, "eigenvalues": full_spectrum(g, args.matrix)}
+        return [{"graph6": line, "matrix": args.matrix, "eigenvalues": _cli.full_spectrum(g, args.matrix)}
                 for line, g in _read_graphs(args.file)]
 
     if cmd == "free-check":
-        pat = ForbiddenPattern.from_ts(args.t, args.s)
+        pat = _cli.ForbiddenPattern.from_ts(args.t, args.s)
         results = []
         for line, g in _read_graphs(args.file):
-            witness = find_kst(g, pat)
+            witness = _cli.find_kst(g, pat)
             results.append({
                 "graph6": line,
                 "pattern": str(pat),
@@ -194,13 +211,13 @@ def _run(args) -> list:
         return results
 
     if cmd == "bounds":
-        return [asdict(bound_report(n, s, t)) for n in args.n for s in args.s for t in args.t]
+        return [_cli.bound_report(n, s, t)._asdict() for n in args.n for s in args.s for t in args.t]
 
     if cmd == "construct":
-        built = build_extremal(ExtremalSpec(args.n, args.s, args.t))
-        bound = conjecture_bound(args.n, args.s, args.t)
+        built = _cli.build_extremal(_cli.ExtremalSpec(args.n, args.s, args.t))
+        bound = _cli.conjecture_bound(args.n, args.s, args.t)
         return [{
-            "graph6": graph6_encode(built.graph),
+            "graph6": _cli.graph6_encode(built.graph),
             "free": built.free,
             "witness": _witness(built.witness),
             "strategy_used": built.strategy_used,
@@ -212,24 +229,24 @@ def _run(args) -> list:
         }]
 
     if cmd == "ledger":
-        checks = q_cap_ledger(args.s, args.n)
+        checks = _cli.q_cap_ledger(args.s, args.n)
         return [{"s": args.s, "n": args.n, "checks": checks, "all_passed": all(checks.values())}]
 
     if cmd == "verify":
-        pat = ForbiddenPattern.from_ts(args.t, args.s)
+        pat = _cli.ForbiddenPattern.from_ts(args.t, args.s)
         if args.stream:
             with _open_graph6(args.stream) as fh:
-                report = exhaustive_max_q(args.n, pat, stream=fh)
+                report = _cli.exhaustive_max_q(args.n, pat, stream=fh)
         else:
-            report = exhaustive_max_q(args.n, pat)
+            report = _cli.exhaustive_max_q(args.n, pat)
     elif cmd == "prop4":
-        report = join_cap_scan(args.m, args.s)
+        report = _cli.join_cap_scan(args.m, args.s)
     elif cmd == "hunt":
-        pat = ForbiddenPattern.from_ts(args.t, args.s)
-        report = heuristic_max_q(args.n, pat, budget=args.budget, seed=args.seed)
+        pat = _cli.ForbiddenPattern.from_ts(args.t, args.s)
+        report = _cli.heuristic_max_q(args.n, pat, budget=args.budget, seed=args.seed)
     else:
         raise AssertionError(f"unhandled command {cmd}")
-    return [asdict(report)]
+    return [report._asdict()]
 
 
 def _render_text(command: str, results: list) -> str:
@@ -283,7 +300,7 @@ def main(argv=None) -> int:
             "command": args.command,
             "parameters": {k: v for k, v in flags.items() if k not in ("command", "format", "seed")},
             "results": results,
-            "tolerances": _TOLERANCES.get(args.command, {}),
+            "tolerances": _tolerances(args.command),
             "seed": flags.get("seed"),
             "runtime_ms": int((time.perf_counter() - t0) * 1000),
             "version": __version__,

@@ -8,7 +8,7 @@ join contains the pattern, the other s-regular graphs of order m are taken
 through the sparser of H and its complement, of degree d = min(s, m-1-s):
 for d <= 1 the circulant is the only one (a perfect matching, its
 complement, or K_m), and for d >= 2 the builtin enumerator lists the other
-classes up to ``search.BUILTIN_MAX_ORDER`` as certificates, complemented on
+classes up to ``graphs.BUILTIN_MAX_ORDER`` as certificates, complemented on
 masks.  Each of their joins is built and tested as masks; a ``Graph`` is
 built only for the join a build returns.  The first free join comes back;
 if none is, the circulant's join comes back with its witness.
@@ -22,34 +22,30 @@ root without computing a spectrum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .canonical import _canonical
 from .errors import HypothesisViolated, InvalidParameter, InvariantViolated
 from .forbidden import ForbiddenPattern, Witness, _walk, find_kst
-from .graphs import MAX_ORDER, Graph, complete_graph, from_edge_list, join
-from .search import BUILTIN_MAX_ORDER, enumerate_levels, is_extremal_join
+from .graphs import BUILTIN_MAX_ORDER, MAX_ORDER, Graph, complete_graph, from_edge_list, join
 
 
-@dataclass(frozen=True)
 class ExtremalSpec:
     """Target join: complete part of order t-1, s-regular part of order n-t+1."""
 
-    n: int
-    s: int
-    t: int
+    __slots__ = ("n", "s", "t")
 
-    def __post_init__(self):
-        if self.t < 2:
-            raise HypothesisViolated(f"need t >= 2, got {self.t}")
-        if self.s < 1:
-            raise HypothesisViolated(f"need s >= 1, got {self.s}")
-        if self.n < self.t:
-            raise HypothesisViolated(f"need n >= t, got n={self.n}, t={self.t}")
-        if self.n > MAX_ORDER:
-            raise InvalidParameter(f"graph order {self.n} exceeds the ceiling of {MAX_ORDER}")
-        if self.s < self.t - 1:
-            raise HypothesisViolated(f"need s >= t-1, got s={self.s}, t={self.t}")
+    def __init__(self, n: int, s: int, t: int):
+        if t < 2:
+            raise HypothesisViolated(f"need t >= 2, got {t}")
+        if s < 1:
+            raise HypothesisViolated(f"need s >= 1, got {s}")
+        if n < t:
+            raise HypothesisViolated(f"need n >= t, got n={n}, t={t}")
+        if n > MAX_ORDER:
+            raise InvalidParameter(f"graph order {n} exceeds the ceiling of {MAX_ORDER}")
+        if s < t - 1:
+            raise HypothesisViolated(f"need s >= t-1, got s={s}, t={t}")
+        self.n, self.s, self.t = n, s, t
 
     @property
     def m(self) -> int:
@@ -57,8 +53,7 @@ class ExtremalSpec:
         return self.n - self.t + 1
 
 
-@dataclass(frozen=True)
-class BuildResult:
+class BuildResult(NamedTuple):
     """A join, its certificate and its Q-index.  ``exhaustive`` says that the
     join is not free and that every s-regular H of its order was checked, so
     no free K_{t-1} v (s-regular) graph of order n exists; ``attempts``
@@ -98,11 +93,24 @@ def _regular_graphs(m: int, s: int, d: int, h: Graph) -> list[tuple[int, ...]]:
     """Masks of one s-regular graph of order m per class but h's: the d-regular
     certificates of the builtin enumerator, in canonical order, complemented
     when d < s (h's class is matched on the d-regular side)."""
+    from .canonical import _canonical
+    from .search import enumerate_levels  # only this fallback loads search and canonical
+
     full = (1 << m) - 1
     flip = (lambda adj: tuple(full ^ a ^ 1 << v for v, a in enumerate(adj))) if d < s else tuple
     own = _canonical(m, flip(h.adj))[0]
     *_, (_, kept, _) = enumerate_levels(m, keep=lambda adj: all(a.bit_count() <= d for a in adj))
     return [flip(c) for c in kept if c != own and all(a.bit_count() == d for a in c)]
+
+
+def is_extremal_join(g: Graph, s: int, t: int) -> bool:
+    """Whether g is a join of a (t-1)-clique with an s-regular graph: the
+    first t-1 dominating vertices form the hub, and every other vertex
+    (there must be one) has degree s + t - 1, s of it inside the rest."""
+    hub = g.dominating_vertices()[: t - 1]
+    if len(hub) < t - 1 or g.n < t:
+        return False
+    return all(d == s + t - 1 for v, d in enumerate(g.degrees()) if v not in hub)
 
 
 def build_extremal(spec: ExtremalSpec) -> BuildResult:

@@ -12,7 +12,6 @@ run it on its mutable state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 from typing import Sequence
 
@@ -20,18 +19,17 @@ from .errors import InvalidParameter, InvariantViolated
 from .graphs import Graph, _bits
 
 
-@dataclass(frozen=True)
 class ForbiddenPattern:
     """The complete bipartite graph K_{t, s+1} being excluded."""
 
-    t: int
-    s_plus_1: int
+    __slots__ = ("t", "s_plus_1")
 
-    def __post_init__(self):
-        if self.t < 2:
-            raise InvalidParameter(f"small side must have t >= 2, got {self.t}")
-        if self.s_plus_1 < 2:
-            raise InvalidParameter(f"large side must have s+1 >= 2, got {self.s_plus_1}")
+    def __init__(self, t: int, s_plus_1: int):
+        if t < 2:
+            raise InvalidParameter(f"small side must have t >= 2, got {t}")
+        if s_plus_1 < 2:
+            raise InvalidParameter(f"large side must have s+1 >= 2, got {s_plus_1}")
+        self.t, self.s_plus_1 = t, s_plus_1
 
     @property
     def s(self) -> int:

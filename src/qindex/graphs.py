@@ -18,6 +18,7 @@ from typing import Iterable, Iterator, Sequence
 from .errors import InvalidParameter
 
 MAX_ORDER = 62
+BUILTIN_MAX_ORDER = 9  # highest order the builtin enumerator (``search``) generates
 
 
 class Graph:

@@ -36,19 +36,19 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bounds import conjecture_bound, q_bound_t2_applicable
 from .canonical import _canonical, canonical_graph6, canonical_key
+from .constructions import is_extremal_join
 from .errors import HypothesisViolated, InvalidParameter, InvariantViolated
 from .forbidden import ForbiddenPattern, _contains_through, _walk, contains_kst
-from .graphs import MAX_ORDER, Graph, _bits, graph6_decode, graph6_encode
+from .graphs import BUILTIN_MAX_ORDER, MAX_ORDER, Graph, _bits, graph6_decode, graph6_encode
 from .spectral import DEFAULT_TOL, _matrices, _top, q_index
 # bench/spans.py wraps this name as spectral.full; the rename waits for ROADMAP item 1
 from .spectral import _eigvalsh as _jacobi
 from .spectral import _eigvalsh as _power_largest  # unused; bench/spans.py wraps it until ROADMAP item 1
 
-BUILTIN_MAX_ORDER = 9
 T_START, T_END = 1.0, 1e-3  # annealing temperatures, cooled geometrically over the budget
 EPS = 1e-7  # width of an argmax tie, and slack before a q above a cap is a violation
 CHUNK_ENTRIES = 1 << 20  # matrix entries per stacked eigh call of a scan
@@ -160,18 +160,7 @@ def _free_predicate(pat: ForbiddenPattern):
     return lambda adj: _walk(adj, pat.t, pat.s_plus_1) is None
 
 
-def is_extremal_join(g: Graph, s: int, t: int) -> bool:
-    """Whether g is a join of a (t-1)-clique with an s-regular graph: the
-    first t-1 dominating vertices form the hub, and every other vertex
-    (there must be one) has degree s + t - 1, s of it inside the rest."""
-    hub = g.dominating_vertices()[: t - 1]
-    if len(hub) < t - 1 or g.n < t:
-        return False
-    return all(d == s + t - 1 for v, d in enumerate(g.degrees()) if v not in hub)
-
-
-@dataclass(frozen=True)
-class SearchReport:
+class SearchReport(NamedTuple):
     """Outcome of one search over K_{t,s+1}-free graphs of order n.
 
     For exhaustive runs ``max_q`` is the exact maximum over isomorphism
@@ -325,8 +314,7 @@ def exhaustive_max_q(n: int, pat: ForbiddenPattern, stream=None) -> SearchReport
 
 # bounded-degree join scan
 
-@dataclass(frozen=True)
-class JoinCapReport:
+class JoinCapReport(NamedTuple):
     """Scan of q(K_1 v H) over all H of order m with max degree <= s.
 
     The cap is the closed form at (m+1, s); equality cases must coincide

@@ -13,15 +13,15 @@ bitmasks, for one graph or a stack of same-order graphs alike.
 
 This is the only module that imports numpy, and it does so on first use
 inside each function that needs it, so a ``qx`` command that computes no
-spectrum (``free-check``, ``bounds``, ``ledger``, and ``construct``, whose
-q is the closed-form root of its join's equitable quotient) never loads
-numpy.
+spectrum never loads numpy.  ``--version``, ``free-check``, ``bounds``,
+``ledger`` and ``construct`` (whose q is the closed-form root of its join's
+equitable quotient) compute none, and ``cli`` imports this module only for
+the commands that do.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, ClassVar
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InvalidParameter, InvariantViolated
 from .graphs import Graph
@@ -31,8 +31,7 @@ if TYPE_CHECKING:
 DEFAULT_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class SpectralResult:
+class SpectralResult(NamedTuple):
     """Largest eigenvalue with its certified eigenvector.
 
     value     largest eigenvalue of the requested matrix
@@ -45,9 +44,10 @@ class SpectralResult:
     value: float
     vector: np.ndarray
     residual: float
-    # bench/spans.py reads these from every result until ROADMAP item 1
-    iterations: ClassVar[int] = 0
-    method: ClassVar[str] = "lapack"
+    # class constants, not fields: bench/spans.py reads them from every
+    # result until ROADMAP item 1
+    iterations = 0
+    method = "lapack"
 
 
 def _matrices(masks, which: str = "Q") -> np.ndarray:

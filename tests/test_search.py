@@ -1,7 +1,6 @@
 import itertools
 import math
 import random
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -200,7 +199,7 @@ class TestExhaustive:
         pat = ForbiddenPattern.from_ts(t, s)
         for n, scanned in enumerate(exhaustive_scan(6, pat), start=1):
             direct = exhaustive_max_q(n, pat)
-            assert replace(direct, runtime_ms=0) == replace(scanned, runtime_ms=0)
+            assert direct._replace(runtime_ms=0) == scanned._replace(runtime_ms=0)
 
     def test_builtin_cap(self):
         with pytest.raises(InvalidParameter, match="builtin enumeration capped at order 9"):
@@ -414,6 +413,7 @@ class TestHuntAtProvedThreshold:
         assert not exhaustive_max_q(7, ForbiddenPattern.from_ts(3, 2)).bound_applicable
         report = heuristic_max_q(22, ForbiddenPattern.from_ts(2, 2), budget=50, seed=0)
         assert report.bound_applicable
+        assert not heuristic_max_q(22, ForbiddenPattern.from_ts(3, 2), budget=200, seed=1).bound_applicable
 
 
 def hub_join_stream(rng):
@@ -452,7 +452,7 @@ CERTIFIED_Q: dict = {}  # adjacency mask tuple -> q_index value
 def without_runtime(report):
     if isinstance(report, list):
         return [without_runtime(r) for r in report]
-    return replace(report, runtime_ms=0)
+    return report._replace(runtime_ms=0)
 
 
 def run_scan(name, monkeypatch):
@@ -570,7 +570,7 @@ class TestCertifiedScoring:
         monkeypatch.setattr(search, "CHUNK_ENTRIES", 2 * 6 * 6)
         monkeypatch.setattr(search, "_top", counted_top(calls))
         chunked = exhaustive_max_q(6, pat)
-        assert replace(chunked, runtime_ms=0) == replace(whole, runtime_ms=0)
+        assert chunked._replace(runtime_ms=0) == whole._replace(runtime_ms=0)
         assert len(calls) == math.ceil(whole.free_graphs / 2) and max(calls) == 2
 
 
