@@ -9,7 +9,9 @@ tree: twin transpositions seed the generators, and every leaf whose
 certificate equals the first or the best leaf's adds one (``_canonical``
 returns them as full permutations of the canonical labels, so vertex
 augmentation can extend a canonical form by one neighbour mask per orbit
-without a relabeling step).  A child is skipped when a generator fixing the
+without a relabeling step, and they generate the whole automorphism group,
+so it can count a class unlabeled).  When every root cell is a set of
+twins, no search runs.  A child is skipped when a generator fixing the
 node's individualized prefix maps it onto a sibling already searched, and
 after an automorphism the search jumps back to the level where the two
 leaves' paths part (McKay & Piperno, "Practical graph isomorphism, II",
@@ -109,16 +111,15 @@ def _certificate(adj: Sequence[int], lab: list[int]) -> tuple[int, ...]:
 
 
 def _canonical(n: int, adj: Sequence[int]) -> tuple[tuple[int, ...], list[list[int]]]:
-    """Least leaf's certificate, and the automorphisms found on the way as
-    full permutations of its canonical labels (i -> image of i).
-
-    The automorphisms are the twin transpositions and one per leaf whose
-    certificate equals the first or the best leaf's; a discrete root
-    partition proves the graph rigid and returns none.
+    """Least leaf's certificate, and automorphisms generating the whole
+    automorphism group as full permutations of its canonical labels
+    (i -> image of i): the twin transpositions and one per leaf whose
+    certificate equals the first or the best leaf's.  When every cell of the
+    root partition is a set of twins (a discrete partition included), every
+    leaf is the first one with twins swapped, so the first is the least and
+    the twin transpositions generate the group: no search runs.
     """
     root = refinement_cells(n, adj)
-    if len(root) == n:
-        return _certificate(adj, [cell[0] for cell in root]), []
     gens = _twin_generators(n, adj)
     path: list[int] = []  # individualized vertices, one per level
     first = best = None  # (lab, cert, path) of the first and of the least leaf
@@ -178,8 +179,12 @@ def _canonical(n: int, adj: Sequence[int]) -> tuple[tuple[int, ...], list[list[i
                 return back
         return k - 1
 
-    search(root)
-    lab, cert, _ = best
+    if all(adj[v] & ~(1 << cell[0]) == adj[cell[0]] & ~(1 << v) for cell in root for v in cell[1:]):
+        lab = [v for cell in root for v in cell]
+        cert = _certificate(adj, lab)
+    else:
+        search(root)
+        lab, cert, _ = best
     pos = [0] * n  # vertex -> canonical label
     for i, v in enumerate(lab):
         pos[v] = i

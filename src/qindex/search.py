@@ -6,10 +6,13 @@ each kept certificate gets one child per orbit of neighbour masks under the
 automorphisms its labeling found, given on its canonical labels, and the
 child is built as raw adjacency masks.  A hereditary keep-predicate on
 those masks (pattern-freeness, degree caps) prunes whole subtrees, since
-deleting a vertex cannot create a forbidden subgraph.  A child whose new
-vertex is outranked, by an invariant vertex key, by an old vertex the
-predicate lets be deleted is dropped before labeling; the rest are labeled
-and deduplicated by certificate.  Builtin generation is capped at order 9;
+deleting a vertex cannot create a forbidden subgraph.  Before labeling,
+a child's new vertex is ranked by an invariant vertex key among the
+vertices the predicate lets be deleted.  An outranked child is dropped, a
+tied one is labeled and deduplicated by certificate, and a unique-top one
+is a class of its own: it is counted unlabeled and labeled only if kept,
+which is exact because the automorphisms a labeling returns generate the
+parent's whole group.  Builtin generation is capped at order 9;
 beyond that a graph6 stream from an external enumerator is deduplicated and
 scanned the same way.  A scan certifies the q of every certificate it
 scores in one stacked LAPACK call (``spectral._top``: ``numpy.linalg.eigh``
@@ -57,24 +60,27 @@ CHUNK_ENTRIES = 1 << 20  # matrix entries per stacked eigh call of a scan
 def _mask_orbit_representatives(n: int, perms: list[list[int]]) -> list[int]:
     """Least mask of each orbit of the group generated by ``perms`` (vertex
     permutations of range(n)) acting on the 2^n subsets of range(n)."""
+    if not perms:
+        return list(range(1 << n))
     images = []
     for perm in perms:
-        image = [0] * (1 << n)
-        for m in range(1, 1 << n):
-            low = m & -m
-            image[m] = image[m ^ low] | 1 << perm[low.bit_length() - 1]
+        image = [0]  # mask -> its image, built one bit at a time
+        for v in perm:
+            image += [x | 1 << v for x in image]
         images.append(image)
     reached = bytearray(1 << n)
     reps = []
     for m in range(1 << n):
         if not reached[m]:
             reps.append(m)
-            stack = [m]
-            while stack:
-                x = stack.pop()
-                if not reached[x]:
-                    reached[x] = 1
-                    stack += [image[x] for image in images]
+            reached[m] = 1
+            orbit = [m]
+            for x in orbit:
+                for image in images:
+                    y = image[x]
+                    if not reached[y]:
+                        reached[y] = 1
+                        orbit.append(y)
     return reps
 
 
@@ -84,24 +90,35 @@ def _deleted(adj: list[int], u: int) -> list[int]:
     return [m & low | m >> 1 & ~low for v, m in enumerate(adj) if v != u]
 
 
-def _outranked(adj: list[int], keep) -> bool:
-    """Whether some old vertex u ranks above the new (last) vertex by the
-    invariant (degree, sum of its neighbours' degrees) while ``keep`` still
-    holds on the graph with u deleted."""
+def _rank(adj: list[int], keep) -> tuple[bool, bool] | None:
+    """Rank the new (last) vertex w among the deletable vertices, those whose
+    deletion leaves ``keep`` holding, by the invariant (degree, sum of its
+    neighbours' degrees).  None when a deletable vertex ranks above w; else
+    (whether a deletable vertex ties w, whether ``keep`` holds on the graph).
+    When ``keep`` holds every vertex is deletable, so no tie is walked."""
     deg = [m.bit_count() for m in adj]
     top = deg[-1]
     top_sum = None
+    ties = []
+    blocked = False  # an undeletable vertex ranks above w, so keep fails here
     for u in range(len(adj) - 1):
         if deg[u] < top:
             continue
         if deg[u] == top:
             if top_sum is None:
                 top_sum = sum(deg[w] for w in _bits(adj[-1]))
-            if sum(deg[w] for w in _bits(adj[u])) <= top_sum:
+            u_sum = sum(deg[w] for w in _bits(adj[u]))
+            if u_sum < top_sum:
+                continue
+            if u_sum == top_sum:
+                ties.append(u)
                 continue
         if keep is None or keep(_deleted(adj, u)):
-            return True
-    return False
+            return None
+        blocked = True
+    if keep is None or not blocked and keep(adj):
+        return bool(ties), True
+    return any(keep(_deleted(adj, u)) for u in ties), False
 
 
 def enumerate_levels(max_n: int, keep=None):
@@ -117,17 +134,18 @@ def enumerate_levels(max_n: int, keep=None):
     Each kept certificate is extended by one new vertex per orbit of
     neighbour masks under the automorphisms its labeling found, given as
     full permutations of its canonical labels (McKay, "Isomorph-free
-    exhaustive generation", J. Algorithms 1998).  Those automorphisms
-    generate a subgroup of Aut(parent), and masks in one orbit of it give
-    isomorphic children, so every class is still generated.  A child is
-    dropped unlabeled when an old vertex outranks the new one by the
-    invariant (degree, sum of neighbour degrees) and can be deleted with
-    ``keep`` still holding.  That is exact: a class is still generated from
-    the parent left by deleting a top-ranked deletable vertex, and no
-    deletable vertex outranks that one.  Every level is complete because
-    ``keep`` is hereditary, so that parent is kept.  The remaining children
-    are built and labeled as adjacency masks and deduplicated by their
-    certificates; no ``Graph`` is built.
+    exhaustive generation", J. Algorithms 1998).  Masks in one orbit give
+    isomorphic children, so every class is generated.  Each child is ranked
+    (``_rank``) before labeling.  It is dropped when a deletable old vertex
+    outranks the new one: its class is also generated from the parent left
+    by deleting a top-ranked deletable vertex, and that parent is kept
+    because ``keep`` is hereditary.  A child with a tied top rank is labeled
+    and deduplicated by certificate.  A child whose new vertex is the unique
+    top has one parent, the class less that vertex, and one orbit of its
+    masks gives it, because the automorphisms ``_canonical`` returns
+    generate all of Aut(parent).  So it is counted unlabeled and labeled
+    only when kept; a kept certificate met twice, the sign of an incomplete
+    group, raises ``InvariantViolated``.  No ``Graph`` is built.
     """
     if max_n < 1:
         raise InvalidParameter("enumeration needs max_n >= 1")
@@ -137,22 +155,33 @@ def enumerate_levels(max_n: int, keep=None):
     for order in range(2, max_n + 1):
         new = 1 << (order - 1)
         parents = kept
-        seen: set = set()
+        seen: set = set()  # certificates of the tied children
+        tops = 0  # unique-top children, each a class of its own
         kept = {}
         for parent, perms in parents.items():
             for mask in _mask_orbit_representatives(order - 1, perms):
                 adj = [m | new if mask >> u & 1 else m for u, m in enumerate(parent)]
                 adj.append(mask)
-                if _outranked(adj, keep):
+                ranked = _rank(adj, keep)
+                if ranked is None:
                     continue
+                tied, ok = ranked
+                if not tied:
+                    tops += 1
+                    if not ok:
+                        continue
                 cert, auts = _canonical(order, adj)
-                if cert in seen:
-                    continue
-                seen.add(cert)
-                if keep is None or keep(cert):
+                if tied:
+                    if cert in seen:
+                        continue
+                    seen.add(cert)
+                elif cert in kept:
+                    raise InvariantViolated(f"order-{order} class generated twice: "
+                                            "the automorphisms found miss part of a group")
+                if ok:
                     kept[cert] = auts
         kept = {cert: kept[cert] for cert in sorted(kept)}
-        yield order, list(kept), len(seen)
+        yield order, list(kept), len(seen) + tops
 
 
 def _free_predicate(pat: ForbiddenPattern):

@@ -9,6 +9,7 @@ import time
 
 import networkx as nx
 import pytest
+from networkx.generators.atlas import graph_atlas_g
 
 from qindex.canonical import (
     _canonical,
@@ -136,6 +137,56 @@ def test_generators_are_automorphisms(rook_4x4):
         for perm in perms:
             assert sorted(perm) == list(range(g.n))
             assert all(cert[perm[v]] == sum(1 << perm[u] for u in _bits(cert[v])) for v in range(g.n))
+
+
+def automorphism_count(adj):
+    """Brute-force |Aut|: extend a partial image vertex by vertex, keeping
+    degrees and the adjacency to every vertex already placed."""
+    n = len(adj)
+    deg = [m.bit_count() for m in adj]
+    image = []
+
+    def extend(used):
+        v = len(image)
+        if v == n:
+            return 1
+        total = 0
+        for w in range(n):
+            if not used >> w & 1 and deg[w] == deg[v] and all(
+                    (adj[v] >> u & 1) == (adj[w] >> image[u] & 1) for u in range(v)):
+                image.append(w)
+                total += extend(used | 1 << w)
+                image.pop()
+        return total
+
+    return extend(0)
+
+
+def group_order(n, perms):
+    """Order of the group generated by ``perms``: the identity closed under them."""
+    group = {tuple(range(n))}
+    frontier = list(group)
+    while frontier:
+        g = frontier.pop()
+        for perm in perms:
+            h = tuple(perm[x] for x in g)
+            if h not in group:
+                group.add(h)
+                frontier.append(h)
+    return len(group)
+
+
+def test_automorphisms_generate_the_whole_group():
+    # vertex augmentation counts a class whose new vertex is the unique top
+    # without labeling it, which is exact only if the permutations generate
+    # all of Aut(G), not a subgroup; every class of order 1..7 from the
+    # networkx atlas, relabeled
+    rng = random.Random(1981)
+    graphs = [from_edge_list(len(h), list(h.edges())) for h in graph_atlas_g() if len(h)]
+    assert len(graphs) == 1252
+    for g in graphs:
+        h = shuffled(rng, g)
+        assert group_order(h.n, _canonical(h.n, h.adj)[1]) == automorphism_count(h.adj), g.adj
 
 
 def test_canonical_form_is_a_fixed_point():

@@ -133,6 +133,12 @@ class TestOrbitPrunedAugmentation:
         *_, (order, kept, seen) = enumerate_levels(8, free_of(2, 2))
         assert (order, len(kept), seen) == (8, 2197, 8423)
 
+    # the scans that count most of their classes without a certificate
+    @pytest.mark.parametrize("name, counts", [("K_{2,2}-free", (351, 3469)), ("max degree <= 2", (46, 804))])
+    def test_sparse_order_8_class_counts(self, name, counts):
+        *_, (order, kept, seen) = enumerate_levels(8, ORACLE_PREDICATES[name])
+        assert (order, len(kept), seen) == (8, *counts)
+
     def test_graphs_only_for_what_a_report_prints(self, monkeypatch):
         # a class is its certificate from generation to scoring: enumeration
         # builds no Graph (a Graph per kept class built 1,252 here), a scan
@@ -159,11 +165,19 @@ class TestOrbitPrunedAugmentation:
         heuristic_max_q(16, ForbiddenPattern.from_ts(2, 2), 2000, 3)
         assert 0 < len(built) <= 2
 
-    @pytest.mark.parametrize("name", ["unrestricted", "K_{2,3}-free"])
-    def test_outranked_children_are_not_labeled(self, monkeypatch, name):
+    @pytest.mark.parametrize("name, limit", [
+        ("unrestricted", 1350),
+        ("K_{2,3}-free", 800),
+        ("max degree <= 2", 160),
+    ])
+    def test_outranked_children_are_not_labeled(self, monkeypatch, name, limit):
         # a child whose new vertex is outranked by a deletable old vertex is
-        # dropped before labeling; labeling every orbit representative took
-        # 5,758 and 3,741 calls here (1,252 and 1,078 classes seen)
+        # dropped before labeling, and one whose new vertex is the unique top
+        # is labeled only when kept.  Labeling every orbit representative
+        # took 5,758, 3,741 and 640 calls here, and labeling every child not
+        # outranked 1,306, 1,120 and 424, for 1,252, 1,078 and 418 classes
+        # seen; now 1,306, 789 and 151 calls, fewer than the classes seen
+        # wherever a scan keeps few of them
         calls = []
         canonical = search._canonical
 
@@ -173,7 +187,20 @@ class TestOrbitPrunedAugmentation:
 
         monkeypatch.setattr(search, "_canonical", counted)
         seen = sum(seen for _, _, seen in enumerate_levels(7, ORACLE_PREDICATES[name]))
-        assert len(calls) <= 1.1 * seen
+        assert len(calls) <= limit
+        if name != "unrestricted":
+            assert len(calls) < seen
+
+    @pytest.mark.parametrize("name", ["unrestricted", "K_{2,3}-free", "max degree <= 2"])
+    def test_incomplete_automorphism_group_is_caught(self, monkeypatch, name):
+        # a child whose new vertex is the unique top is counted without a
+        # certificate on the promise that one orbit of masks gives it; with
+        # no automorphisms every mask of an orbit is tried, and the kept
+        # certificate met twice must raise rather than be counted again
+        canonical = search._canonical
+        monkeypatch.setattr(search, "_canonical", lambda n, adj: (canonical(n, adj)[0], []))
+        with pytest.raises(InvariantViolated):
+            list(enumerate_levels(6, ORACLE_PREDICATES[name]))
 
 
 class TestExhaustive:
