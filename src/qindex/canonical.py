@@ -18,7 +18,10 @@ leaves' paths part (McKay & Piperno, "Practical graph isomorphism, II",
 2014).  The hub joins of cycles, circulants and matchings the paper is
 about label in at most tens of milliseconds up to order 62; a graph whose
 refinement stalls without automorphisms to prune (a rigid regular graph)
-costs one subtree per vertex of the stalled cell.
+costs one subtree per vertex of the stalled cell.  The search state is
+passed explicitly between module functions: nested closures that call
+each other would leave a reference cycle per labeling, and ``qx`` runs
+with the cyclic garbage collector off (``cli``).
 """
 
 from __future__ import annotations
@@ -110,6 +113,59 @@ def _certificate(adj: Sequence[int], lab: list[int]) -> tuple[int, ...]:
     return tuple(rows)
 
 
+def _find(orbit: list[int], v: int) -> int:
+    while orbit[v] != v:
+        orbit[v] = v = orbit[orbit[v]]
+    return v
+
+
+def _search(adj: Sequence[int], gens: list, path: list[int], leaves: list, cells: list[list[int]]) -> int:
+    """Search below a node; return the level the search resumes at.  ``leaves``
+    holds the first and the least leaf so far, as (lab, cert, path)."""
+    n, k = len(adj), len(path)
+    if len(cells) == n:
+        lab = [cell[0] for cell in cells]
+        cert = _certificate(adj, lab)
+        if not leaves:
+            leaves += [(lab, cert, path.copy())] * 2
+            return k - 1
+        for other_lab, other_cert, other_path in leaves:
+            if cert == other_cert:
+                # lab[i] -> other_lab[i] is an automorphism; resume where the paths part
+                gamma = [(v, w) for v, w in zip(lab, other_lab) if v != w]
+                gens.append((sum(1 << v for v, _ in gamma), gamma))
+                return next(d for d, (v, w) in enumerate(zip(path, other_path)) if v != w)
+        if cert < leaves[1][1]:
+            leaves[1] = lab, cert, path.copy()
+        return k - 1
+    fixed = sum(1 << v for v in path)
+    ti = next(i for i, cell in enumerate(cells) if len(cell) > 1)
+    target = cells[ti]
+    orbit: list[int] = []  # union-find under the generators fixing the prefix
+    used = 0
+    searched: list[int] = []
+    for w in target:
+        for supp, pairs in gens[used:]:
+            if not supp & fixed:
+                if not orbit:
+                    orbit[:] = range(n)
+                for a, b in pairs:
+                    orbit[_find(orbit, a)] = _find(orbit, b)
+        used = len(gens)
+        if orbit:
+            r = _find(orbit, w)
+            if any(_find(orbit, x) == r for x in searched):
+                continue
+        searched.append(w)
+        child = cells[:ti] + [[w], [x for x in target if x != w]] + cells[ti + 1:]
+        path.append(w)
+        back = _search(adj, gens, path, leaves, _refine(adj, child, [1 << w]))
+        path.pop()
+        if back < k:
+            return back
+    return k - 1
+
+
 def _canonical(n: int, adj: Sequence[int]) -> tuple[tuple[int, ...], list[list[int]]]:
     """Least leaf's certificate, and automorphisms generating the whole
     automorphism group as full permutations of its canonical labels
@@ -121,70 +177,13 @@ def _canonical(n: int, adj: Sequence[int]) -> tuple[tuple[int, ...], list[list[i
     """
     root = refinement_cells(n, adj)
     gens = _twin_generators(n, adj)
-    path: list[int] = []  # individualized vertices, one per level
-    first = best = None  # (lab, cert, path) of the first and of the least leaf
-
-    def leaf(cells: list[list[int]]) -> int:
-        nonlocal first, best
-        lab = [cell[0] for cell in cells]
-        cert = _certificate(adj, lab)
-        if first is None:
-            first = best = lab, cert, path.copy()
-        else:
-            for other_lab, other_cert, other_path in (first, best):
-                if cert == other_cert:
-                    # lab[i] -> other_lab[i] is an automorphism; resume where the paths part
-                    gamma = [(v, w) for v, w in zip(lab, other_lab) if v != w]
-                    gens.append((sum(1 << v for v, _ in gamma), gamma))
-                    return next(d for d, (v, w) in enumerate(zip(path, other_path)) if v != w)
-            if cert < best[1]:
-                best = lab, cert, path.copy()
-        return len(path) - 1
-
-    def search(cells: list[list[int]]) -> int:
-        """Search below a node; return the level the search resumes at."""
-        if len(cells) == n:
-            return leaf(cells)
-        k = len(path)
-        fixed = sum(1 << v for v in path)
-        ti = next(i for i, cell in enumerate(cells) if len(cell) > 1)
-        target = cells[ti]
-        orbit: list[int] = []  # union-find under the generators fixing the prefix
-        used = 0
-        searched: list[int] = []
-
-        def find(v: int) -> int:
-            while orbit[v] != v:
-                orbit[v] = v = orbit[orbit[v]]
-            return v
-
-        for w in target:
-            for supp, pairs in gens[used:]:
-                if not supp & fixed:
-                    if not orbit:
-                        orbit[:] = range(n)
-                    for a, b in pairs:
-                        orbit[find(a)] = find(b)
-            used = len(gens)
-            if orbit:
-                r = find(w)
-                if any(find(x) == r for x in searched):
-                    continue
-            searched.append(w)
-            child = cells[:ti] + [[w], [x for x in target if x != w]] + cells[ti + 1:]
-            path.append(w)
-            back = search(_refine(adj, child, [1 << w]))
-            path.pop()
-            if back < k:
-                return back
-        return k - 1
-
     if all(adj[v] & ~(1 << cell[0]) == adj[cell[0]] & ~(1 << v) for cell in root for v in cell[1:]):
         lab = [v for cell in root for v in cell]
         cert = _certificate(adj, lab)
     else:
-        search(root)
-        lab, cert, _ = best
+        leaves: list = []
+        _search(adj, gens, [], leaves, root)
+        lab, cert, _ = leaves[1]
     pos = [0] * n  # vertex -> canonical label
     for i, v in enumerate(lab):
         pos[v] = i

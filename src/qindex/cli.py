@@ -28,11 +28,13 @@ Exit codes: 0 success, 1 usage error, 2 computation error (message on
 stderr), 3 a result has the verdict ``bound_violated``.
 
 The ``qx`` console script and ``python -m qindex.cli`` both enter through
-``_entry``: it runs ``main``, then freezes the garbage collector before
-``sys.exit``, so the interpreter's final collections skip the objects that
-numpy and qindex leave tracked (tens of milliseconds per process) while
-normal shutdown (atexit handlers, flushing stdout) still runs.  ``main``
-itself has no GC side effect, so it can be called in-process.
+``_entry``: it turns the cyclic garbage collector off (no qindex code path
+makes a reference cycle, so collecting during imports, scans and hunts
+frees nothing), runs ``main``, then freezes the collector before
+``sys.exit``, so the final collections, which run even with it off, skip
+the objects numpy and qindex leave tracked (tens of milliseconds per
+process) while normal shutdown (atexit handlers, flushing stdout) still
+runs.  ``main`` itself has no GC side effect, so it can be called in-process.
 """
 
 from __future__ import annotations
@@ -310,6 +312,7 @@ def main(argv=None) -> int:
 
 
 def _entry() -> None:
+    gc.disable()
     code = main()
     gc.freeze()
     sys.exit(code)

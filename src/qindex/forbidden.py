@@ -2,12 +2,15 @@
 
 A graph contains K_{t,s+1} as a subgraph exactly when some t vertices have
 at least s+1 common neighbors outside the t-set.  Every question asked here
-(a witness, a yes/no answer, whether some copy has a given vertex on its
-t-side) is answered by one walk over the t-subsets of raw adjacency masks,
-in lexicographic order, that cuts a branch as soon as the running
+(a witness, a yes/no answer, whether some copy uses a given edge) is
+answered by one walk over the t-subsets of raw adjacency masks, in
+lexicographic order, that cuts a branch as soon as the running
 intersection of neighborhoods is too small.  The walk takes a
 sequence of masks rather than a ``Graph`` so that the annealing search can
-run it on its mutable state.
+run it on its mutable state.  It recurses through a module function with
+explicit arguments, not a nested closure: a closure that calls itself is a
+reference cycle, which ``qx`` never frees because it runs with the cyclic
+garbage collector off (``cli``).
 """
 
 from __future__ import annotations
@@ -46,36 +49,40 @@ class ForbiddenPattern:
 Witness = tuple[tuple[int, ...], tuple[int, ...]]
 
 
-def _walk(adj: Sequence[int], t: int, need: int, anchor: int | None = None) -> Witness | None:
-    """First t-set in lexicographic order (among those containing ``anchor``,
-    when given) with at least ``need`` common neighbors outside itself,
-    paired with the ``need`` smallest of them; None when there is none.
+def _walk(adj: Sequence[int], t: int, need: int, anchor: int | None = None, pool: int = -1) -> Witness | None:
+    """First t-set in lexicographic order (among those holding ``anchor``
+    with the rest in the mask ``pool``, when given) with at least ``need``
+    common neighbors outside itself, paired with the ``need`` smallest of
+    them; None when there is none.
 
     Masks carry no loops, so an intersection of neighborhoods never meets
     the t-set itself.  Removing the anchor from every t-set keeps their
     lexicographic order, so the anchored walk runs over (t-1)-sets of the
     other vertices, starting from the anchor's neighborhood.
     """
-    n = len(adj)
-    chosen = [] if anchor is None else [anchor]
-    base = (1 << n) - 1 if anchor is None else adj[anchor]
+    full = (1 << len(adj)) - 1
+    if anchor is None:
+        return _extend(adj, t, need, [], pool & full, full)
+    return _extend(adj, t, need, [anchor], pool & full & ~(1 << anchor), adj[anchor])
 
-    def extend(start: int, inter: int) -> Witness | None:
-        if len(chosen) == t:
-            return tuple(sorted(chosen)), tuple(islice(_bits(inter), need))
-        for v in range(start, n):
-            nxt = inter & adj[v]
-            # the intersection only shrinks as the t-set grows
-            if v == anchor or nxt.bit_count() < need:
-                continue
+
+def _extend(adj: Sequence[int], t: int, need: int, chosen: list[int], pool: int, inter: int) -> Witness | None:
+    """``_walk`` below the t-set prefix ``chosen``, adding vertices of ``pool``."""
+    if len(chosen) == t:
+        return tuple(sorted(chosen)), tuple(islice(_bits(inter), need))
+    while pool:
+        low = pool & -pool
+        pool ^= low
+        v = low.bit_length() - 1
+        nxt = inter & adj[v]
+        # the intersection only shrinks as the t-set grows
+        if nxt.bit_count() >= need:
             chosen.append(v)
-            found = extend(v + 1, nxt)
+            found = _extend(adj, t, need, chosen, pool, nxt)
             chosen.pop()
             if found is not None:
                 return found
-        return None
-
-    return extend(0, base) if base.bit_count() >= need else None
+    return None
 
 
 def find_kst(g: Graph, pat: ForbiddenPattern) -> Witness | None:
@@ -105,7 +112,8 @@ def contains_kst(g: Graph, pat: ForbiddenPattern) -> bool:
     return find_kst(g, pat) is not None
 
 
-def _contains_through(adj: Sequence[int], pat: ForbiddenPattern, anchor: int) -> bool:
-    """Whether some K_{t,s+1} in the graph with masks ``adj`` has ``anchor``
-    on its t-side."""
-    return _walk(adj, pat.t, pat.s_plus_1, anchor) is not None
+def _contains_through(adj: Sequence[int], pat: ForbiddenPattern, u: int, v: int) -> bool:
+    """Whether some K_{t,s+1} in the graph with masks ``adj`` uses the edge uv:
+    one end on its t-side, the rest of that side in the other's neighborhood."""
+    t, need = pat.t, pat.s_plus_1
+    return _walk(adj, t, need, u, adj[v]) is not None or _walk(adj, t, need, v, adj[u]) is not None

@@ -434,7 +434,7 @@ def heuristic_max_q(n: int, pat: ForbiddenPattern, budget: int, seed: int) -> Se
         adding = not adj[u] >> v & 1
         adj[u] ^= 1 << v
         adj[v] ^= 1 << u
-        if adding and (_contains_through(adj, pat, u) or _contains_through(adj, pat, v)):
+        if adding and _contains_through(adj, pat, u, v):
             adj[u] ^= 1 << v
             adj[v] ^= 1 << u
             continue

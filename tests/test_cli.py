@@ -1,4 +1,5 @@
 import ast
+import gc
 import io
 import json
 import math
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -644,6 +646,23 @@ def test_every_error_class_is_caught_or_a_kind():
     assert sorted(classes - kinds - caught) == []
 
 
+def test_no_self_referencing_nested_function_in_src():
+    # a nested function that names itself (to recurse) holds its own
+    # closure cell: a reference cycle per call of the enclosing function,
+    # which ``qx`` never collects because it runs with the collector off
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    found = set()
+    for module, tree in _src_modules().items():
+        for outer in ast.walk(tree):
+            if isinstance(outer, (*defs, ast.Lambda)):
+                found |= {f"{module}:{inner.lineno}:{inner.name}"
+                          for inner in ast.walk(outer)
+                          if inner is not outer and isinstance(inner, defs)
+                          and any(isinstance(node, ast.Name) and node.id == inner.name
+                                  for node in ast.walk(inner))}
+    assert sorted(found) == []
+
+
 def _src_modules() -> dict[str, ast.Module]:
     """Parsed source of each ``qindex`` module but ``__init__``, by file name."""
     return {path.name: ast.parse(path.read_text())
@@ -755,3 +774,63 @@ class TestProcessEntry:
                      and ast.unparse(node.test) == "__name__ == '__main__'")
         called = [ast.unparse(node.func) for node in ast.walk(block) if isinstance(node, ast.Call)]
         assert [f"qindex.cli:{name}" for name in called] == [pyproject["project"]["scripts"]["qx"]]
+
+    def test_entry_turns_the_collector_off(self):
+        # ``main`` replaced by a probe that reports the collector's state
+        # from inside ``_entry``
+        probe = ("import gc\nimport qindex.cli as cli\n"
+                 "cli.main = lambda: print(gc.isenabled()) or 0\ncli._entry()")
+        done = _python("-c", probe)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
+
+
+@pytest.fixture()
+def hub_stream(tmp_path):
+    """Order-10 hub joins, each also relabeled: the symmetric inputs whose
+    labeling searches prune by automorphisms."""
+    rng = random.Random(5)
+    hubs = [join(complete_graph(1), h) for h in (
+        circulant(9, [1]), circulant(9, [1, 2]), circulant(9, [3]),
+        disjoint_union(circulant(4, [1]), circulant(5, [1])))]
+    perm = list(range(10))
+    lines = []
+    for g in hubs:
+        rng.shuffle(perm)
+        lines += [graph6_encode(g), graph6_encode(relabel(g, perm))]
+    path = tmp_path / "hubs.g6"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--n", "6", "--t", "2", "--s", "2"],
+    ["verify", "--n", "10", "--t", "2", "--s", "2", "--stream", "HUBS"],
+    ["prop4", "--m", "6", "--s", "2"],
+    ["hunt", "--n", "10", "--t", "2", "--s", "1", "--budget", "300", "--seed", "3"],
+    ["construct", "--n", "22", "--s", "2", "--t", "2"],
+    ["construct", "--n", "7", "--s", "3", "--t", "2"],  # not free: the enumerated fallback
+    ["free-check", "FILE", "--t", "2", "--s", "1"],
+    ["qindex", "FILE"],
+    ["spectrum", "FILE"],
+    ["bounds", "--n", "13", "22", "--s", "1", "2", "--t", "2", "--format", "csv"],
+    ["ledger", "--s", "2", "--n", "22"],
+], ids=["verify", "verify-stream", "prop4", "hunt", "construct-free", "construct-enumerated",
+        "free-check", "qindex", "spectrum", "bounds-csv", "ledger"])
+def test_a_command_leaves_no_cyclic_garbage(monkeypatch, g6_file, hub_stream, argv):
+    # ``_entry`` runs with the collector off, so a cycle made per labeling,
+    # walk or proposal would pile up.  argparse and json's indenting encoder
+    # make cycles of their own, once per report: the parser is built once
+    # and the report written unindented, so only the command's own garbage
+    # is counted.
+    argv = [{"FILE": g6_file, "HUBS": hub_stream}.get(a, a) for a in argv]
+    parser = cli._build_parser()
+    monkeypatch.setattr(cli, "_build_parser", lambda: parser)
+    monkeypatch.setattr(cli, "json", SimpleNamespace(dumps=lambda obj, **_: json.dumps(obj)))
+    assert cli.main(argv) == 0  # warm-up: lazy imports and names
+    gc.collect()
+    gc.disable()
+    try:
+        assert cli.main(argv) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -34,15 +34,17 @@ def brute_force_max_codegree(g, t):
     )
 
 
-def brute_force_contains_through(g, t, s_plus_1, anchor):
-    """Independent oracle: some t-set holding ``anchor`` has s+1 common
-    neighbors outside itself."""
-    others = [v for v in range(g.n) if v != anchor]
-    for rest in itertools.combinations(others, t - 1):
-        left = {anchor, *rest}
-        common = set.intersection(*[neighbors(g, x) for x in left]) - left
-        if len(common) >= s_plus_1:
-            return True
+def brute_force_uses_edge(g, t, s_plus_1, u, v):
+    """Independent oracle: some copy of K_{t,s+1} has u on one side and v
+    on the other."""
+    for a, b in ((u, v), (v, u)):
+        for left in itertools.combinations(range(g.n), t):
+            if a not in left:
+                continue
+            rest = [x for x in range(g.n) if x not in left]
+            for right in itertools.combinations(rest, s_plus_1):
+                if b in right and all(g.has_edge(x, y) for x in left for y in right):
+                    return True
     return False
 
 
@@ -94,18 +96,19 @@ class TestOracleEquivalence:
                     pat = ForbiddenPattern.from_ts(t, s)
                     assert contains_kst(g, pat) == brute_force_contains(g, t, s + 1)
 
-    def test_anchored_walk_at_every_anchor(self):
+    def test_edge_walk_at_every_edge(self):
         rng = random.Random(909)
         hits = checks = 0
         for _ in range(150):
             n = rng.randint(3, 10)
             g = random_graph(rng, n, rng.choice([0.3, 0.5, 0.7]))
+            edges = [(u, v) for u in range(n) for v in range(n) if g.has_edge(u, v)]
             for t in (2, 3):
                 for s in (1, 2):
                     pat = ForbiddenPattern.from_ts(t, s)
-                    for anchor in range(n):
-                        got = _contains_through(g.adj, pat, anchor)
-                        assert got == brute_force_contains_through(g, t, s + 1, anchor)
+                    for u, v in edges:  # both orders of each edge
+                        got = _contains_through(g.adj, pat, u, v)
+                        assert got == brute_force_uses_edge(g, t, s + 1, u, v)
                         hits += got
                         checks += 1
         assert 500 < hits < checks - 500  # both answers are exercised

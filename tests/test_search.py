@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import random
@@ -190,6 +191,19 @@ class TestOrbitPrunedAugmentation:
         assert len(calls) <= limit
         if name != "unrestricted":
             assert len(calls) < seen
+
+    @pytest.mark.parametrize("name", ORACLE_PREDICATES)
+    def test_leaves_no_cyclic_garbage(self, name):
+        # labeling and K_{t,s+1} walks run with the collector off under
+        # ``qx``: a cycle made per child would never be freed
+        list(enumerate_levels(4, ORACLE_PREDICATES[name]))  # warm-up
+        gc.collect()
+        gc.disable()
+        try:
+            list(enumerate_levels(7, ORACLE_PREDICATES[name]))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize("name", ["unrestricted", "K_{2,3}-free", "max degree <= 2"])
     def test_incomplete_automorphism_group_is_caught(self, monkeypatch, name):
