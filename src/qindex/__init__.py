@@ -17,14 +17,14 @@ __version__ = "0.1.0"
 _PUBLIC = {
     "bounds": ("BoundReport", "adjacency_bound", "bound_report", "conjecture_bound", "edge_bound",
                "f_value", "merris_bound", "q_bound_t2", "q_bound_t2_applicable", "q_cap_ledger"),
-    "canonical": ("canonical_graph6", "canonical_key"),
+    "canonical": ("canonical_graph6", "canonical_key", "enumerate_levels"),
     "constructions": ("BuildResult", "ExtremalSpec", "build_extremal", "circulant", "is_extremal_join"),
     "errors": ("QxError",),
     "forbidden": ("ForbiddenPattern", "contains_kst", "find_kst"),
     "graphs": ("MAX_ORDER", "Graph", "complete_graph", "from_edge_list", "graph6_decode",
                "graph6_encode", "join"),
-    "search": ("JoinCapReport", "SearchReport", "enumerate_levels", "exhaustive_max_q",
-               "heuristic_max_q", "join_cap_scan"),
+    "search": ("JoinCapReport", "SearchReport", "exhaustive_max_q", "heuristic_max_q",
+               "join_cap_scan"),
     "spectral": ("SpectralResult", "adjacency_radius", "full_spectrum", "q_index"),
 }
 _MODULE = {name: module for module, names in _PUBLIC.items() for name in names}

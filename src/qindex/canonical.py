@@ -1,34 +1,37 @@
-"""Canonical labeling by individualization-refinement.
+"""Canonical labeling by individualization-refinement, and isomorph-free
+generation by vertex augmentation on top of it.
 
-Every node of the search tree is an ordered vertex partition refined to an
-equitable one; a node's children individualize each vertex of its first
-non-singleton cell in turn.  A leaf (a discrete partition) orders the
-vertices, its certificate is the adjacency masks relabeled in that order,
-and the canonical form is the least certificate.  Automorphisms prune the
-tree: twin transpositions seed the generators, and every leaf whose
-certificate equals the first or the best leaf's adds one (``_canonical``
-returns them as full permutations of the canonical labels, so vertex
-augmentation can extend a canonical form by one neighbour mask per orbit
-without a relabeling step, and they generate the whole automorphism group,
-so it can count a class unlabeled).  When every root cell is a set of
-twins, no search runs.  A child is skipped when a generator fixing the
-node's individualized prefix maps it onto a sibling already searched, and
-after an automorphism the search jumps back to the level where the two
-leaves' paths part (McKay & Piperno, "Practical graph isomorphism, II",
-2014).  The hub joins of cycles, circulants and matchings the paper is
-about label in at most tens of milliseconds up to order 62; a graph whose
-refinement stalls without automorphisms to prune (a rigid regular graph)
-costs one subtree per vertex of the stalled cell.  The search state is
-passed explicitly between module functions: nested closures that call
-each other would leave a reference cycle per labeling, and ``qx`` runs
-with the cyclic garbage collector off (``cli``).
+Labeling.  Every node of the search tree is an ordered vertex partition
+refined to an equitable one; a node's children individualize each vertex
+of its first non-singleton cell in turn.  A leaf (a discrete partition)
+orders the vertices, its certificate is the adjacency masks relabeled in
+that order, and the canonical form is the least certificate.  Automorphisms
+prune the tree: twin transpositions seed the generators, and every leaf
+whose certificate equals the first or the best leaf's adds one.  When every
+root cell is a set of twins, no search runs.  A child is skipped when a
+generator fixing the node's individualized prefix maps it onto a sibling
+already searched, and after an automorphism the search jumps back to the
+level where the two leaves' paths part (McKay & Piperno, "Practical graph
+isomorphism, II", 2014).  The hub joins of cycles, circulants and matchings
+the paper is about label in at most tens of milliseconds up to order 62; a
+graph whose refinement stalls without automorphisms to prune (a rigid
+regular graph) costs one subtree per vertex of the stalled cell.  The
+search state is passed explicitly between module functions: nested
+closures that call each other would leave a reference cycle per labeling,
+and ``qx`` runs with the cyclic garbage collector off (``cli``).
+
+Generation (``enumerate_levels``) is the one reader of the automorphisms
+``_canonical`` returns: each kept certificate gets one child per orbit of
+neighbour masks under them, built as raw masks with no relabeling step,
+and a hereditary keep-predicate on the masks prunes whole subtrees.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .graphs import Graph, graph6_encode
+from .errors import InvalidParameter, InvariantViolated
+from .graphs import BUILTIN_MAX_ORDER, Graph, _bits, graph6_encode
 
 
 def _refine(adj: Sequence[int], cells: list[list[int]], queue: list[int]) -> list[list[int]]:
@@ -203,3 +206,140 @@ def canonical_key(g: Graph) -> tuple[int, tuple[int, ...]]:
 
 def canonical_graph6(g: Graph) -> str:
     return graph6_encode(Graph(*canonical_key(g)))
+
+
+# isomorph-free generation
+
+def degree_cap(d: int):
+    """Hereditary mask predicate: no degree exceeds d."""
+    return lambda adj: all(a.bit_count() <= d for a in adj)
+
+
+def _mask_orbit_representatives(n: int, perms: list[list[int]]) -> list[int]:
+    """Least mask of each orbit of the group generated by ``perms`` (vertex
+    permutations of range(n)) acting on the 2^n subsets of range(n)."""
+    if not perms:
+        return list(range(1 << n))
+    images = []
+    for perm in perms:
+        image = [0]  # mask -> its image, built one bit at a time
+        for v in perm:
+            image += [x | 1 << v for x in image]
+        images.append(image)
+    reached = bytearray(1 << n)
+    reps = []
+    for m in range(1 << n):
+        if not reached[m]:
+            reps.append(m)
+            reached[m] = 1
+            orbit = [m]
+            for x in orbit:
+                for image in images:
+                    y = image[x]
+                    if not reached[y]:
+                        reached[y] = 1
+                        orbit.append(y)
+    return reps
+
+
+def _deleted(adj: list[int], u: int) -> list[int]:
+    """Masks of the graph with vertex u deleted and later vertices renumbered down one."""
+    low = (1 << u) - 1
+    return [m & low | m >> 1 & ~low for v, m in enumerate(adj) if v != u]
+
+
+def _rank(adj: list[int], keep) -> tuple[bool, bool] | None:
+    """Rank the new (last) vertex w among the deletable vertices, those whose
+    deletion leaves ``keep`` holding, by the invariant (degree, sum of its
+    neighbours' degrees).  None when a deletable vertex ranks above w; else
+    (whether a deletable vertex ties w, whether ``keep`` holds on the graph).
+    When ``keep`` holds every vertex is deletable, so no tie is walked."""
+    deg = [m.bit_count() for m in adj]
+    top = deg[-1]
+    top_sum = None
+    ties = []
+    blocked = False  # an undeletable vertex ranks above w, so keep fails here
+    for u in range(len(adj) - 1):
+        if deg[u] < top:
+            continue
+        if deg[u] == top:
+            if top_sum is None:
+                top_sum = sum(deg[w] for w in _bits(adj[-1]))
+            u_sum = sum(deg[w] for w in _bits(adj[u]))
+            if u_sum < top_sum:
+                continue
+            if u_sum == top_sum:
+                ties.append(u)
+                continue
+        if keep is None or keep(_deleted(adj, u)):
+            return None
+        blocked = True
+    if keep is None or not blocked and keep(adj):
+        return bool(ties), True
+    return any(keep(_deleted(adj, u)) for u in ties), False
+
+
+def enumerate_levels(max_n: int, keep=None):
+    """Yield (order, kept, seen) for order = 1..max_n, where max_n is at
+    most ``BUILTIN_MAX_ORDER``.
+
+    ``keep`` is None or a hereditary predicate on a sequence of adjacency
+    masks: it must not depend on the labeling, and whenever it holds for a
+    graph it must hold for every graph left by deleting a vertex.  ``kept``
+    is the sorted list of the certificates (canonical adjacency mask tuples)
+    it accepts; ``seen`` counts every distinct class generated at that order
+    (the classes with a vertex whose deletion is kept), kept or not.
+
+    Each kept certificate is extended by one new vertex per orbit of
+    neighbour masks under the automorphisms its labeling found, given as
+    full permutations of its canonical labels (McKay, "Isomorph-free
+    exhaustive generation", J. Algorithms 1998).  Masks in one orbit give
+    isomorphic children, so every class is generated.  Each child is ranked
+    (``_rank``) before labeling.  It is dropped when a deletable old vertex
+    outranks the new one: its class is also generated from the parent left
+    by deleting a top-ranked deletable vertex, and that parent is kept
+    because ``keep`` is hereditary.  A child with a tied top rank is labeled
+    and deduplicated by certificate.  A child whose new vertex is the unique
+    top has one parent, the class less that vertex, and one orbit of its
+    masks gives it, because the automorphisms ``_canonical`` returns
+    generate all of Aut(parent).  So it is counted unlabeled and labeled
+    only when kept; a kept certificate met twice, the sign of an incomplete
+    group, raises ``InvariantViolated``.  No ``Graph`` is built.
+    """
+    if max_n < 1:
+        raise InvalidParameter("enumeration needs max_n >= 1")
+    if max_n > BUILTIN_MAX_ORDER:
+        raise InvalidParameter(f"builtin enumeration capped at order {BUILTIN_MAX_ORDER}")
+    # a kept class: its certificate -> the automorphisms found, on its canonical labels
+    kept = {(0,): []} if keep is None or keep((0,)) else {}
+    yield 1, list(kept), 1
+    for order in range(2, max_n + 1):
+        new = 1 << (order - 1)
+        parents = kept
+        seen: set = set()  # certificates of the tied children
+        tops = 0  # unique-top children, each a class of its own
+        kept = {}
+        for parent, perms in parents.items():
+            for mask in _mask_orbit_representatives(order - 1, perms):
+                adj = [m | new if mask >> u & 1 else m for u, m in enumerate(parent)]
+                adj.append(mask)
+                ranked = _rank(adj, keep)
+                if ranked is None:
+                    continue
+                tied, ok = ranked
+                if not tied:
+                    tops += 1
+                    if not ok:
+                        continue
+                cert, auts = _canonical(order, adj)
+                if tied:
+                    if cert in seen:
+                        continue
+                    seen.add(cert)
+                elif cert in kept:
+                    raise InvariantViolated(f"order-{order} class generated twice: "
+                                            "the automorphisms found miss part of a group")
+                if ok:
+                    kept[cert] = auts
+        kept = {cert: kept[cert] for cert in sorted(kept)}
+        yield order, list(kept), len(seen) + tops

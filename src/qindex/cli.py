@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import gc
 import json
 import sys
@@ -72,6 +73,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+@functools.cache  # once per process: in-process callers of ``main`` share it
 def _build_parser() -> _Parser:
     p = _Parser(prog="qx", description="Q-index extremal toolkit")
     p.add_argument("--version", action="version", version=f"qx {__version__}")
@@ -282,9 +284,8 @@ def _render_csv(results: list) -> str:
 
 def main(argv=None) -> int:
     t0 = time.perf_counter()
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -93,13 +93,12 @@ def _regular_graphs(m: int, s: int, d: int, h: Graph) -> list[tuple[int, ...]]:
     """Masks of one s-regular graph of order m per class but h's: the d-regular
     certificates of the builtin enumerator, in canonical order, complemented
     when d < s (h's class is matched on the d-regular side)."""
-    from .canonical import _canonical
-    from .search import enumerate_levels  # only this fallback loads search and canonical
+    from .canonical import _canonical, degree_cap, enumerate_levels  # only this fallback loads canonical
 
     full = (1 << m) - 1
     flip = (lambda adj: tuple(full ^ a ^ 1 << v for v, a in enumerate(adj))) if d < s else tuple
     own = _canonical(m, flip(h.adj))[0]
-    *_, (_, kept, _) = enumerate_levels(m, keep=lambda adj: all(a.bit_count() <= d for a in adj))
+    *_, (_, kept, _) = enumerate_levels(m, keep=degree_cap(d))
     return [flip(c) for c in kept if c != own and all(a.bit_count() == d for a in c)]
 
 
@@ -130,8 +129,6 @@ def build_extremal(spec: ExtremalSpec) -> BuildResult:
     pat = ForbiddenPattern.from_ts(spec.t, s)
     clique = complete_graph(spec.t - 1)
     h = circulant(m, _circulant_offsets(m, s))
-    if h.regular_degree() != s:
-        raise InvariantViolated("regular part failed its degree check")
     g = join(clique, h)
     witness = find_kst(g, pat)
     if witness is None:

@@ -18,7 +18,9 @@ from typing import Iterable, Iterator, Sequence
 from .errors import InvalidParameter
 
 MAX_ORDER = 62
-BUILTIN_MAX_ORDER = 9  # highest order the builtin enumerator (``search``) generates
+# highest order ``canonical.enumerate_levels`` generates; defined here so that
+# a ``construct`` that enumerates nothing does not load ``canonical``
+BUILTIN_MAX_ORDER = 9
 
 
 class Graph:
@@ -83,11 +85,6 @@ class Graph:
         self._check_vertex(u)
         self._check_vertex(v)
         return bool(self.adj[u] >> v & 1)
-
-    def regular_degree(self) -> int | None:
-        """The common degree, or None when the graph is irregular."""
-        degs = self.degrees()
-        return degs[0] if min(degs) == max(degs) else None
 
     def dominating_vertices(self) -> tuple[int, ...]:
         """Vertices of degree n-1."""

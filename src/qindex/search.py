@@ -1,29 +1,20 @@
 """Search for Q-index maximizers among pattern-free graphs.
 
-Exhaustive side: isomorph-free generation by vertex augmentation.  A class
-is its certificate (canonical adjacency masks) from generation to scoring:
-each kept certificate gets one child per orbit of neighbour masks under the
-automorphisms its labeling found, given on its canonical labels, and the
-child is built as raw adjacency masks.  A hereditary keep-predicate on
-those masks (pattern-freeness, degree caps) prunes whole subtrees, since
-deleting a vertex cannot create a forbidden subgraph.  Before labeling,
-a child's new vertex is ranked by an invariant vertex key among the
-vertices the predicate lets be deleted.  An outranked child is dropped, a
-tied one is labeled and deduplicated by certificate, and a unique-top one
-is a class of its own: it is counted unlabeled and labeled only if kept,
-which is exact because the automorphisms a labeling returns generate the
-parent's whole group.  Builtin generation is capped at order 9;
-beyond that a graph6 stream from an external enumerator is deduplicated and
-scanned the same way.  A scan certifies the q of every certificate it
-scores in one stacked LAPACK call (``spectral._top``: ``numpy.linalg.eigh``
-and a residual check), so every argmax, tie and cap comparison is decided
-by certified values; a ``Graph`` is built only for the argmax classes the
-report prints (and, in ``join_cap_scan``, for its equality set).  Scans and
-hunts end in one report tail, ``_finish_report``.  Its report also carries the paper's dominating-vertex
-split: the best class with a vertex of degree n - 1 is K_1 v H, capped by
-``join_cap_scan``'s closed form, and the best class without one is compared
-with n, the cap that half obeys from order s^2 + 6s + 6
-(``bounds.q_cap_ledger``).
+Exhaustive side: a scan scores the certificates (canonical adjacency
+masks) of the pattern-free classes of one order, as generated by
+``canonical.enumerate_levels`` under the hereditary ``_free_predicate``
+or, beyond ``graphs.BUILTIN_MAX_ORDER``, read from an external
+enumerator's graph6 stream and deduplicated by certificate.  A scan
+certifies the q of every certificate it scores in one stacked LAPACK
+call (``spectral._top``: ``numpy.linalg.eigh`` and a residual check), so
+every argmax, tie and cap comparison is decided by certified values; a
+``Graph`` is built only for the argmax classes the report prints (and,
+in ``join_cap_scan``, for its equality set).  Scans and hunts end in one
+report tail, ``_finish_report``.  Its report also carries the paper's
+dominating-vertex split: the best class with a vertex of degree n - 1 is
+K_1 v H, capped by ``join_cap_scan``'s closed form, and the best class
+without one is compared with n, the cap that half obeys from order
+s^2 + 6s + 6 (``bounds.q_cap_ledger``).
 
 Heuristic side: simulated annealing over single edge toggles with a
 geometric cooling schedule.  Toggles that would create the forbidden
@@ -42,11 +33,11 @@ import time
 from typing import NamedTuple
 
 from .bounds import conjecture_bound, q_bound_t2_applicable
-from .canonical import _canonical, canonical_graph6, canonical_key
+from .canonical import canonical_graph6, canonical_key, degree_cap, enumerate_levels
 from .constructions import is_extremal_join
 from .errors import HypothesisViolated, InvalidParameter, InvariantViolated
 from .forbidden import ForbiddenPattern, _contains_through, _walk, contains_kst
-from .graphs import BUILTIN_MAX_ORDER, MAX_ORDER, Graph, _bits, graph6_decode, graph6_encode
+from .graphs import BUILTIN_MAX_ORDER, MAX_ORDER, Graph, graph6_decode, graph6_encode
 from .spectral import DEFAULT_TOL, _matrices, _top, q_index
 # bench/spans.py wraps this name as spectral.full; the rename waits for ROADMAP item 1
 from .spectral import _eigvalsh as _jacobi
@@ -55,133 +46,6 @@ from .spectral import _eigvalsh as _power_largest  # unused; bench/spans.py wrap
 T_START, T_END = 1.0, 1e-3  # annealing temperatures, cooled geometrically over the budget
 EPS = 1e-7  # width of an argmax tie, and slack before a q above a cap is a violation
 CHUNK_ENTRIES = 1 << 20  # matrix entries per stacked eigh call of a scan
-
-
-def _mask_orbit_representatives(n: int, perms: list[list[int]]) -> list[int]:
-    """Least mask of each orbit of the group generated by ``perms`` (vertex
-    permutations of range(n)) acting on the 2^n subsets of range(n)."""
-    if not perms:
-        return list(range(1 << n))
-    images = []
-    for perm in perms:
-        image = [0]  # mask -> its image, built one bit at a time
-        for v in perm:
-            image += [x | 1 << v for x in image]
-        images.append(image)
-    reached = bytearray(1 << n)
-    reps = []
-    for m in range(1 << n):
-        if not reached[m]:
-            reps.append(m)
-            reached[m] = 1
-            orbit = [m]
-            for x in orbit:
-                for image in images:
-                    y = image[x]
-                    if not reached[y]:
-                        reached[y] = 1
-                        orbit.append(y)
-    return reps
-
-
-def _deleted(adj: list[int], u: int) -> list[int]:
-    """Masks of the graph with vertex u deleted and later vertices renumbered down one."""
-    low = (1 << u) - 1
-    return [m & low | m >> 1 & ~low for v, m in enumerate(adj) if v != u]
-
-
-def _rank(adj: list[int], keep) -> tuple[bool, bool] | None:
-    """Rank the new (last) vertex w among the deletable vertices, those whose
-    deletion leaves ``keep`` holding, by the invariant (degree, sum of its
-    neighbours' degrees).  None when a deletable vertex ranks above w; else
-    (whether a deletable vertex ties w, whether ``keep`` holds on the graph).
-    When ``keep`` holds every vertex is deletable, so no tie is walked."""
-    deg = [m.bit_count() for m in adj]
-    top = deg[-1]
-    top_sum = None
-    ties = []
-    blocked = False  # an undeletable vertex ranks above w, so keep fails here
-    for u in range(len(adj) - 1):
-        if deg[u] < top:
-            continue
-        if deg[u] == top:
-            if top_sum is None:
-                top_sum = sum(deg[w] for w in _bits(adj[-1]))
-            u_sum = sum(deg[w] for w in _bits(adj[u]))
-            if u_sum < top_sum:
-                continue
-            if u_sum == top_sum:
-                ties.append(u)
-                continue
-        if keep is None or keep(_deleted(adj, u)):
-            return None
-        blocked = True
-    if keep is None or not blocked and keep(adj):
-        return bool(ties), True
-    return any(keep(_deleted(adj, u)) for u in ties), False
-
-
-def enumerate_levels(max_n: int, keep=None):
-    """Yield (order, kept, seen) for order = 1..max_n.
-
-    ``keep`` is None or a hereditary predicate on a sequence of adjacency
-    masks: it must not depend on the labeling, and whenever it holds for a
-    graph it must hold for every graph left by deleting a vertex.  ``kept``
-    is the sorted list of the certificates (canonical adjacency mask tuples)
-    it accepts; ``seen`` counts every distinct class generated at that order
-    (the classes with a vertex whose deletion is kept), kept or not.
-
-    Each kept certificate is extended by one new vertex per orbit of
-    neighbour masks under the automorphisms its labeling found, given as
-    full permutations of its canonical labels (McKay, "Isomorph-free
-    exhaustive generation", J. Algorithms 1998).  Masks in one orbit give
-    isomorphic children, so every class is generated.  Each child is ranked
-    (``_rank``) before labeling.  It is dropped when a deletable old vertex
-    outranks the new one: its class is also generated from the parent left
-    by deleting a top-ranked deletable vertex, and that parent is kept
-    because ``keep`` is hereditary.  A child with a tied top rank is labeled
-    and deduplicated by certificate.  A child whose new vertex is the unique
-    top has one parent, the class less that vertex, and one orbit of its
-    masks gives it, because the automorphisms ``_canonical`` returns
-    generate all of Aut(parent).  So it is counted unlabeled and labeled
-    only when kept; a kept certificate met twice, the sign of an incomplete
-    group, raises ``InvariantViolated``.  No ``Graph`` is built.
-    """
-    if max_n < 1:
-        raise InvalidParameter("enumeration needs max_n >= 1")
-    # a kept class: its certificate -> the automorphisms found, on its canonical labels
-    kept = {(0,): []} if keep is None or keep((0,)) else {}
-    yield 1, list(kept), 1
-    for order in range(2, max_n + 1):
-        new = 1 << (order - 1)
-        parents = kept
-        seen: set = set()  # certificates of the tied children
-        tops = 0  # unique-top children, each a class of its own
-        kept = {}
-        for parent, perms in parents.items():
-            for mask in _mask_orbit_representatives(order - 1, perms):
-                adj = [m | new if mask >> u & 1 else m for u, m in enumerate(parent)]
-                adj.append(mask)
-                ranked = _rank(adj, keep)
-                if ranked is None:
-                    continue
-                tied, ok = ranked
-                if not tied:
-                    tops += 1
-                    if not ok:
-                        continue
-                cert, auts = _canonical(order, adj)
-                if tied:
-                    if cert in seen:
-                        continue
-                    seen.add(cert)
-                elif cert in kept:
-                    raise InvariantViolated(f"order-{order} class generated twice: "
-                                            "the automorphisms found miss part of a group")
-                if ok:
-                    kept[cert] = auts
-        kept = {cert: kept[cert] for cert in sorted(kept)}
-        yield order, list(kept), len(seen) + tops
 
 
 def _free_predicate(pat: ForbiddenPattern):
@@ -314,8 +178,6 @@ def exhaustive_max_q(n: int, pat: ForbiddenPattern, stream=None) -> SearchReport
     t0 = time.perf_counter()
     keep = _free_predicate(pat)
     if stream is None:
-        if n > BUILTIN_MAX_ORDER:
-            raise InvalidParameter(f"builtin enumeration capped at order {BUILTIN_MAX_ORDER}")
         *_, (_, kept, classes) = enumerate_levels(n, keep)
         return _scan_report(n, pat, kept, classes, t0)
     seen: set = set()
@@ -369,13 +231,13 @@ def join_cap_scan(m: int, s: int) -> JoinCapReport:
     hub as masks, and a ``Graph`` is built only for the equality set printed."""
     if m < 1:
         raise InvalidParameter(f"need m >= 1, got {m}")
-    if m > 8:
-        raise InvalidParameter("join scan enumerates H internally; capped at order 8")
+    if m > BUILTIN_MAX_ORDER - 1:  # the join K_1 v H has order m + 1
+        raise InvalidParameter(f"join scan enumerates H internally; capped at order {BUILTIN_MAX_ORDER - 1}")
     if s < 1:
         raise HypothesisViolated(f"need s >= 1, got {s}")
     t0 = time.perf_counter()
     bound = conjecture_bound(m + 1, s, 2)
-    *_, (_, hs, _) = enumerate_levels(m, keep=lambda adj: all(a.bit_count() <= s for a in adj))
+    *_, (_, hs, _) = enumerate_levels(m, keep=degree_cap(s))
     hub = (1 << m + 1) - 2
     qs = _certified_q([(hub, *(a << 1 | 1 for a in h)) for h in hs])
     at_cap = [_at_cap(q, bound) for q in qs]

@@ -1,5 +1,6 @@
 import ast
 import gc
+import graphlib
 import io
 import json
 import math
@@ -663,6 +664,19 @@ def test_no_self_referencing_nested_function_in_src():
     assert sorted(found) == []
 
 
+def test_src_import_graph_is_acyclic():
+    # function-level imports count: a cycle through one only defers it
+    deps = {module.removesuffix(".py"): {node.module for node in ast.walk(tree)
+                                         if isinstance(node, ast.ImportFrom) and node.level == 1
+                                         and node.module}
+            for module, tree in _src_modules().items()}
+    try:
+        order = list(graphlib.TopologicalSorter(deps).static_order())
+    except graphlib.CycleError as exc:
+        pytest.fail(f"import cycle in src/: {' -> '.join(exc.args[1])}")
+    assert {"search", "canonical", "constructions"} <= set(order)
+
+
 def _src_modules() -> dict[str, ast.Module]:
     """Parsed source of each ``qindex`` module but ``__init__``, by file name."""
     return {path.name: ast.parse(path.read_text())
@@ -734,7 +748,8 @@ UNUSED = ENUMERATION | {"qindex.constructions"}
     (["bounds", "--n", "5"], False, UNUSED),  # usage error
     (["construct", "--n", "22", "--s", "2", "--t", "2"], False, ENUMERATION),  # free circulant join
     (["construct", "--n", "5", "--s", "2", "--t", "2"], False, ENUMERATION),  # not free, C_4 unique
-    (["construct", "--n", "7", "--s", "3", "--t", "2"], False, set()),  # not free, enumerates
+    (["construct", "--n", "7", "--s", "3", "--t", "2"], False,  # not free, enumerates
+     {"qindex.search", "qindex.spectral"}),
     (["qindex", "FILE"], True, UNUSED),  # control: the same file's q does load numpy
     (["spectrum", "FILE"], True, UNUSED),
     (["verify", "--n", "5", "--t", "2", "--s", "2"], True, set()),
@@ -819,12 +834,10 @@ def hub_stream(tmp_path):
 def test_a_command_leaves_no_cyclic_garbage(monkeypatch, g6_file, hub_stream, argv):
     # ``_entry`` runs with the collector off, so a cycle made per labeling,
     # walk or proposal would pile up.  argparse and json's indenting encoder
-    # make cycles of their own, once per report: the parser is built once
-    # and the report written unindented, so only the command's own garbage
-    # is counted.
+    # make cycles of their own: ``main`` builds its parser once per process
+    # (in the warm-up run) and the report here is written unindented, so
+    # only the command's own garbage is counted.
     argv = [{"FILE": g6_file, "HUBS": hub_stream}.get(a, a) for a in argv]
-    parser = cli._build_parser()
-    monkeypatch.setattr(cli, "_build_parser", lambda: parser)
     monkeypatch.setattr(cli, "json", SimpleNamespace(dumps=lambda obj, **_: json.dumps(obj)))
     assert cli.main(argv) == 0  # warm-up: lazy imports and names
     gc.collect()

@@ -21,15 +21,15 @@ class TestCirculant:
 
     def test_prism_like(self):
         g = circulant(6, {1, 3})
-        assert g.regular_degree() == 3
+        assert g.degrees() == [3] * 6
 
     def test_degree_four(self):
         g = circulant(21, {1, 2})
-        assert g.regular_degree() == 4
+        assert g.degrees() == [4] * 21
 
     def test_antipodal_offset_degree_one(self):
         g = circulant(6, {3})
-        assert g.regular_degree() == 1
+        assert g.degrees() == [1] * 6
 
     def test_bad_offsets(self):
         with pytest.raises(InvalidParameter, match=r"offsets \[0\] outside 1\.\.3"):

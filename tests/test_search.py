@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.linalg import eigvalsh
 
+import qindex.canonical as canonical
 import qindex.search as search
 from qindex.bounds import q_bound_t2
 from qindex.canonical import canonical_graph6, canonical_key, refinement_cells
@@ -180,13 +181,13 @@ class TestOrbitPrunedAugmentation:
         # seen; now 1,306, 789 and 151 calls, fewer than the classes seen
         # wherever a scan keeps few of them
         calls = []
-        canonical = search._canonical
+        label = canonical._canonical
 
         def counted(n, adj):
             calls.append(n)
-            return canonical(n, adj)
+            return label(n, adj)
 
-        monkeypatch.setattr(search, "_canonical", counted)
+        monkeypatch.setattr(canonical, "_canonical", counted)
         seen = sum(seen for _, _, seen in enumerate_levels(7, ORACLE_PREDICATES[name]))
         assert len(calls) <= limit
         if name != "unrestricted":
@@ -211,8 +212,8 @@ class TestOrbitPrunedAugmentation:
         # certificate on the promise that one orbit of masks gives it; with
         # no automorphisms every mask of an orbit is tried, and the kept
         # certificate met twice must raise rather than be counted again
-        canonical = search._canonical
-        monkeypatch.setattr(search, "_canonical", lambda n, adj: (canonical(n, adj)[0], []))
+        label = canonical._canonical
+        monkeypatch.setattr(canonical, "_canonical", lambda n, adj: (label(n, adj)[0], []))
         with pytest.raises(InvariantViolated):
             list(enumerate_levels(6, ORACLE_PREDICATES[name]))
 
