@@ -1,6 +1,7 @@
-"""Closed-form extremal bounds for K_{t,s+1}-free graphs, plus the ledger
-of numeric inequality steps behind the q(G) < n cap for graphs without a
-dominating vertex.
+"""Closed-form extremal bounds for K_{t,s+1}-free graphs, the recognizer of
+the join K_{t-1} v (s-regular) whose Q-index is the conjectured cap, and
+the ledger of numeric inequality steps behind the q(G) < n cap for graphs
+without a dominating vertex.
 
 The closed forms are double-precision arithmetic.  For large n the t = 2
 cap lies within an ulp of n + 2s/(n-2s), so its bracketing window is a
@@ -60,19 +61,28 @@ def conjecture_bound(n: int, s: int, t: int) -> float:
     """Conjectured Q-index cap for K_{t,s+1}-free graphs, s >= t-1 >= 1.
 
     Equals the Q-index of the join of a (t-1)-clique with an s-regular
-    graph of order n-t+1: the larger root of the 2x2 quotient of its
-    equitable partition {hub, H}, which ``build_extremal`` returns as the
-    join's q (so ``qx construct`` reports a gap of 0).  Reduces to
-    ``q_bound_t2`` at t = 2.
+    graph of order n-t+1 (``is_extremal_join``): the larger root of the
+    quotient [[n+t-3, n-t+1], [t-1, 2s+t-1]] of its equitable partition
+    {hub, H}, which ``build_extremal`` returns as the join's q (so ``qx
+    construct`` reports a gap of 0).  Reduces to ``q_bound_t2`` at t = 2.
+    Under that hypothesis its discriminant is positive at every n >= 1
+    (below n = t-1 it is at least (n-2)^2 + 8(t-1)).
     """
     if not (t >= 2 and s >= t - 1):
         raise HypothesisViolated(f"need s >= t-1 >= 1, got s={s}, t={t}")
     if n < 1:
         raise HypothesisViolated(f"order must be >= 1, got {n}")
-    disc = (n - 2 + 2 * s) ** 2 - 8 * s * (n - 2) + 4 * (t - 1) * (n - t + 1)
-    if disc < 0:
-        raise HypothesisViolated(f"negative discriminant {disc} at n={n}, s={s}, t={t}")
+    disc = (n - 2 * s - 2) ** 2 + 4 * (t - 1) * (n - t + 1)
     return n / 2.0 + s + t - 2 + 0.5 * math.sqrt(disc)
+
+
+def is_extremal_join(g: Graph, s: int, t: int) -> bool:
+    """Whether g is a join of a (t-1)-clique with an s-regular graph: the
+    first t-1 dominating vertices form the hub, and every other vertex
+    (there must be one) has degree s + t - 1, s of it inside the rest."""
+    hub = g.dominating_vertices()[: t - 1]
+    return len(hub) == t - 1 and g.n >= t and all(
+        d == s + t - 1 for v, d in enumerate(g.degrees()) if v not in hub)
 
 
 def f_value(g: Graph, u: int) -> float:
@@ -161,11 +171,7 @@ def bound_report(n: int, s: int, t: int) -> BoundReport:
             adjacency = adjacency_bound(n, s, t)
             edge = edge_bound(n, s, t)
         if s >= t - 1:
-            try:
-                conjecture = conjecture_bound(n, s, t)
-                applicability["conjecture_discriminant"] = True
-            except HypothesisViolated:  # n, s, t and the shape are checked above
-                applicability["conjecture_discriminant"] = False
+            conjecture = conjecture_bound(n, s, t)
         q_t2 = q_bound_t2(n, s)
     except OverflowError:  # an int too large to convert to float
         q_t2 = math.inf

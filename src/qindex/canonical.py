@@ -271,22 +271,22 @@ def _rank(adj: list[int], keep) -> tuple[bool, bool] | None:
             if u_sum == top_sum:
                 ties.append(u)
                 continue
-        if keep is None or keep(_deleted(adj, u)):
+        if keep(_deleted(adj, u)):
             return None
         blocked = True
-    if keep is None or not blocked and keep(adj):
+    if not blocked and keep(adj):
         return bool(ties), True
     return any(keep(_deleted(adj, u)) for u in ties), False
 
 
-def enumerate_levels(max_n: int, keep=None):
+def enumerate_levels(max_n: int, keep):
     """Yield (order, kept, seen) for order = 1..max_n, where max_n is at
     most ``BUILTIN_MAX_ORDER``.
 
-    ``keep`` is None or a hereditary predicate on a sequence of adjacency
-    masks: it must not depend on the labeling, and whenever it holds for a
-    graph it must hold for every graph left by deleting a vertex.  ``kept``
-    is the sorted list of the certificates (canonical adjacency mask tuples)
+    ``keep`` is a hereditary predicate on a sequence of adjacency masks:
+    it must not depend on the labeling, and whenever it holds for a graph
+    it must hold for every graph left by deleting a vertex.  ``kept`` is
+    the sorted list of the certificates (canonical adjacency mask tuples)
     it accepts; ``seen`` counts every distinct class generated at that order
     (the classes with a vertex whose deletion is kept), kept or not.
 
@@ -311,7 +311,7 @@ def enumerate_levels(max_n: int, keep=None):
     if max_n > BUILTIN_MAX_ORDER:
         raise InvalidParameter(f"builtin enumeration capped at order {BUILTIN_MAX_ORDER}")
     # a kept class: its certificate -> the automorphisms found, on its canonical labels
-    kept = {(0,): []} if keep is None or keep((0,)) else {}
+    kept = {(0,): []} if keep((0,)) else {}
     yield 1, list(kept), 1
     for order in range(2, max_n + 1):
         new = 1 << (order - 1)

@@ -15,18 +15,19 @@ if none is, the circulant's join comes back with its witness.
 
 The hub and H are an equitable partition of the join, so its q is the
 larger root of their 2x2 quotient matrix (Brouwer & Haemers, *Spectra of
-Graphs*, 2.3): a build checks that structure on the masks and returns that
-root without computing a spectrum.
+Graphs*, 2.3), which is ``bounds.conjecture_bound``: a build checks that
+structure on the masks (``bounds.is_extremal_join``) and returns that
+closed form without computing a spectrum.
 """
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
+from .bounds import conjecture_bound, is_extremal_join
 from .errors import HypothesisViolated, InvalidParameter, InvariantViolated
 from .forbidden import ForbiddenPattern, Witness, _walk, find_kst
-from .graphs import BUILTIN_MAX_ORDER, MAX_ORDER, Graph, complete_graph, from_edge_list, join
+from .graphs import BUILTIN_MAX_ORDER, MAX_ORDER, Graph, _join_masks, complete_graph, from_edge_list, join
 
 
 class ExtremalSpec:
@@ -102,16 +103,6 @@ def _regular_graphs(m: int, s: int, d: int, h: Graph) -> list[tuple[int, ...]]:
     return [flip(c) for c in kept if c != own and all(a.bit_count() == d for a in c)]
 
 
-def is_extremal_join(g: Graph, s: int, t: int) -> bool:
-    """Whether g is a join of a (t-1)-clique with an s-regular graph: the
-    first t-1 dominating vertices form the hub, and every other vertex
-    (there must be one) has degree s + t - 1, s of it inside the rest."""
-    hub = g.dominating_vertices()[: t - 1]
-    if len(hub) < t - 1 or g.n < t:
-        return False
-    return all(d == s + t - 1 for v, d in enumerate(g.degrees()) if v not in hub)
-
-
 def build_extremal(spec: ExtremalSpec) -> BuildResult:
     """Join a (t-1)-clique with an s-regular graph of order n-t+1 and certify
     the result K_{t,s+1}-free.
@@ -137,9 +128,8 @@ def build_extremal(spec: ExtremalSpec) -> BuildResult:
     # for d <= 1 the circulant is the only s-regular graph of order m
     exhaustive = d <= 1 or m <= BUILTIN_MAX_ORDER
     others = _regular_graphs(m, s, d, h) if d >= 2 and exhaustive else []
-    k = spec.t - 1
     for tried, other in enumerate(others, start=2):
-        joined = g.adj[:k] + tuple(a << k | (1 << k) - 1 for a in other)
+        joined = _join_masks(clique.adj, other)
         if _walk(joined, pat.t, pat.s_plus_1) is None:
             return _certified(spec, Graph(spec.n, joined), True, None, "enumerated", False, tried)
     return _certified(spec, g, False, witness, "circulant", exhaustive, 1 + len(others))
@@ -147,9 +137,8 @@ def build_extremal(spec: ExtremalSpec) -> BuildResult:
 
 def _certified(spec: ExtremalSpec, g: Graph, *outcome) -> BuildResult:
     """``BuildResult`` of a join certified K_{t-1} v (s-regular H) on its masks,
-    with q the larger root of the quotient [[a, b], [c, d]] of {hub, H}."""
+    with q the larger root of the quotient of {hub, H}: ``conjecture_bound``."""
     n, s, t = g.n, spec.s, spec.t
     if not is_extremal_join(g, s, t):
         raise InvariantViolated(f"build is not K_{t - 1} v ({s}-regular)")
-    a, b, c, d = n + t - 3, n - t + 1, t - 1, 2 * s + t - 1
-    return BuildResult(g, *outcome, (a + d) / 2 + 0.5 * math.sqrt((a - d) ** 2 + 4 * b * c))
+    return BuildResult(g, *outcome, conjecture_bound(n, s, t))

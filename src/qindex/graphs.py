@@ -130,11 +130,13 @@ def join(g: Graph, h: Graph) -> Graph:
     n = g.n + h.n
     if n > MAX_ORDER:
         raise InvalidParameter(f"join order {n} exceeds {MAX_ORDER}")
-    g_mask = (1 << g.n) - 1
-    h_mask = ((1 << h.n) - 1) << g.n
-    adj = [m | h_mask for m in g.adj]
-    adj += [(m << g.n) | g_mask for m in h.adj]
-    return Graph(n, adj)
+    return Graph(n, _join_masks(g.adj, h.adj))
+
+
+def _join_masks(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+    """Masks of the join of two mask graphs: a's vertices, then b's shifted past them."""
+    k = len(a)
+    return tuple(m | ((1 << len(b)) - 1) << k for m in a) + tuple(m << k | (1 << k) - 1 for m in b)
 
 
 # graph6 codec (order <= 62: single-byte header, upper triangle packed

@@ -32,12 +32,11 @@ import random
 import time
 from typing import NamedTuple
 
-from .bounds import conjecture_bound, q_bound_t2_applicable
+from .bounds import conjecture_bound, is_extremal_join, q_bound_t2_applicable
 from .canonical import canonical_graph6, canonical_key, degree_cap, enumerate_levels
-from .constructions import is_extremal_join
 from .errors import HypothesisViolated, InvalidParameter, InvariantViolated
 from .forbidden import ForbiddenPattern, _contains_through, _walk, contains_kst
-from .graphs import BUILTIN_MAX_ORDER, MAX_ORDER, Graph, graph6_decode, graph6_encode
+from .graphs import BUILTIN_MAX_ORDER, MAX_ORDER, Graph, _join_masks, graph6_decode, graph6_encode
 from .spectral import DEFAULT_TOL, _matrices, _top, q_index
 # bench/spans.py wraps this name as spectral.full; the rename waits for ROADMAP item 1
 from .spectral import _eigvalsh as _jacobi
@@ -238,8 +237,7 @@ def join_cap_scan(m: int, s: int) -> JoinCapReport:
     t0 = time.perf_counter()
     bound = conjecture_bound(m + 1, s, 2)
     *_, (_, hs, _) = enumerate_levels(m, keep=degree_cap(s))
-    hub = (1 << m + 1) - 2
-    qs = _certified_q([(hub, *(a << 1 | 1 for a in h)) for h in hs])
+    qs = _certified_q([_join_masks((0,), h) for h in hs])
     at_cap = [_at_cap(q, bound) for q in qs]
     regular = [all(a.bit_count() == s for a in h) for h in hs]
     all_capped = not any(_above(q, bound) for q in qs)

@@ -38,7 +38,13 @@ def empty_graph(n: int) -> Graph:
     return Graph(n, [0] * n)
 
 
-def enumerate_graphs(n: int, keep=None) -> list[Graph]:
+def unrestricted(adj) -> bool:
+    """The always-true hereditary predicate: under it ``enumerate_levels``
+    keeps every class."""
+    return True
+
+
+def enumerate_graphs(n: int, keep=unrestricted) -> list[Graph]:
     """Canonical representatives of all order-n classes accepted by ``keep``,
     a hereditary predicate on adjacency masks (see ``search.enumerate_levels``)."""
     *_, (_, kept, _) = search.enumerate_levels(n, keep)
@@ -126,6 +132,6 @@ def all_graphs_upto_8():
     from qindex.search import enumerate_levels
 
     by_order = {}
-    for order, kept, _seen in enumerate_levels(8):
+    for order, kept, _seen in enumerate_levels(8, unrestricted):
         by_order[order] = [Graph(order, cert) for cert in kept]
     return by_order

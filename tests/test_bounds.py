@@ -33,6 +33,8 @@ class TestAdjacencyBound:
             adjacency_bound(10, 2, 3)  # t > s
         with pytest.raises(HypothesisViolated):
             adjacency_bound(10, 3, 1)  # t < 2
+        with pytest.raises(HypothesisViolated):
+            adjacency_bound(0, 2, 2)
 
     def test_petersen_sanity(self, petersen):
         # Petersen is K_{2,2}-free with spectral radius 3
@@ -64,6 +66,12 @@ class TestQBoundT2:
         for s in (1, 3, 5):
             assert q_bound_t2(2 * s, s) == pytest.approx(2 * s + math.sqrt(8 * s) / 2, abs=1e-12)
 
+    def test_hypothesis(self):
+        with pytest.raises(HypothesisViolated):
+            q_bound_t2(0, 1)
+        with pytest.raises(HypothesisViolated):
+            q_bound_t2(5, 0)
+
     def test_applicability_threshold(self):
         assert q_bound_t2_applicable(13, 1)
         assert not q_bound_t2_applicable(12, 1)
@@ -93,6 +101,8 @@ class TestConjectureBound:
             conjecture_bound(10, 1, 3)  # s < t - 1
         with pytest.raises(HypothesisViolated):
             conjecture_bound(10, 1, 1)
+        with pytest.raises(HypothesisViolated):
+            conjecture_bound(0, 2, 2)
 
     def test_discriminant_stays_positive_on_grid(self):
         for t in range(2, 7):

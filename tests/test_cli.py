@@ -171,6 +171,17 @@ class TestFormats:
         assert lines[0].startswith("n,s,t,")
         assert lines[1].startswith("13,1,2,")
 
+    def test_csv_bounds_grid_mixing_conjecture_shapes(self, capsys):
+        # the t = 3 row has s < t - 1 and no conjecture bound, the t = 2 row
+        # one: both rows still have the columns the header takes from the first
+        code, out, _ = run(capsys, "bounds", "--n", "13", "--s", "1", "--t", "3", "2",
+                           "--format", "csv")
+        assert code == 0
+        header, *rows = out.strip().splitlines()
+        assert [row.split(",")[:3] for row in rows] == [["13", "1", "3"], ["13", "1", "2"]]
+        assert [c for c in header.split(",") if c.startswith("applicability.")] == [
+            "applicability.adjacency_edge", "applicability.q_t2_proved", "applicability.conjecture_shape"]
+
     def test_csv_rejected_elsewhere(self, capsys, g6_file):
         code, _, err = run(capsys, "qindex", g6_file, "--format", "csv")
         assert code == 1
@@ -334,14 +345,21 @@ def _pick(*values):
     return lambda rng: rng.choice(values)
 
 
+def _grid(lo, hi):
+    """1-3 integers in lo..hi, the values of one ``bounds`` grid flag."""
+    return lambda rng: [str(rng.randint(lo, hi)) for _ in range(rng.randint(1, 3))]
+
+
 # per command: flag -> value drawer, ranges small enough that each call
-# finishes well under a second; "FILE" is the positional graph6 file and a
-# drawn None leaves the flag out
+# finishes well under a second; "FILE" is the positional graph6 file, a
+# drawn None leaves the flag out and a drawn list gives the flag several
+# values, so a bounds grid can mix rows with s < t - 1 and s >= t - 1 (seed
+# 1 draws one in CSV, whose header comes from the first row)
 FUZZ_ARGS = {
     "qindex": {"FILE": None},
     "spectrum": {"FILE": None, "--matrix": _pick(None, "Q", "A", "L")},
     "free-check": {"FILE": None, "--t": _ints(-1, 4), "--s": _ints(-1, 3)},
-    "bounds": {"--n": _ints(-2, 40), "--s": _ints(-1, 5), "--t": _ints(-1, 5),
+    "bounds": {"--n": _grid(-2, 40), "--s": _grid(0, 5), "--t": _grid(1, 5),
                "--format": _pick(None, "json", "csv", "text")},
     "construct": {"--n": _ints(0, 20), "--s": _ints(0, 3), "--t": _ints(1, 4)},
     "verify": {"--n": _ints(-1, 6), "--t": _ints(-1, 3), "--s": _ints(-1, 3),
@@ -362,7 +380,9 @@ def _fuzz_argv(rng, path):
             continue  # a missing required flag is a usage error
         if draw is None:
             args.append([path])
-        elif (value := draw(rng)) is not None:
+        elif isinstance(value := draw(rng), list):
+            args.append([flag, *value])
+        elif value is not None:
             args.append([flag, path if value == "FILE" else value])
     rng.shuffle(args)
     argv = [command] + [a for pair in args for a in pair]
@@ -737,7 +757,8 @@ def _python(*args) -> subprocess.CompletedProcess:
 # runs qindex.cli.main on its arguments, then prints the modules loaded
 IMPORT_PROBE = "import sys\nfrom qindex.cli import main\nmain(sys.argv[1:])\nprint(*sys.modules)"
 ENUMERATION = {"qindex.search", "qindex.canonical"}
-UNUSED = ENUMERATION | {"qindex.constructions"}
+CONSTRUCTION = {"qindex.constructions"}
+UNUSED = ENUMERATION | CONSTRUCTION
 
 
 @pytest.mark.parametrize("argv, loads_numpy, unloaded", [
@@ -752,9 +773,9 @@ UNUSED = ENUMERATION | {"qindex.constructions"}
      {"qindex.search", "qindex.spectral"}),
     (["qindex", "FILE"], True, UNUSED),  # control: the same file's q does load numpy
     (["spectrum", "FILE"], True, UNUSED),
-    (["verify", "--n", "5", "--t", "2", "--s", "2"], True, set()),
-    (["prop4", "--m", "4", "--s", "1"], True, set()),
-    (["hunt", "--n", "6", "--t", "2", "--s", "1", "--budget", "20"], True, set()),
+    (["verify", "--n", "5", "--t", "2", "--s", "2"], True, CONSTRUCTION),
+    (["prop4", "--m", "4", "--s", "1"], True, CONSTRUCTION),
+    (["hunt", "--n", "6", "--t", "2", "--s", "1", "--budget", "20"], True, CONSTRUCTION),
 ], ids=["version", "free-check", "bounds", "ledger", "usage-error", "construct-circulant",
         "construct-unique", "construct-enumerated", "qindex", "spectrum", "verify", "prop4", "hunt"])
 def test_a_command_loads_only_the_modules_it_runs(g6_file, argv, loads_numpy, unloaded):

@@ -166,7 +166,7 @@ def test_every_spec_of_the_grid_builds_deterministically():
         assert is_extremal_join(r.graph, s, t)
         # the quotient's root is the join's q (LAPACK as the oracle) and the cap
         assert abs(r.q - q_index(r.graph).value) <= 1e-9 * r.q
-        assert abs(conjecture_bound(n, s, t) - r.q) <= 1e-12 * r.q
+        assert r.q == conjecture_bound(n, s, t)
         outcomes[n, s, t] = (r.free, r.exhaustive, r.strategy_used)
     assert {k: v for k, v in outcomes.items() if v != (True, False, "circulant")} == UNFREE_CIRCULANT
 

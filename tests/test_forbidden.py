@@ -3,10 +3,12 @@ import random
 
 import pytest
 
+import qindex.forbidden as forbidden
+from qindex.errors import InvariantViolated
 from qindex.forbidden import ForbiddenPattern, _contains_through, contains_kst, find_kst
 from qindex.constructions import circulant
 from qindex.graphs import Graph, complete_graph, from_edge_list
-from conftest import random_graph
+from conftest import empty_graph, random_graph
 
 
 def brute_force_contains(g, t, s_plus_1):
@@ -149,6 +151,16 @@ class TestWitness:
         # two disjoint K_{2,2}s; the witness must come from the earlier one
         g = from_edge_list(8, [(0, 2), (0, 3), (1, 2), (1, 3), (4, 6), (4, 7), (5, 6), (5, 7)])
         assert find_kst(g, ForbiddenPattern(2, 2)) == ((0, 1), (2, 3))
+
+    @pytest.mark.parametrize("found, match", [
+        (((0, 1), (1, 2)), r"witness sides \(0, 1\) and \(1, 2\) overlap"),
+        (((0, 1), (2, 3)), r"witness edge \(0,2\) missing"),
+    ], ids=["overlapping", "non-adjacent"])
+    def test_a_bad_walk_witness_is_an_invariant_violation(self, monkeypatch, found, match):
+        # find_kst re-verifies what the walk returns on the Graph
+        monkeypatch.setattr(forbidden, "_walk", lambda adj, t, need: found)
+        with pytest.raises(InvariantViolated, match=match):
+            find_kst(empty_graph(4), ForbiddenPattern(2, 2))
 
     def test_witness_sides_disjoint_and_complete(self):
         rng = random.Random(71)

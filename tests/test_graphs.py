@@ -53,6 +53,23 @@ class TestConstruction:
             from_edge_list(0, [])
         from_edge_list(62, [])  # ceiling itself is fine
 
+    @pytest.mark.parametrize("n, adj, match", [
+        (0, [], "graph order must be >= 1, got 0"),
+        (63, [0] * 63, "graph order 63 exceeds the ceiling of 62"),
+        (3, [0, 0], "expected 3 adjacency masks, got 2"),
+        (2, [0b100, 0], "adjacency mask of vertex 0 mentions vertices >= 2"),
+        (2, [0b01, 0], "loop at vertex 0"),
+    ], ids=["order-0", "order-63", "mask-count", "mask-bit", "loop"])
+    def test_bad_masks_rejected(self, n, adj, match):
+        with pytest.raises(InvalidParameter, match=match):
+            Graph(n, adj)
+
+    def test_equal_graphs_hash_equal(self):
+        a = Graph(3, [0b110, 0b001, 0b001])
+        b = from_edge_list(3, [(2, 0), (0, 1)])
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, complete_graph(3)}) == 2
+
     def test_asymmetric_masks_rejected(self):
         with pytest.raises(InvalidParameter, match="asymmetric adjacency"):
             Graph(2, [0b10, 0b00])

@@ -31,16 +31,24 @@ from qindex.search import (
     join_cap_scan,
 )
 from qindex.spectral import _top, q_index
-from conftest import disjoint_union, enumerate_graphs, exhaustive_scan, path_graph, random_graph, relabel
+from conftest import (
+    disjoint_union,
+    enumerate_graphs,
+    exhaustive_scan,
+    path_graph,
+    random_graph,
+    relabel,
+    unrestricted,
+)
 
 UNLABELED_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
 
 
-def per_mask_levels(max_n, keep=None):
+def per_mask_levels(max_n, keep):
     """Reference for ``enumerate_levels``: every kept parent is extended by
     all 2^|P| neighbour masks, and each child is labeled through
     ``canonical_key``."""
-    current = [(0,)] if keep is None or keep((0,)) else []
+    current = [(0,)] if keep((0,)) else []
     yield 1, list(current), 1
     for order in range(2, max_n + 1):
         seen = set()
@@ -52,7 +60,7 @@ def per_mask_levels(max_n, keep=None):
                 if cert in seen:
                     continue
                 seen.add(cert)
-                if keep is None or keep(cert):
+                if keep(cert):
                     kept.add(cert)
         current = sorted(kept)
         yield order, current, len(seen)
@@ -63,7 +71,7 @@ def free_of(t, s):
 
 
 ORACLE_PREDICATES = {
-    "unrestricted": None,
+    "unrestricted": unrestricted,
     "K_{2,2}-free": free_of(2, 1),
     "K_{2,3}-free": free_of(2, 2),
     "K_{3,3}-free": free_of(3, 2),
@@ -110,7 +118,7 @@ class TestCanonical:
 
 class TestEnumeration:
     def test_class_counts_upto_7(self):
-        for order, kept, seen in enumerate_levels(7):
+        for order, kept, seen in enumerate_levels(7, unrestricted):
             assert len(kept) == UNLABELED_COUNTS[order]
             assert seen == UNLABELED_COUNTS[order]
 
@@ -156,7 +164,7 @@ class TestOrbitPrunedAugmentation:
             init(self, n, adj)
 
         monkeypatch.setattr(Graph, "__init__", counted)
-        list(enumerate_levels(7))
+        list(enumerate_levels(7, unrestricted))
         assert built == []
         report = exhaustive_max_q(7, ForbiddenPattern.from_ts(2, 2))
         assert 0 < len(built) <= len(report.argmax) + len(report.rest_argmax)
@@ -219,6 +227,13 @@ class TestOrbitPrunedAugmentation:
 
 
 class TestExhaustive:
+    def test_an_argmax_with_the_pattern_is_an_invariant_violation(self, monkeypatch):
+        # the scan re-verifies its argmax on Graphs: with a predicate that
+        # keeps every class, K_5 tops the scan and contains K_{2,2}
+        monkeypatch.setattr(search, "_free_predicate", lambda pat: unrestricted)
+        with pytest.raises(InvariantViolated, match="argmax is not pattern-free"):
+            exhaustive_max_q(5, ForbiddenPattern.from_ts(2, 1))
+
     def test_graphs_seen_at_order_4(self):
         report = exhaustive_max_q(4, ForbiddenPattern(2, 2))
         assert report.graphs_seen == 11
@@ -498,7 +513,7 @@ def without_runtime(report):
 
 
 def run_scan(name, monkeypatch):
-    def levels_once(max_n, keep=None):
+    def levels_once(max_n, keep):
         if (name, max_n) not in ENUMERATED:
             ENUMERATED[name, max_n] = list(enumerate_levels(max_n, keep))
         return ENUMERATED[name, max_n]
@@ -619,7 +634,7 @@ class TestCertifiedScoring:
 @pytest.mark.slow
 class TestSlowEnumeration:
     def test_order_9_class_count(self):
-        *_, (order, kept, seen) = enumerate_levels(9)
+        *_, (order, kept, seen) = enumerate_levels(9, unrestricted)
         assert order == 9
         assert len(kept) == 274668
         assert seen == 274668
