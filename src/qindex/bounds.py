@@ -63,8 +63,8 @@ def conjecture_bound(n: int, s: int, t: int) -> float:
     Equals the Q-index of the join of a (t-1)-clique with an s-regular
     graph of order n-t+1 (``is_extremal_join``): the larger root of the
     quotient [[n+t-3, n-t+1], [t-1, 2s+t-1]] of its equitable partition
-    {hub, H}, which ``build_extremal`` returns as the join's q (so ``qx
-    construct`` reports a gap of 0).  Reduces to ``q_bound_t2`` at t = 2.
+    {hub, H}, which ``build_extremal`` returns as the join's q (and ``qx
+    construct`` as its bound).  Reduces to ``q_bound_t2`` at t = 2.
     Under that hypothesis its discriminant is positive at every n >= 1
     (below n = t-1 it is at least (n-2)^2 + 8(t-1)).
     """

@@ -23,12 +23,13 @@ and ``qx`` runs with the cyclic garbage collector off (``cli``).
 Generation (``enumerate_levels``) is the one reader of the automorphisms
 ``_canonical`` returns: each kept certificate gets one child per orbit of
 neighbour masks under them, built as raw masks with no relabeling step,
-and a hereditary keep-predicate on the masks prunes whole subtrees.
+and a keep-predicate that tests only the new vertex prunes whole subtrees.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from itertools import chain
 
 from .errors import InvalidParameter, InvariantViolated
 from .graphs import BUILTIN_MAX_ORDER, Graph, _bits, graph6_encode
@@ -211,8 +212,8 @@ def canonical_graph6(g: Graph) -> str:
 # isomorph-free generation
 
 def degree_cap(d: int):
-    """Hereditary mask predicate: no degree exceeds d."""
-    return lambda adj: all(a.bit_count() <= d for a in adj)
+    """``enumerate_levels`` predicate: no degree above d at the last vertex w or in N(w)."""
+    return lambda adj: adj[-1].bit_count() <= d and all(adj[u].bit_count() <= d for u in _bits(adj[-1]))
 
 
 def _mask_orbit_representatives(n: int, perms: list[list[int]]) -> list[int]:
@@ -279,16 +280,21 @@ def _rank(adj: list[int], keep) -> tuple[bool, bool] | None:
     return any(keep(_deleted(adj, u)) for u in ties), False
 
 
+def _degree_profile(adj: list[int]) -> int:
+    """Isomorphism invariant: hash of the sorted neighbour-degree multisets (sums of 16^degree)."""
+    return hash(tuple(sorted(sum(1 << 4 * adj[u].bit_count() for u in _bits(m)) for m in adj)))
+
+
 def enumerate_levels(max_n: int, keep):
     """Yield (order, kept, seen) for order = 1..max_n, where max_n is at
     most ``BUILTIN_MAX_ORDER``.
 
-    ``keep`` is a hereditary predicate on a sequence of adjacency masks:
-    it must not depend on the labeling, and whenever it holds for a graph
-    it must hold for every graph left by deleting a vertex.  ``kept`` is
-    the sorted list of the certificates (canonical adjacency mask tuples)
-    it accepts; ``seen`` counts every distinct class generated at that order
-    (the classes with a vertex whose deletion is kept), kept or not.
+    ``keep`` decides a hereditary property (closed under vertex deletion,
+    blind to labeling) on masks whose graph less its last vertex has it, so
+    it may test only that vertex.  ``kept`` lists one mask tuple per class
+    accepted, sorted, canonical wherever labeled (every class below order
+    ``max_n``: parents need automorphisms).  ``seen`` counts every distinct
+    class generated (with a vertex whose deletion is kept), kept or not.
 
     Each kept certificate is extended by one new vertex per orbit of
     neighbour masks under the automorphisms its labeling found, given as
@@ -298,13 +304,15 @@ def enumerate_levels(max_n: int, keep):
     (``_rank``) before labeling.  It is dropped when a deletable old vertex
     outranks the new one: its class is also generated from the parent left
     by deleting a top-ranked deletable vertex, and that parent is kept
-    because ``keep`` is hereditary.  A child with a tied top rank is labeled
-    and deduplicated by certificate.  A child whose new vertex is the unique
-    top has one parent, the class less that vertex, and one orbit of its
-    masks gives it, because the automorphisms ``_canonical`` returns
-    generate all of Aut(parent).  So it is counted unlabeled and labeled
-    only when kept; a kept certificate met twice, the sign of an incomplete
-    group, raises ``InvariantViolated``.  No ``Graph`` is built.
+    because the property is hereditary.  A child with a tied top rank is
+    deduplicated by certificate.  A child whose new vertex is the unique top
+    has one parent, the class less that vertex, and one orbit of its masks
+    gives it, because the automorphisms ``_canonical`` returns generate all
+    of Aut(parent).  So it is counted unlabeled and labeled only when kept;
+    a kept certificate met twice, the sign of an incomplete group, raises
+    ``InvariantViolated``.  At order ``max_n`` a child is labeled only once
+    one that may share its class (any tied child; a sibling) shares its
+    degree profile.  No ``Graph`` is built.
     """
     if max_n < 1:
         raise InvalidParameter("enumeration needs max_n >= 1")
@@ -315,11 +323,12 @@ def enumerate_levels(max_n: int, keep):
     yield 1, list(kept), 1
     for order in range(2, max_n + 1):
         new = 1 << (order - 1)
-        parents = kept
-        seen: set = set()  # certificates of the tied children
+        parents, kept = kept, {}
+        seen: set = set()  # certificates of the labeled tied children
         tops = 0  # unique-top children, each a class of its own
-        kept = {}
+        first: dict = {}  # at max_n, degree profile -> a tied child left unlabeled, [] once labeled
         for parent, perms in parents.items():
+            siblings: dict = {}  # the same for this parent's unique-top children
             for mask in _mask_orbit_representatives(order - 1, perms):
                 adj = [m | new if mask >> u & 1 else m for u, m in enumerate(parent)]
                 adj.append(mask)
@@ -327,19 +336,25 @@ def enumerate_levels(max_n: int, keep):
                 if ranked is None:
                     continue
                 tied, ok = ranked
-                if not tied:
-                    tops += 1
-                    if not ok:
-                        continue
-                cert, auts = _canonical(order, adj)
-                if tied:
-                    if cert in seen:
-                        continue
-                    seen.add(cert)
-                elif cert in kept:
-                    raise InvariantViolated(f"order-{order} class generated twice: "
-                                            "the automorphisms found miss part of a group")
-                if ok:
-                    kept[cert] = auts
+                tops += not tied
+                if not (tied or ok):
+                    continue
+                todo = [(adj, tied, ok)]
+                if order == max_n:  # labeled once a second child that may share its class shares its profile
+                    key, pending = _degree_profile(adj), first if tied else siblings
+                    todo, pending[key] = (pending[key] + todo, []) if key in pending else ([], todo)
+                for adj, tied, ok in todo:
+                    cert, auts = _canonical(order, adj)
+                    if tied:
+                        if cert in seen:
+                            continue
+                        seen.add(cert)
+                    elif cert in kept:
+                        raise InvariantViolated(f"order-{order} class generated twice: "
+                                                "the automorphisms found miss part of a group")
+                    if ok:
+                        kept[cert] = auts
+            kept.update((tuple(adj), None) for adj, _, _ in chain(*siblings.values()))  # each a class
+        kept.update((tuple(adj), None) for adj, _, ok in chain(*first.values()) if ok)
         kept = {cert: kept[cert] for cert in sorted(kept)}
-        yield order, list(kept), len(seen) + tops
+        yield order, list(kept), len(seen) + tops + sum(map(len, first.values()))

@@ -92,15 +92,16 @@ def _circulant_offsets(m: int, s: int) -> list[int]:
 
 def _regular_graphs(m: int, s: int, d: int, h: Graph) -> list[tuple[int, ...]]:
     """Masks of one s-regular graph of order m per class but h's: the d-regular
-    certificates of the builtin enumerator, in canonical order, complemented
-    when d < s (h's class is matched on the d-regular side)."""
+    classes of the builtin enumerator, labeled, in canonical order, and
+    complemented when d < s (h's class is matched on the d-regular side)."""
     from .canonical import _canonical, degree_cap, enumerate_levels  # only this fallback loads canonical
 
     full = (1 << m) - 1
     flip = (lambda adj: tuple(full ^ a ^ 1 << v for v, a in enumerate(adj))) if d < s else tuple
     own = _canonical(m, flip(h.adj))[0]
     *_, (_, kept, _) = enumerate_levels(m, keep=degree_cap(d))
-    return [flip(c) for c in kept if c != own and all(a.bit_count() == d for a in c)]
+    regular = sorted(_canonical(m, adj)[0] for adj in kept if all(a.bit_count() == d for a in adj))
+    return [flip(c) for c in regular if c != own]
 
 
 def build_extremal(spec: ExtremalSpec) -> BuildResult:

@@ -60,25 +60,37 @@ def _walk(adj: Sequence[int], t: int, need: int, anchor: int | None = None, pool
     lexicographic order, so the anchored walk runs over (t-1)-sets of the
     other vertices, starting from the anchor's neighborhood.
     """
-    full = (1 << len(adj)) - 1
     if anchor is None:
-        return _extend(adj, t, need, [], pool & full, full)
-    return _extend(adj, t, need, [anchor], pool & full & ~(1 << anchor), adj[anchor])
+        return _extend(adj, t, need, [], (1 << len(adj)) - 1, pool, 0, -1)
+    return _extend(adj, t, need, [anchor], adj[anchor], pool & ~(1 << anchor), 0, anchor)
 
 
-def _extend(adj: Sequence[int], t: int, need: int, chosen: list[int], pool: int, inter: int) -> Witness | None:
-    """``_walk`` below the t-set prefix ``chosen``, adding vertices of ``pool``."""
+def _extend(adj: Sequence[int], t: int, need: int, chosen: list[int], inter: int, pool: int, start: int,
+            skip: int) -> Witness | None:
+    """``_walk`` below the t-set prefix ``chosen`` with common neighbors
+    ``inter``, adding vertices of the mask ``pool`` or, while it is negative
+    (no pool given), of range(start, n) but ``skip``."""
     if len(chosen) == t:
         return tuple(sorted(chosen)), tuple(islice(_bits(inter), need))
-    while pool:
+    if pool < 0:
+        for v in range(start, len(adj)):
+            if v != skip:
+                nxt = inter & adj[v]
+                # the intersection only shrinks as the t-set grows
+                if nxt.bit_count() >= need:
+                    chosen.append(v)
+                    found = _extend(adj, t, need, chosen, nxt, pool, v + 1, skip)
+                    chosen.pop()
+                    if found is not None:
+                        return found
+    while pool > 0:
         low = pool & -pool
         pool ^= low
         v = low.bit_length() - 1
         nxt = inter & adj[v]
-        # the intersection only shrinks as the t-set grows
         if nxt.bit_count() >= need:
             chosen.append(v)
-            found = _extend(adj, t, need, chosen, pool, nxt)
+            found = _extend(adj, t, need, chosen, nxt, pool, 0, skip)
             chosen.pop()
             if found is not None:
                 return found

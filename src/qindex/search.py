@@ -1,16 +1,16 @@
 """Search for Q-index maximizers among pattern-free graphs.
 
-Exhaustive side: a scan scores the certificates (canonical adjacency
-masks) of the pattern-free classes of one order, as generated by
-``canonical.enumerate_levels`` under the hereditary ``_free_predicate``
-or, beyond ``graphs.BUILTIN_MAX_ORDER``, read from an external
-enumerator's graph6 stream and deduplicated by certificate.  A scan
-certifies the q of every certificate it scores in one stacked LAPACK
+Exhaustive side: a scan scores one adjacency mask tuple per
+pattern-free class of one order, as generated by
+``canonical.enumerate_levels`` under ``_free_predicate`` or, beyond
+``graphs.BUILTIN_MAX_ORDER``, read from an external enumerator's graph6
+stream and deduplicated by certificate (canonical adjacency masks).  A
+scan certifies the q of every mask tuple it scores in one stacked LAPACK
 call (``spectral._top``: ``numpy.linalg.eigh`` and a residual check), so
-every argmax, tie and cap comparison is decided by certified values; a
-``Graph`` is built only for the argmax classes the report prints (and,
-in ``join_cap_scan``, for its equality set).  Scans and hunts end in one
-report tail, ``_finish_report``.  Its report also carries the paper's
+every argmax, tie and cap comparison is decided by certified values; only
+the argmax classes the report prints (and, in ``join_cap_scan``, its
+equality set) are labeled and built as ``Graph``s.  Scans and hunts end in
+one report tail, ``_finish_report``.  Its report also carries the paper's
 dominating-vertex split: the best class with a vertex of degree n - 1 is
 K_1 v H, capped by ``join_cap_scan``'s closed form, and the best class
 without one is compared with n, the cap that half obeys from order
@@ -33,7 +33,7 @@ import time
 from typing import NamedTuple
 
 from .bounds import conjecture_bound, is_extremal_join, q_bound_t2_applicable
-from .canonical import canonical_graph6, canonical_key, degree_cap, enumerate_levels
+from .canonical import _canonical, canonical_graph6, canonical_key, degree_cap, enumerate_levels
 from .errors import HypothesisViolated, InvalidParameter, InvariantViolated
 from .forbidden import ForbiddenPattern, _contains_through, _walk, contains_kst
 from .graphs import BUILTIN_MAX_ORDER, MAX_ORDER, Graph, _join_masks, graph6_decode, graph6_encode
@@ -48,8 +48,10 @@ CHUNK_ENTRIES = 1 << 20  # matrix entries per stacked eigh call of a scan
 
 
 def _free_predicate(pat: ForbiddenPattern):
-    """Hereditary mask predicate: the graph contains no ``pat``."""
-    return lambda adj: _walk(adj, pat.t, pat.s_plus_1) is None
+    """``enumerate_levels`` predicate: no ``pat`` through the last vertex w (the graph less w is
+    free), with w on its t-side (a walk anchored at w) or on the other, its t-side in N(w)."""
+    t, need = pat.t, pat.s_plus_1
+    return lambda adj: _walk(adj, t, need, len(adj) - 1) is None and _walk(adj, t, need, None, adj[-1]) is None
 
 
 class SearchReport(NamedTuple):
@@ -153,17 +155,19 @@ def _finish_report(n, pat, graphs, max_q, encode, t0, **fields) -> SearchReport:
     )
 
 
-def _scan_report(n, pat, free, graphs_seen, t0) -> SearchReport:
-    """Report of a scan over the free certificates ``free``: certified q
-    (``_certified_q``), the argmax, and the argmax of the classes with no
-    dominating vertex; a ``Graph`` is built only for those argmaxes."""
+def _scan_report(n, pat, free, graphs_seen, t0, label) -> SearchReport:
+    """Report of a scan over ``free``, one mask tuple per free class: certified q (``_certified_q``),
+    the argmax, and the argmax of the classes with no dominating vertex; only those are labeled (by
+    ``label``, to their certificates), certified again and built as ``Graph``s."""
     scored = list(zip(_certified_q(free), free))
-    max_q, top = _argmax(scored)
-    rest_q, rest_top = _argmax([(q, adj) for q, adj in scored if all(m.bit_count() < n - 1 for m in adj)])
-    return _finish_report(n, pat, [Graph(n, adj) for adj in top], max_q, graph6_encode, t0,
+    no_hub = [(q, adj) for q, adj in scored if all(m.bit_count() < n - 1 for m in adj)]
+    top, rest = ([label(adj) for adj in _argmax(pairs)[1]] for pairs in (scored, no_hub))
+    qs = _certified_q(top + rest)  # float rounding may move q with the labeling: report the certificates'
+    max_q, rest_q = max(qs[:len(top)], default=0.0), max(qs[len(top):], default=0.0)
+    return _finish_report(n, pat, [Graph(n, cert) for cert in top], max_q, graph6_encode, t0,
                           graphs_seen=graphs_seen, free_graphs=len(free), exhaustive=True,
                           rest_max_q=rest_q, rest_below_n=rest_q < n - DEFAULT_TOL,
-                          rest_argmax=sorted(graph6_encode(Graph(n, adj)) for adj in rest_top))
+                          rest_argmax=sorted(graph6_encode(Graph(n, cert)) for cert in rest))
 
 
 def exhaustive_max_q(n: int, pat: ForbiddenPattern, stream=None) -> SearchReport:
@@ -175,10 +179,9 @@ def exhaustive_max_q(n: int, pat: ForbiddenPattern, stream=None) -> SearchReport
     with no graph line is an error: every order has a graph.
     """
     t0 = time.perf_counter()
-    keep = _free_predicate(pat)
     if stream is None:
-        *_, (_, kept, classes) = enumerate_levels(n, keep)
-        return _scan_report(n, pat, kept, classes, t0)
+        *_, (_, kept, classes) = enumerate_levels(n, _free_predicate(pat))
+        return _scan_report(n, pat, kept, classes, t0, lambda adj: _canonical(n, adj)[0])
     seen: set = set()
     free = []
     for lineno, line in enumerate(stream, start=1):
@@ -195,11 +198,11 @@ def exhaustive_max_q(n: int, pat: ForbiddenPattern, stream=None) -> SearchReport
         if cert in seen:
             continue
         seen.add(cert)
-        if keep(cert):
+        if _walk(cert, pat.t, pat.s_plus_1) is None:  # no parent vouches for cert less a vertex
             free.append(cert)
     if not seen:
         raise InvalidParameter(f"stream has no graph line, so it enumerates no order-{n} class")
-    return _scan_report(n, pat, sorted(free), len(seen), t0)
+    return _scan_report(n, pat, sorted(free), len(seen), t0, tuple)
 
 
 # bounded-degree join scan
@@ -226,8 +229,8 @@ class JoinCapReport(NamedTuple):
 
 def join_cap_scan(m: int, s: int) -> JoinCapReport:
     """Exhaustively verify the hub-join cap over every H with max degree <= s:
-    each H is a certificate from ``enumerate_levels``, scored joined to the
-    hub as masks, and a ``Graph`` is built only for the equality set printed."""
+    each H is a mask tuple from ``enumerate_levels``, scored joined to the hub
+    as masks; only the equality set printed is labeled and built as ``Graph``s."""
     if m < 1:
         raise InvalidParameter(f"need m >= 1, got {m}")
     if m > BUILTIN_MAX_ORDER - 1:  # the join K_1 v H has order m + 1
@@ -238,6 +241,7 @@ def join_cap_scan(m: int, s: int) -> JoinCapReport:
     bound = conjecture_bound(m + 1, s, 2)
     *_, (_, hs, _) = enumerate_levels(m, keep=degree_cap(s))
     qs = _certified_q([_join_masks((0,), h) for h in hs])
+    top = [_join_masks((0,), _canonical(m, h)[0]) for q, h in zip(qs, hs) if q >= max(qs) - EPS]
     at_cap = [_at_cap(q, bound) for q in qs]
     regular = [all(a.bit_count() == s for a in h) for h in hs]
     all_capped = not any(_above(q, bound) for q in qs)
@@ -248,9 +252,9 @@ def join_cap_scan(m: int, s: int) -> JoinCapReport:
         s=s,
         classes=len(hs),
         bound=bound,
-        max_q=max(qs),
+        max_q=max(_certified_q(top)),  # of the argmax certificates, as in ``_scan_report``
         all_capped=all_capped,
-        equality_graph6=sorted(graph6_encode(Graph(m, h)) for e, h in zip(at_cap, hs) if e),
+        equality_graph6=sorted(graph6_encode(Graph(m, _canonical(m, h)[0])) for e, h in zip(at_cap, hs) if e),
         equality_all_regular=eq_all_regular,
         regular_all_equality=reg_all_eq,
         runtime_ms=int((time.perf_counter() - t0) * 1000),

@@ -12,6 +12,7 @@ def pytest_terminal_summary(terminalreporter):
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
 
+import qindex.canonical as canonical
 import qindex.search as search
 from qindex.constructions import circulant
 from qindex.graphs import Graph, complete_graph, from_edge_list, join
@@ -39,14 +40,14 @@ def empty_graph(n: int) -> Graph:
 
 
 def unrestricted(adj) -> bool:
-    """The always-true hereditary predicate: under it ``enumerate_levels``
-    keeps every class."""
+    """The always-true keep-predicate: under it ``enumerate_levels`` keeps
+    every class."""
     return True
 
 
 def enumerate_graphs(n: int, keep=unrestricted) -> list[Graph]:
-    """Canonical representatives of all order-n classes accepted by ``keep``,
-    a hereditary predicate on adjacency masks (see ``search.enumerate_levels``)."""
+    """One representative of each order-n class accepted by ``keep``, a
+    keep-predicate on adjacency masks (see ``search.enumerate_levels``)."""
     *_, (_, kept, _) = search.enumerate_levels(n, keep)
     return [Graph(n, cert) for cert in kept]
 
@@ -87,7 +88,8 @@ def exhaustive_scan(max_n: int, pat) -> list:
     ``exhaustive_max_q`` builds it, from a single builtin enumeration
     (``search.enumerate_levels``, looked up at call time)."""
     levels = search.enumerate_levels(max_n, search._free_predicate(pat))
-    return [search._scan_report(order, pat, kept, seen, time.perf_counter())
+    return [search._scan_report(order, pat, kept, seen, time.perf_counter(),
+                                lambda adj, n=order: canonical._canonical(n, adj)[0])
             for order, kept, seen in levels]
 
 
@@ -124,7 +126,8 @@ def wheel_5() -> Graph:
 
 @pytest.fixture(scope="session")
 def all_graphs_upto_8():
-    """Canonical representatives of every isomorphism class, orders 1..8.
+    """One representative of every isomorphism class, orders 1..8 (canonical
+    below order 8, the last order ``enumerate_levels`` generates here).
 
     Built once per session; several invariant suites and the acceptance
     criteria share this corpus.

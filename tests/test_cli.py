@@ -484,7 +484,7 @@ JOIN_CAP_KEYS = {
     "equality_all_regular", "regular_all_equality", "verdict", "runtime_ms",
 }
 CONSTRUCT_KEYS = {
-    "graph6", "free", "witness", "strategy_used", "exhaustive", "attempts", "q", "bound", "gap",
+    "graph6", "free", "witness", "strategy_used", "exhaustive", "attempts", "q", "bound",
 }
 PARAMETER_KEYS = {
     "verify": {"n", "s", "t", "stream"},

@@ -10,10 +10,10 @@ from numpy.linalg import eigvalsh
 import qindex.canonical as canonical
 import qindex.search as search
 from qindex.bounds import q_bound_t2
-from qindex.canonical import canonical_graph6, canonical_key, refinement_cells
+from qindex.canonical import canonical_graph6, canonical_key, degree_cap, refinement_cells
 from qindex.constructions import circulant
 from qindex.errors import InvalidParameter, InvariantViolated
-from qindex.forbidden import ForbiddenPattern
+from qindex.forbidden import ForbiddenPattern, _walk
 from qindex.graphs import (
     Graph,
     _bits,
@@ -24,13 +24,14 @@ from qindex.graphs import (
     join,
 )
 from qindex.search import (
+    JoinCapReport,
     enumerate_levels,
     exhaustive_max_q,
     heuristic_max_q,
     is_extremal_join,
     join_cap_scan,
 )
-from qindex.spectral import _top, q_index
+from qindex.spectral import DEFAULT_TOL, _top, q_index
 from conftest import (
     disjoint_union,
     enumerate_graphs,
@@ -47,7 +48,8 @@ UNLABELED_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
 def per_mask_levels(max_n, keep):
     """Reference for ``enumerate_levels``: every kept parent is extended by
     all 2^|P| neighbour masks, and each child is labeled through
-    ``canonical_key``."""
+    ``canonical_key``.  ``keep`` runs on certificates, whose last vertex is
+    not the new one, so it must test the whole graph."""
     current = [(0,)] if keep((0,)) else []
     yield 1, list(current), 1
     for order in range(2, max_n + 1):
@@ -67,18 +69,39 @@ def per_mask_levels(max_n, keep):
 
 
 def free_of(t, s):
+    """The scan's keep-predicate: it walks only the copies through the last vertex."""
     return search._free_predicate(ForbiddenPattern.from_ts(t, s))
 
 
+def whole_free_of(t, s):
+    """Whether the whole graph is K_{t,s+1}-free."""
+    return lambda adj: _walk(adj, t, s + 1) is None
+
+
+def max_degree_2(adj):
+    return all(m.bit_count() <= 2 for m in adj)
+
+
+def triangle_free(adj):
+    return not any(adj[u] & adj[v] for u in range(len(adj)) for v in _bits(adj[u]))
+
+
+PATTERNS = {"K_{2,2}-free": (2, 1), "K_{2,3}-free": (2, 2), "K_{3,3}-free": (3, 2)}
+
+# keep-predicates for enumerate_levels, each given that the graph less its
+# last vertex passes
 ORACLE_PREDICATES = {
     "unrestricted": unrestricted,
-    "K_{2,2}-free": free_of(2, 1),
-    "K_{2,3}-free": free_of(2, 2),
-    "K_{3,3}-free": free_of(3, 2),
-    "max degree <= 2": lambda adj: all(m.bit_count() <= 2 for m in adj),
+    **{name: free_of(*ts) for name, ts in PATTERNS.items()},
+    "max degree <= 2": degree_cap(2),
     # hereditary but not a K_{t,s+1} pattern
-    "triangle-free": lambda adj: not any(
-        adj[u] & adj[v] for u in range(len(adj)) for v in _bits(adj[u])),
+    "triangle-free": triangle_free,
+}
+# the same properties tested on the whole graph, for per_mask_levels
+WHOLE_GRAPH_PREDICATES = {
+    **ORACLE_PREDICATES,
+    **{name: whole_free_of(*ts) for name, ts in PATTERNS.items()},
+    "max degree <= 2": max_degree_2,
 }
 
 
@@ -128,16 +151,42 @@ class TestEnumeration:
             assert g.max_degree() <= 2
 
     def test_all_outputs_canonical_and_distinct(self):
-        graphs = enumerate_graphs(5)
-        keys = {canonical_key(g) for g in graphs}
-        assert len(keys) == len(graphs) == 34
+        # one mask tuple per class at every order, a certificate below the last
+        for order, kept, _ in enumerate_levels(5, unrestricted):
+            keys = {canonical_key(Graph(order, adj))[1] for adj in kept}
+            assert len(keys) == len(kept) == UNLABELED_COUNTS[order]
+            if order < 5:
+                assert keys == set(kept)
+
+    @pytest.mark.parametrize("t, s", itertools.product([2, 3], [1, 2, 3]))
+    def test_free_predicate_is_the_whole_graph_test(self, t, s):
+        # the keep-predicate walks only copies through the last vertex w, on
+        # the promise that the graph less w is free: on every child of random
+        # free parents it answers as a walk over the whole graph
+        rng = random.Random(31 * t + s)
+        keep, whole = free_of(t, s), whole_free_of(t, s)
+        rejected = 0
+        for n in [*range(t, 11)] * 2:  # two random parents of each order up to 10
+            adj = list(random_graph(rng, n, rng.choice([0.4, 0.6, 0.8])).adj)
+            while (found := _walk(adj, t, s + 1)) is not None:
+                (u, *_), (v, *_) = found
+                adj[u] ^= 1 << v
+                adj[v] ^= 1 << u
+            for mask in range(1 << n):
+                child = [m | 1 << n if mask >> u & 1 else m for u, m in enumerate(adj)] + [mask]
+                assert keep(child) == whole(child), (adj, mask)
+                rejected += not keep(child)
+        assert rejected > 0
 
 
 class TestOrbitPrunedAugmentation:
     @pytest.mark.parametrize("name", ORACLE_PREDICATES)
     def test_levels_match_per_mask_oracle(self, name):
-        keep = ORACLE_PREDICATES[name]
-        assert list(enumerate_levels(7, keep)) == list(per_mask_levels(7, keep))
+        levels = list(enumerate_levels(7, ORACLE_PREDICATES[name]))
+        # the last order lists some classes by their unlabeled masks
+        order, kept, seen = levels[-1]
+        levels[-1] = order, sorted(canonical_key(Graph(order, adj))[1] for adj in kept), seen
+        assert levels == list(per_mask_levels(7, WHOLE_GRAPH_PREDICATES[name]))
 
     def test_k23_free_order_8_class_counts(self):
         *_, (order, kept, seen) = enumerate_levels(8, free_of(2, 2))
@@ -183,11 +232,13 @@ class TestOrbitPrunedAugmentation:
     def test_outranked_children_are_not_labeled(self, monkeypatch, name, limit):
         # a child whose new vertex is outranked by a deletable old vertex is
         # dropped before labeling, and one whose new vertex is the unique top
-        # is labeled only when kept.  Labeling every orbit representative
-        # took 5,758, 3,741 and 640 calls here, and labeling every child not
-        # outranked 1,306, 1,120 and 424, for 1,252, 1,078 and 418 classes
-        # seen; now 1,306, 789 and 151 calls, fewer than the classes seen
-        # wherever a scan keeps few of them
+        # is labeled only when kept; at the last order a child is labeled
+        # only when another that may share its class (any tied child, or a
+        # unique-top sibling) shares its degree profile.  Labeling every
+        # orbit representative took 5,758, 3,741 and 640 calls here,
+        # labeling every child not outranked 1,306, 1,120 and 424, and
+        # labeling every kept unique-top child 1,306, 789 and 151, for 1,252,
+        # 1,078 and 418 classes seen; now 363, 295 and 93 calls
         calls = []
         label = canonical._canonical
 
@@ -223,6 +274,18 @@ class TestOrbitPrunedAugmentation:
         label = canonical._canonical
         monkeypatch.setattr(canonical, "_canonical", lambda n, adj: (label(n, adj)[0], []))
         with pytest.raises(InvariantViolated):
+            list(enumerate_levels(6, ORACLE_PREDICATES[name]))
+
+    @pytest.mark.parametrize("name", ["unrestricted", "K_{2,3}-free", "max degree <= 2"])
+    def test_incomplete_group_of_a_last_parent_is_caught(self, monkeypatch, name):
+        # the last order labels a unique-top child only when a sibling shares
+        # its degree profile; with no automorphisms for the order-5 parents
+        # alone, isomorphic siblings of order 6 arise and must still raise
+        # (dropping them everywhere raises at an earlier order)
+        label = canonical._canonical
+        monkeypatch.setattr(canonical, "_canonical",
+                            lambda n, adj: (label(n, adj)[0], []) if n == 5 else label(n, adj))
+        with pytest.raises(InvariantViolated, match="order-6 class generated twice"):
             list(enumerate_levels(6, ORACLE_PREDICATES[name]))
 
 
@@ -396,6 +459,23 @@ class TestDominatingScan:
         # K_1 is its own dominating vertex, so the rest half is empty
         report = exhaustive_scan(1, ForbiddenPattern.from_ts(2, 1))[0]
         assert (report.rest_max_q, report.rest_argmax, report.rest_below_n) == (0.0, [], True)
+
+
+class TestFloatSlack:
+    """Each float comparison of the scans allows exactly its stated slack."""
+
+    def test_above_allows_eps_plus_the_certified_error(self):
+        assert not search._above(search.EPS + DEFAULT_TOL / 2, 0.0)
+        assert search._above(search.EPS + 2 * DEFAULT_TOL, 0.0)
+
+    def test_at_cap_includes_its_edge(self):
+        assert search._at_cap(DEFAULT_TOL, 0.0)
+        assert not search._at_cap(2 * DEFAULT_TOL, 0.0)
+
+    def test_argmax_keeps_a_tie_at_its_edge(self):
+        a, b = (1,), (2,)
+        assert search._argmax([(1.0, a), (1.0 - search.EPS, b)]) == (1.0, [a, b])
+        assert search._argmax([(1.0, a), (1.0 - 2 * search.EPS, b)]) == (1.0, [a])
 
 
 class TestHeuristic:
@@ -598,8 +678,12 @@ class TestCertifiedScoring:
 
         monkeypatch.setattr(search, "q_index", q)
         monkeypatch.setattr(search, "_top", counted_top(calls))
-        scan()
-        assert len(calls) == 1
+        report = scan()
+        # one call scores every class as generated, one more the few argmax
+        # certificates the report prints, since rounding may move q with the
+        # labeling
+        classes = report.classes if isinstance(report, JoinCapReport) else report.free_graphs
+        assert len(calls) == 2 and calls[0] == classes
 
     @pytest.mark.parametrize("name", SCORED_SCANS)
     @pytest.mark.parametrize("error", [{"vector": 1e-6}, {"value": 4e-10}], ids=["vector", "value"])
@@ -628,7 +712,9 @@ class TestCertifiedScoring:
         monkeypatch.setattr(search, "_top", counted_top(calls))
         chunked = exhaustive_max_q(6, pat)
         assert chunked._replace(runtime_ms=0) == whole._replace(runtime_ms=0)
-        assert len(calls) == math.ceil(whole.free_graphs / 2) and max(calls) == 2
+        # the scored classes, then the printed argmax certificates
+        printed = len(whole.argmax) + len(whole.rest_argmax)
+        assert len(calls) == math.ceil(whole.free_graphs / 2) + math.ceil(printed / 2) and max(calls) == 2
 
 
 @pytest.mark.slow
@@ -646,6 +732,10 @@ class TestSlowEnumeration:
     def test_k23_free_order_9_class_counts(self):
         *_, (order, kept, seen) = enumerate_levels(9, free_of(2, 2))
         assert (order, len(kept), seen) == (9, 16864, 126018)
+
+    def test_k33_free_order_9_class_counts(self):
+        *_, (order, kept, seen) = enumerate_levels(9, free_of(3, 2))
+        assert (order, len(kept), seen) == (9, 148080, 255320)
 
 
 class TestExtremalJoinRecognition:
