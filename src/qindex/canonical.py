@@ -24,6 +24,8 @@ Generation (``enumerate_levels``) is the one reader of the automorphisms
 ``_canonical`` returns: each kept certificate gets one child per orbit of
 neighbour masks under them, built as raw masks with no relabeling step,
 and a keep-predicate that tests only the new vertex prunes whole subtrees.
+``_collide`` holds a graph unlabeled until a second one shares its degree
+profile, at generation's last level and in ``search``'s stream scan.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from collections.abc import Sequence
 from itertools import chain
 
 from .errors import InvalidParameter, InvariantViolated
-from .graphs import BUILTIN_MAX_ORDER, Graph, _bits, graph6_encode
+from .graphs import BUILTIN_MAX_ORDER, Graph, _bits, _mask_sum, graph6_encode
 
 
 def _refine(adj: Sequence[int], cells: list[list[int]], queue: list[int]) -> list[list[int]]:
@@ -256,17 +258,14 @@ def _rank(adj: list[int], keep) -> tuple[bool, bool] | None:
     (whether a deletable vertex ties w, whether ``keep`` holds on the graph).
     When ``keep`` holds every vertex is deletable, so no tie is walked."""
     deg = [m.bit_count() for m in adj]
-    top = deg[-1]
-    top_sum = None
+    top, top_sum = deg[-1], _mask_sum(deg, adj[-1])
     ties = []
     blocked = False  # an undeletable vertex ranks above w, so keep fails here
     for u in range(len(adj) - 1):
         if deg[u] < top:
             continue
         if deg[u] == top:
-            if top_sum is None:
-                top_sum = sum(deg[w] for w in _bits(adj[-1]))
-            u_sum = sum(deg[w] for w in _bits(adj[u]))
+            u_sum = _mask_sum(deg, adj[u])
             if u_sum < top_sum:
                 continue
             if u_sum == top_sum:
@@ -280,9 +279,24 @@ def _rank(adj: list[int], keep) -> tuple[bool, bool] | None:
     return any(keep(_deleted(adj, u)) for u in ties), False
 
 
-def _degree_profile(adj: list[int]) -> int:
+def _degree_profile(adj: Sequence[int]) -> int:
     """Isomorphism invariant: hash of the sorted neighbour-degree multisets (sums of 16^degree)."""
-    return hash(tuple(sorted(sum(1 << 4 * adj[u].bit_count() for u in _bits(m)) for m in adj)))
+    sums = [0] * len(adj)  # each vertex adds its 16^degree to its neighbours' sums
+    for m in adj:
+        weight = 1 << 4 * m.bit_count()
+        while m:
+            sums[(m & -m).bit_length() - 1] += weight
+            m &= m - 1
+    sums.sort()
+    return hash(tuple(sums))
+
+
+def _collide(held: dict, adj: Sequence[int], item) -> list:
+    """Items to label now: none for a degree profile's first graph (``held[profile]`` holds its item),
+    both for its second, this one after.  A graph alone with its profile is a class of its own."""
+    key = _degree_profile(adj)
+    todo, held[key] = (held[key] + [item], []) if key in held else ([], [item])
+    return todo
 
 
 def enumerate_levels(max_n: int, keep):
@@ -339,10 +353,8 @@ def enumerate_levels(max_n: int, keep):
                 tops += not tied
                 if not (tied or ok):
                     continue
-                todo = [(adj, tied, ok)]
-                if order == max_n:  # labeled once a second child that may share its class shares its profile
-                    key, pending = _degree_profile(adj), first if tied else siblings
-                    todo, pending[key] = (pending[key] + todo, []) if key in pending else ([], todo)
+                item = adj, tied, ok
+                todo = _collide(first if tied else siblings, adj, item) if order == max_n else [item]
                 for adj, tied, ok in todo:
                     cert, auts = _canonical(order, adj)
                     if tied:

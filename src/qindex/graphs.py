@@ -69,9 +69,6 @@ class Graph:
 
     # basic invariants
 
-    def degree(self, u: int) -> int:
-        return self.adj[u].bit_count()
-
     def degrees(self) -> list[int]:
         return [m.bit_count() for m in self.adj]
 
@@ -101,6 +98,15 @@ def _bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _mask_sum(weight: Sequence[int], mask: int) -> int:
+    """Sum of weight[u] over the vertices u of mask, in one loop with no generator."""
+    total = 0
+    while mask:
+        total += weight[(mask & -mask).bit_length() - 1]
+        mask &= mask - 1
+    return total
 
 
 # constructors
@@ -156,6 +162,11 @@ def graph6_encode(g: Graph) -> str:
 
 def graph6_decode(text: str) -> Graph:
     """Strict decoder: exact payload length, zero padding, no stray bytes."""
+    return Graph(*_graph6_masks(text))
+
+
+def _graph6_masks(text: str) -> tuple[int, tuple[int, ...]]:
+    """Order and adjacency masks of a graph6 line, under ``graph6_decode``'s checks."""
     if text.endswith("\n"):
         text = text[:-1]
     if not text:
@@ -188,6 +199,7 @@ def graph6_decode(text: str) -> Graph:
     for v in range(1, n):
         col = bits >> v * (v - 1) // 2 & (1 << v) - 1
         adj[v] = col
-        for u in _bits(col):
-            adj[u] |= 1 << v
-    return Graph(n, adj)
+        while col:
+            adj[(col & -col).bit_length() - 1] |= 1 << v
+            col &= col - 1
+    return n, tuple(adj)

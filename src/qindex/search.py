@@ -4,9 +4,10 @@ Exhaustive side: a scan scores one adjacency mask tuple per
 pattern-free class of one order, as generated by
 ``canonical.enumerate_levels`` under ``_free_predicate`` or, beyond
 ``graphs.BUILTIN_MAX_ORDER``, read from an external enumerator's graph6
-stream and deduplicated by certificate (canonical adjacency masks).  A
-scan certifies the q of every mask tuple it scores in one stacked LAPACK
-call (``spectral._top``: ``numpy.linalg.eigh`` and a residual check), so
+stream, where only lines sharing a degree profile are labeled and
+deduplicated by certificate (canonical adjacency masks).  A scan
+certifies the q of every mask tuple it scores in one stacked LAPACK call
+(``spectral._top``: ``numpy.linalg.eigh`` and a residual check), so
 every argmax, tie and cap comparison is decided by certified values; only
 the argmax classes the report prints (and, in ``join_cap_scan``, its
 equality set) are labeled and built as ``Graph``s.  Scans and hunts end in
@@ -33,10 +34,11 @@ import time
 from typing import NamedTuple
 
 from .bounds import conjecture_bound, is_extremal_join, q_bound_t2_applicable
-from .canonical import _canonical, canonical_graph6, canonical_key, degree_cap, enumerate_levels
+from .canonical import _canonical, _collide, canonical_graph6, canonical_key, degree_cap, enumerate_levels
 from .errors import HypothesisViolated, InvalidParameter, InvariantViolated
 from .forbidden import ForbiddenPattern, _contains_through, _walk, contains_kst
-from .graphs import BUILTIN_MAX_ORDER, MAX_ORDER, Graph, _join_masks, graph6_decode, graph6_encode
+from .graphs import BUILTIN_MAX_ORDER, MAX_ORDER, Graph, _join_masks, graph6_encode
+from .graphs import _graph6_masks as graph6_decode  # bench/spans.py wraps it as graphs.decode (ROADMAP item 1)
 from .spectral import DEFAULT_TOL, _matrices, _top, q_index
 # bench/spans.py wraps this name as spectral.full; the rename waits for ROADMAP item 1
 from .spectral import _eigvalsh as _jacobi
@@ -174,35 +176,35 @@ def exhaustive_max_q(n: int, pat: ForbiddenPattern, stream=None) -> SearchReport
     """Exact Q-index maximum over K_{t,s+1}-free classes of order n.
 
     ``stream`` is an iterable of graph6 lines replacing the builtin
-    enumerator (required for n > 9); the scan is invariant under input
-    relabeling because every line is canonically deduplicated.  A stream
-    with no graph line is an error: every order has a graph.
+    enumerator (required for n > 9).  A line is labeled only once another
+    line shares its degree profile (``canonical._collide``), and labeled
+    lines are deduplicated by certificate; a line alone with its profile
+    is a class, tested and scored on its raw masks and labeled only if the
+    report prints it.  So the scan is invariant under input relabeling.  A
+    stream with no graph line is an error: every order has a graph.
     """
     t0 = time.perf_counter()
     if stream is None:
         *_, (_, kept, classes) = enumerate_levels(n, _free_predicate(pat))
         return _scan_report(n, pat, kept, classes, t0, lambda adj: _canonical(n, adj)[0])
-    seen: set = set()
-    free = []
+    held: dict = {}  # degree profile -> its line held unlabeled, [] once a second line labeled both
+    seen: set = set()  # certificates of the labeled lines
     for lineno, line in enumerate(stream, start=1):
         line = line.strip()
         if not line:
             continue
         try:
-            g = graph6_decode(line)
+            order, adj = graph6_decode(line)
         except InvalidParameter as exc:
             raise InvalidParameter(f"stream line {lineno}: {exc}") from None
-        if g.n != n:
-            raise InvalidParameter(f"stream line {lineno}: order {g.n}, expected {n}")
-        cert = canonical_key(g)[1]
-        if cert in seen:
-            continue
-        seen.add(cert)
-        if _walk(cert, pat.t, pat.s_plus_1) is None:  # no parent vouches for cert less a vertex
-            free.append(cert)
-    if not seen:
+        if order != n:
+            raise InvalidParameter(f"stream line {lineno}: order {order}, expected {n}")
+        seen.update(canonical_key(Graph(n, adj))[1] for adj in _collide(held, adj, adj))
+    if not held:
         raise InvalidParameter(f"stream has no graph line, so it enumerates no order-{n} class")
-    return _scan_report(n, pat, sorted(free), len(seen), t0, tuple)
+    classes = list(seen) + [adj for pending in held.values() for adj in pending]  # the held lines are alone
+    free = [adj for adj in classes if _walk(adj, pat.t, pat.s_plus_1) is None]  # no parent vouches for one
+    return _scan_report(n, pat, free, len(classes), t0, lambda a: a if a in seen else _canonical(n, a)[0])
 
 
 # bounded-degree join scan

@@ -15,7 +15,7 @@ def pytest_terminal_summary(terminalreporter):
 import qindex.canonical as canonical
 import qindex.search as search
 from qindex.constructions import circulant
-from qindex.graphs import Graph, complete_graph, from_edge_list, join
+from qindex.graphs import Graph, complete_graph, from_edge_list, graph6_encode, join
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
@@ -61,6 +61,16 @@ def relabel(g: Graph, perm) -> Graph:
     """Image of g under the permutation old index -> perm[old]."""
     assert sorted(perm) == list(range(g.n))
     return from_edge_list(g.n, [(perm[u], perm[v]) for u, v in edges(g)])
+
+
+def relabeled_lines(rng: random.Random, graphs) -> list[str]:
+    """The graph6 line of each graph, in order, under its own random relabeling."""
+    lines = []
+    for g in graphs:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        lines.append(graph6_encode(relabel(g, perm)))
+    return lines
 
 
 def path_graph(n: int) -> Graph:

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from qindex.bounds import (
@@ -8,16 +9,18 @@ from qindex.bounds import (
     bound_report,
     conjecture_bound,
     edge_bound,
-    f_value,
     merris_bound,
     q_bound_t2,
     q_bound_t2_applicable,
     q_cap_ledger,
 )
+from qindex.canonical import enumerate_levels
 from qindex.constructions import circulant
 from qindex.errors import HypothesisViolated, InvalidParameter, QxError
+from qindex.forbidden import ForbiddenPattern
 from qindex.graphs import complete_graph, from_edge_list, join
-from qindex.spectral import q_index
+from qindex.search import _free_predicate
+from qindex.spectral import _matrices, adjacency_radius, q_index
 from conftest import empty_graph, q_bound_window, random_graph
 
 
@@ -41,6 +44,51 @@ class TestAdjacencyBound:
         from qindex.spectral import adjacency_radius
 
         assert adjacency_radius(petersen).value <= adjacency_bound(10, 2, 2) + 1e-9
+
+
+def free_class_extremes(s, t, max_n):
+    """Per order n <= max_n: the largest adjacency eigenvalue and the most
+    edges over the K_{s,t}-free classes, each class from the builtin
+    enumerator as a mask tuple."""
+    levels = enumerate_levels(max_n, _free_predicate(ForbiddenPattern(t, s)))
+    return {n: (float(np.linalg.eigvalsh(_matrices(kept, "A"))[:, -1].max()),
+                max(sum(m.bit_count() for m in adj) // 2 for adj in kept)) for n, kept, _ in levels}
+
+
+# (s, t) of the forbidden K_{s,t}, s >= t, with the largest order each run enumerates
+EXHAUSTIVE_PATTERNS = [(2, 2, 7), (3, 2, 7), (4, 2, 7), (3, 3, 7), (4, 3, 7)]
+SLOW_PATTERNS = [(2, 2, 9), (3, 2, 9), (4, 2, 8), (3, 3, 8), (4, 3, 8)]
+
+
+class TestBoundsOnFreeClasses:
+    """``adjacency_bound`` and ``edge_bound`` hold on every K_{s,t}-free class."""
+
+    @staticmethod
+    def check(s, t, max_n):
+        extremes = free_class_extremes(s, t, max_n)
+        for n, (radius, edges) in extremes.items():
+            assert radius <= adjacency_bound(n, s, t) + 1e-9, (s, t, n)
+            assert edges <= edge_bound(n, s, t) + 1e-9, (s, t, n)
+        return extremes
+
+    @pytest.mark.parametrize("s, t, max_n", EXHAUSTIVE_PATTERNS)
+    def test_through_order_7(self, s, t, max_n):
+        self.check(s, t, max_n)
+
+    def test_friendship_graph_attains_the_t2_bound_at_order_7(self):
+        # C4-free at n = 7: K_1 v 3K_2 has radius 3 = 1/2 + sqrt(6 + 1/4)
+        friendship = join(complete_graph(1), from_edge_list(6, [(0, 1), (2, 3), (4, 5)]))
+        assert adjacency_radius(friendship).value == pytest.approx(3.0, abs=1e-12)
+        assert adjacency_bound(7, 2, 2) == 3.0
+        assert free_class_extremes(2, 2, 7)[7][0] == pytest.approx(3.0, abs=1e-12)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("s, t, max_n", SLOW_PATTERNS)
+    def test_through_orders_8_and_9(self, s, t, max_n):
+        extremes = self.check(s, t, max_n)
+        if (s, t) == (2, 2):  # K_1 v 4K_2 attains it again at n = 9
+            assert extremes[9][0] == pytest.approx((1 + math.sqrt(33)) / 2, abs=1e-12)
+            assert adjacency_bound(9, 2, 2) == pytest.approx((1 + math.sqrt(33)) / 2, abs=1e-12)
 
 
 class TestEdgeBound:
@@ -123,16 +171,9 @@ class TestMerris:
     def test_path3(self):
         assert merris_bound(from_edge_list(3, [(0, 1), (1, 2)])) == pytest.approx(3.0, abs=1e-12)
 
-    def test_f_value(self):
-        g = join(empty_graph(1), empty_graph(4))
-        assert f_value(g, 0) == pytest.approx(4 + 4 / 4, abs=1e-12)
-        assert f_value(g, 1) == pytest.approx(1 + 4 / 1, abs=1e-12)
-
     def test_errors(self):
         with pytest.raises(InvalidParameter, match="Merris bound needs at least one edge"):
             merris_bound(empty_graph(3))
-        with pytest.raises(InvalidParameter, match="vertex 2 is isolated"):
-            f_value(from_edge_list(3, [(0, 1)]), 2)
 
     def test_dominates_q_on_random_graphs(self):
         rng = random.Random(13)

@@ -20,7 +20,7 @@ import qindex.constructions as constructions
 from qindex.constructions import circulant
 from qindex.graphs import Graph, complete_graph, from_edge_list, graph6_encode, join
 from qindex.search import JoinCapReport, SearchReport
-from conftest import disjoint_union, random_graph, relabel
+from conftest import disjoint_union, random_graph, relabeled_lines
 
 
 @pytest.fixture()
@@ -145,12 +145,7 @@ class TestCommands:
         joins = [join(hub, circulant(17, [1])), join(hub, disjoint_union(circulant(8, [1]), circulant(9, [1])))]
         pairs = [(u, v) for u in range(18) for v in range(u + 1, 18)]
         others = [from_edge_list(18, rng.sample(pairs, m)) for m in (5, 12, 20, 27)]
-        lines = []
-        for g in joins + others:
-            for _ in range(3 if g in joins else 1):
-                perm = list(range(18))
-                rng.shuffle(perm)
-                lines.append(graph6_encode(relabel(g, perm)))
+        lines = relabeled_lines(rng, [g for g in joins for _ in range(3)] + others)
         rng.shuffle(lines)
         path = tmp_path / "order18.g6"
         path.write_text("\n".join(lines) + "\n")
@@ -828,11 +823,7 @@ def hub_stream(tmp_path):
     hubs = [join(complete_graph(1), h) for h in (
         circulant(9, [1]), circulant(9, [1, 2]), circulant(9, [3]),
         disjoint_union(circulant(4, [1]), circulant(5, [1])))]
-    perm = list(range(10))
-    lines = []
-    for g in hubs:
-        rng.shuffle(perm)
-        lines += [graph6_encode(g), graph6_encode(relabel(g, perm))]
+    lines = [graph6_encode(g) for g in hubs] + relabeled_lines(rng, hubs)
     path = tmp_path / "hubs.g6"
     path.write_text("\n".join(lines) + "\n")
     return str(path)

@@ -39,6 +39,7 @@ from conftest import (
     path_graph,
     random_graph,
     relabel,
+    relabeled_lines,
     unrestricted,
 )
 
@@ -325,20 +326,51 @@ class TestExhaustive:
         with pytest.raises(InvalidParameter, match="builtin enumeration capped at order 9"):
             exhaustive_max_q(10, ForbiddenPattern(2, 2))
 
-    def test_stream_source_relabel_invariant(self):
+    @pytest.mark.parametrize("t, s", [(2, 1), (2, 2), (3, 2)])
+    def test_stream_source_relabel_invariant(self, t, s):
+        # every order-7 class in 1-3 relabeled copies, shuffled: lines alone
+        # with their degree profile go unlabeled, the rest are deduplicated,
+        # and the report is the builtin one with each class seen once
         rng = random.Random(5)
-        base = enumerate_graphs(5)
-        lines = []
-        for g in base:
-            perm = list(range(5))
-            rng.shuffle(perm)
-            lines.append(graph6_encode(relabel(g, perm)))
+        lines = relabeled_lines(rng, [g for g in enumerate_graphs(7) for _ in range(rng.randint(1, 3))])
         rng.shuffle(lines)
-        rep_stream = exhaustive_max_q(5, ForbiddenPattern(2, 2), stream=iter(lines + lines))
-        rep_builtin = exhaustive_max_q(5, ForbiddenPattern(2, 2))
-        assert rep_stream.graphs_seen == 34  # canonical dedup of 68 lines
-        assert rep_stream.max_q == pytest.approx(rep_builtin.max_q, abs=1e-10)
-        assert rep_stream.argmax == rep_builtin.argmax
+        pat = ForbiddenPattern.from_ts(t, s)
+        rep_stream = exhaustive_max_q(7, pat, stream=iter(lines))
+        rep_builtin = exhaustive_max_q(7, pat)
+        assert rep_stream.graphs_seen == UNLABELED_COUNTS[7]
+        same = dict(graphs_seen=0, runtime_ms=0)
+        assert rep_stream._replace(**same) == rep_builtin._replace(**same)
+
+    def test_stream_labels_both_lines_of_a_shared_profile(self):
+        # K_1 v C_9 and K_1 v (C_3 u C_6) share a degree profile but are not
+        # isomorphic: a collision is labeled, not taken for a duplicate
+        hub = complete_graph(1)
+        joins = [join(hub, circulant(9, [1])), join(hub, disjoint_union(circulant(3, [1]), circulant(6, [1])))]
+        assert canonical._degree_profile(joins[0].adj) == canonical._degree_profile(joins[1].adj)
+        report = exhaustive_max_q(10, ForbiddenPattern.from_ts(2, 2), stream=[graph6_encode(g) for g in joins])
+        assert report.graphs_seen == 2
+
+    def test_stream_of_distinct_profiles_labels_nothing(self, monkeypatch):
+        # one order-7 class per degree profile: every line is a class alone,
+        # scored unlabeled, so only the printed argmax is labeled, by _canonical
+        calls = counted_keys(monkeypatch)
+        by_profile = {canonical._degree_profile(g.adj): g for g in enumerate_graphs(7)}
+        lines = relabeled_lines(random.Random(7), by_profile.values())
+        report = exhaustive_max_q(7, ForbiddenPattern.from_ts(2, 2), stream=lines)
+        assert calls == []
+        assert report.graphs_seen == len(lines)
+        # K_1 v 2C_3 shares K_1 v C_6's profile, so one of the two maximizers is left out
+        builtin = exhaustive_max_q(7, ForbiddenPattern.from_ts(2, 2))
+        assert report.max_q == builtin.max_q and set(report.argmax) < set(builtin.argmax)
+
+    def test_stream_label_count_on_a_bench_shaped_stream(self, monkeypatch):
+        calls = counted_keys(monkeypatch)
+        lines = bench_shaped_stream(random.Random(14))
+        report = exhaustive_max_q(12, ForbiddenPattern.from_ts(2, 2), stream=lines)
+        assert report.graphs_seen == 44
+        # the four hub joins share one profile, and each copy is labeled with
+        # the line it copies: 4 + 2 * 5 calls
+        assert len(calls) == 14
 
     def test_stream_errors(self):
         with pytest.raises(InvalidParameter, match="stream line 2: order byte 33 outside"):
@@ -560,12 +592,26 @@ def hub_join_stream(rng):
     hubs.append(disjoint_union(*[circulant(3, [1])] * 3))
     graphs = [join(complete_graph(1), h) for h in hubs for _ in range(2)]
     graphs += [random_graph(rng, 10, 0.3) for _ in range(40)]
-    lines = []
-    for g in graphs:
-        perm = list(range(10))
-        rng.shuffle(perm)
-        lines.append(graph6_encode(relabel(g, perm)))
+    return relabeled_lines(rng, graphs)
+
+
+def bench_shaped_stream(rng):
+    """Order-12 graph6 lines shaped like the benchmark's stream: the hub joins
+    K_1 v C_11 and K_1 v (C_a u C_b) with a + b = 11, which share one degree
+    profile, 40 random graphs at densities 0.1-0.3, and relabeled copies of
+    five of them; shuffled."""
+    hubs = [circulant(11, [1])] + [disjoint_union(circulant(a, [1]), circulant(11 - a, [1])) for a in (3, 4, 5)]
+    randoms = [random_graph(rng, 12, 0.1 * (1 + i % 3)) for i in range(40)]
+    lines = relabeled_lines(rng, [join(complete_graph(1), h) for h in hubs] + randoms + rng.sample(randoms, 5))
+    rng.shuffle(lines)
     return lines
+
+
+def counted_keys(monkeypatch):
+    """Graphs passed to ``search.canonical_key`` from now on, which still labels them."""
+    calls = []
+    monkeypatch.setattr(search, "canonical_key", lambda g: calls.append(g) or canonical_key(g))
+    return calls
 
 
 SCORED_SCANS = {
@@ -758,7 +804,7 @@ class TestExtremalJoinRecognition:
         # and the rest (at least one vertex) spanning an s-regular graph
         def hub_join(g, hub, s):
             rest = (1 << g.n) - 1 & ~sum(1 << v for v in hub)
-            return (rest != 0 and all(g.degree(v) == g.n - 1 for v in hub)
+            return (rest != 0 and all(g.adj[v].bit_count() == g.n - 1 for v in hub)
                     and all((g.adj[v] & rest).bit_count() == s for v in _bits(rest)))
 
         for order in range(1, 8):
