@@ -16,7 +16,8 @@ __version__ = "0.1.0"
 # module -> the public names it defines
 _PUBLIC = {
     "bounds": ("BoundReport", "adjacency_bound", "bound_report", "conjecture_bound", "edge_bound",
-               "is_extremal_join", "merris_bound", "q_bound_t2", "q_bound_t2_applicable", "q_cap_ledger"),
+               "f_value", "is_extremal_join", "merris_bound", "q_bound_t2", "q_bound_t2_applicable",
+               "q_cap_ledger"),
     "canonical": ("canonical_graph6", "canonical_key", "enumerate_levels"),
     "constructions": ("BuildResult", "ExtremalSpec", "build_extremal", "circulant"),
     "errors": ("QxError",),

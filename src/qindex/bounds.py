@@ -16,7 +16,7 @@ import math
 from typing import NamedTuple
 
 from .errors import HypothesisViolated, InvalidParameter
-from .graphs import Graph, _mask_sum
+from .graphs import Graph, _bits
 
 
 def adjacency_bound(n: int, s: int, t: int) -> float:
@@ -85,13 +85,19 @@ def is_extremal_join(g: Graph, s: int, t: int) -> bool:
         d == s + t - 1 for v, d in enumerate(g.degrees()) if v not in hub)
 
 
+def f_value(g: Graph, u: int) -> float:
+    """d(u) + (1/d(u)) * sum of neighbor degrees; u must be nonisolated."""
+    adj, d = g.adj, g.degree(u)
+    if d == 0:
+        raise InvalidParameter(f"vertex {u} is isolated")
+    return d + sum([adj[v].bit_count() for v in _bits(adj[u])]) / d
+
+
 def merris_bound(g: Graph) -> float:
-    """Merris-type degree bound: q(G) never exceeds the max over nonisolated
-    vertices u of d(u) + (1/d(u)) * sum of u's neighbours' degrees."""
+    """Merris-type degree bound: q(G) never exceeds the max of f_value."""
     if g.edge_count() == 0:
         raise InvalidParameter("Merris bound needs at least one edge")
-    deg = g.degrees()
-    return max(d + _mask_sum(deg, m) / d for d, m in zip(deg, g.adj) if d)
+    return max(f_value(g, u) for u in range(g.n) if g.adj[u])
 
 
 def q_cap_ledger(s: int, n: int) -> dict[str, bool]:

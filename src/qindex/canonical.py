@@ -24,8 +24,7 @@ Generation (``enumerate_levels``) is the one reader of the automorphisms
 ``_canonical`` returns: each kept certificate gets one child per orbit of
 neighbour masks under them, built as raw masks with no relabeling step,
 and a keep-predicate that tests only the new vertex prunes whole subtrees.
-``_collide`` holds a graph unlabeled until a second one shares its degree
-profile, at generation's last level and in ``search``'s stream scan.
+``_collide`` labels a graph only once another shares its degree profile.
 """
 
 from __future__ import annotations
@@ -287,15 +286,12 @@ def _degree_profile(adj: Sequence[int]) -> int:
         while m:
             sums[(m & -m).bit_length() - 1] += weight
             m &= m - 1
-    sums.sort()
-    return hash(tuple(sums))
+    return hash(tuple(sorted(sums)))
 
 
 def _collide(held: dict, adj: Sequence[int], item) -> list:
-    """Items to label now: none for a degree profile's first graph (``held[profile]`` holds its item),
-    both for its second, this one after.  A graph alone with its profile is a class of its own."""
-    key = _degree_profile(adj)
-    todo, held[key] = (held[key] + [item], []) if key in held else ([], [item])
+    """Label nothing for a profile's first graph (``held`` keeps it), both at its second, each later one."""
+    todo, held[key] = (held[key] + [item], []) if (key := _degree_profile(adj)) in held else ([], [item])
     return todo
 
 

@@ -36,7 +36,7 @@ class Graph:
         if len(adj) != n:
             raise InvalidParameter(f"expected {n} adjacency masks, got {len(adj)}")
         try:
-            masks = tuple(operator.index(m) for m in adj)
+            masks = tuple(map(operator.index, adj))
         except TypeError:
             raise InvalidParameter("adjacency masks must be integers") from None
         full = (1 << n) - 1
@@ -68,6 +68,9 @@ class Graph:
         return f"Graph(n={self.n}, m={self.edge_count()})"
 
     # basic invariants
+
+    def degree(self, u: int) -> int:
+        return self.adj[u].bit_count()
 
     def degrees(self) -> list[int]:
         return [m.bit_count() for m in self.adj]

@@ -1,21 +1,20 @@
 """Search for Q-index maximizers among pattern-free graphs.
 
-Exhaustive side: a scan scores one adjacency mask tuple per
-pattern-free class of one order, as generated by
-``canonical.enumerate_levels`` under ``_free_predicate`` or, beyond
-``graphs.BUILTIN_MAX_ORDER``, read from an external enumerator's graph6
-stream, where only lines sharing a degree profile are labeled and
-deduplicated by certificate (canonical adjacency masks).  A scan
-certifies the q of every mask tuple it scores in one stacked LAPACK call
-(``spectral._top``: ``numpy.linalg.eigh`` and a residual check), so
-every argmax, tie and cap comparison is decided by certified values; only
-the argmax classes the report prints (and, in ``join_cap_scan``, its
-equality set) are labeled and built as ``Graph``s.  Scans and hunts end in
-one report tail, ``_finish_report``.  Its report also carries the paper's
-dominating-vertex split: the best class with a vertex of degree n - 1 is
-K_1 v H, capped by ``join_cap_scan``'s closed form, and the best class
-without one is compared with n, the cap that half obeys from order
-s^2 + 6s + 6 (``bounds.q_cap_ledger``).
+Exhaustive side: a scan scores one adjacency mask tuple per pattern-free
+class of one order, as generated by ``canonical.enumerate_levels`` under
+``_free_predicate`` or, beyond ``graphs.BUILTIN_MAX_ORDER``, read from an
+external enumerator's graph6 stream, where only lines sharing a degree
+profile are labeled and deduplicated by certificate (canonical adjacency
+masks).  A scan certifies the q of every mask tuple it scores in one
+stacked LAPACK call (``spectral._top``: ``numpy.linalg.eigh`` and a
+residual check), so every argmax, tie and cap comparison is decided by
+certified values; only the argmax classes the report prints (and, in
+``join_cap_scan``, its equality set) are labeled and built as ``Graph``s.
+Scans and hunts end in one report tail, ``_finish_report``.  Its report
+also carries the paper's dominating-vertex split: the best class with a
+vertex of degree n - 1 is K_1 v H, capped by ``join_cap_scan``'s closed
+form, and the best class without one is compared with n, the cap that half
+obeys from order s^2 + 6s + 6 (``bounds.q_cap_ledger``).
 
 Heuristic side: simulated annealing over single edge toggles with a
 geometric cooling schedule.  Toggles that would create the forbidden
@@ -38,7 +37,7 @@ from .canonical import _canonical, _collide, canonical_graph6, canonical_key, de
 from .errors import HypothesisViolated, InvalidParameter, InvariantViolated
 from .forbidden import ForbiddenPattern, _contains_through, _walk, contains_kst
 from .graphs import BUILTIN_MAX_ORDER, MAX_ORDER, Graph, _join_masks, graph6_encode
-from .graphs import _graph6_masks as graph6_decode  # bench/spans.py wraps it as graphs.decode (ROADMAP item 1)
+from .graphs import _graph6_masks as graph6_decode  # (n, masks), not a Graph; named for bench (ROADMAP item 1)
 from .spectral import DEFAULT_TOL, _matrices, _top, q_index
 # bench/spans.py wraps this name as spectral.full; the rename waits for ROADMAP item 1
 from .spectral import _eigvalsh as _jacobi
@@ -176,19 +175,15 @@ def exhaustive_max_q(n: int, pat: ForbiddenPattern, stream=None) -> SearchReport
     """Exact Q-index maximum over K_{t,s+1}-free classes of order n.
 
     ``stream`` is an iterable of graph6 lines replacing the builtin
-    enumerator (required for n > 9).  A line is labeled only once another
-    line shares its degree profile (``canonical._collide``), and labeled
-    lines are deduplicated by certificate; a line alone with its profile
-    is a class, tested and scored on its raw masks and labeled only if the
-    report prints it.  So the scan is invariant under input relabeling.  A
+    enumerator (required for n > 9), labeling and deduplicating a line only
+    once another shares its degree profile (``canonical._collide``).  A
     stream with no graph line is an error: every order has a graph.
     """
     t0 = time.perf_counter()
     if stream is None:
         *_, (_, kept, classes) = enumerate_levels(n, _free_predicate(pat))
         return _scan_report(n, pat, kept, classes, t0, lambda adj: _canonical(n, adj)[0])
-    held: dict = {}  # degree profile -> its line held unlabeled, [] once a second line labeled both
-    seen: set = set()  # certificates of the labeled lines
+    held, seen = {}, set()  # profile -> its line held unlabeled ([] once labeled); labeled certificates
     for lineno, line in enumerate(stream, start=1):
         line = line.strip()
         if not line:

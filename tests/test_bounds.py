@@ -9,6 +9,7 @@ from qindex.bounds import (
     bound_report,
     conjecture_bound,
     edge_bound,
+    f_value,
     merris_bound,
     q_bound_t2,
     q_bound_t2_applicable,
@@ -171,9 +172,16 @@ class TestMerris:
     def test_path3(self):
         assert merris_bound(from_edge_list(3, [(0, 1), (1, 2)])) == pytest.approx(3.0, abs=1e-12)
 
+    def test_f_value(self):
+        g = join(empty_graph(1), empty_graph(4))
+        assert f_value(g, 0) == pytest.approx(4 + 4 / 4, abs=1e-12)
+        assert f_value(g, 1) == pytest.approx(1 + 4 / 1, abs=1e-12)
+
     def test_errors(self):
         with pytest.raises(InvalidParameter, match="Merris bound needs at least one edge"):
             merris_bound(empty_graph(3))
+        with pytest.raises(InvalidParameter, match="vertex 2 is isolated"):
+            f_value(from_edge_list(3, [(0, 1)]), 2)
 
     def test_dominates_q_on_random_graphs(self):
         rng = random.Random(13)

@@ -100,7 +100,7 @@ class TestJoin:
     def test_wheel(self):
         w = join(complete_graph(1), circulant(5, [1]))
         assert w.n == 6
-        assert w.degrees()[0] == 5
+        assert w.degree(0) == 5
         assert sorted(w.degrees()) == [3, 3, 3, 3, 3, 5]
 
     def test_join_with_edgeless_is_star(self):
@@ -117,7 +117,7 @@ class TestJoin:
             j = join(g, h)
             assert j.edge_count() == g.edge_count() + h.edge_count() + g.n * h.n
             for u in range(g.n):
-                assert j.degrees()[u] == g.degrees()[u] + h.n
+                assert j.degree(u) == g.degree(u) + h.n
 
     def test_join_overflow(self):
         with pytest.raises(InvalidParameter, match="join order 63 exceeds 62"):

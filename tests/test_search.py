@@ -804,7 +804,7 @@ class TestExtremalJoinRecognition:
         # and the rest (at least one vertex) spanning an s-regular graph
         def hub_join(g, hub, s):
             rest = (1 << g.n) - 1 & ~sum(1 << v for v in hub)
-            return (rest != 0 and all(g.adj[v].bit_count() == g.n - 1 for v in hub)
+            return (rest != 0 and all(g.degree(v) == g.n - 1 for v in hub)
                     and all((g.adj[v] & rest).bit_count() == s for v in _bits(rest)))
 
         for order in range(1, 8):
