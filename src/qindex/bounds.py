@@ -19,6 +19,17 @@ from .errors import HypothesisViolated, InvalidParameter
 from .graphs import Graph, _bits
 
 
+def _double(value) -> float:
+    """``value()``, a closed form, as a finite double; one past that range raises ``InvalidParameter``."""
+    try:
+        result = value()
+    except OverflowError:  # an int too large to convert to float
+        result = math.inf
+    if not math.isfinite(result):
+        raise InvalidParameter("n, s and t too large: a bound overflows double precision")
+    return result
+
+
 def adjacency_bound(n: int, s: int, t: int) -> float:
     """Upper bound on the adjacency spectral radius of a K_{s,t}-free graph.
 
@@ -66,14 +77,15 @@ def conjecture_bound(n: int, s: int, t: int) -> float:
     {hub, H}, which ``build_extremal`` returns as the join's q (and ``qx
     construct`` as its bound).  Reduces to ``q_bound_t2`` at t = 2.
     Under that hypothesis its discriminant is positive at every n >= 1
-    (below n = t-1 it is at least (n-2)^2 + 8(t-1)).
+    (below n = t-1 it is at least (n-2)^2 + 8(t-1)).  A cap that does not
+    fit a double raises ``InvalidParameter``.
     """
     if not (t >= 2 and s >= t - 1):
         raise HypothesisViolated(f"need s >= t-1 >= 1, got s={s}, t={t}")
     if n < 1:
         raise HypothesisViolated(f"order must be >= 1, got {n}")
     disc = (n - 2 * s - 2) ** 2 + 4 * (t - 1) * (n - t + 1)
-    return n / 2.0 + s + t - 2 + 0.5 * math.sqrt(disc)
+    return _double(lambda: n / 2.0 + s + t - 2 + 0.5 * math.sqrt(disc))
 
 
 def is_extremal_join(g: Graph, s: int, t: int) -> bool:
@@ -165,16 +177,8 @@ def bound_report(n: int, s: int, t: int) -> BoundReport:
         "q_t2_proved": q_bound_t2_applicable(n, s),
         "conjecture_shape": s >= t - 1,
     }
-    adjacency = edge = conjecture = None
-    try:
-        if s >= t:
-            adjacency = adjacency_bound(n, s, t)
-            edge = edge_bound(n, s, t)
-        if s >= t - 1:
-            conjecture = conjecture_bound(n, s, t)
-        q_t2 = q_bound_t2(n, s)
-    except OverflowError:  # an int too large to convert to float
-        q_t2 = math.inf
-    if not all(math.isfinite(v) for v in (adjacency, edge, conjecture, q_t2) if v is not None):
-        raise InvalidParameter("n, s and t too large: a bound overflows double precision")
+    adjacency = _double(lambda: adjacency_bound(n, s, t)) if s >= t else None
+    edge = _double(lambda: edge_bound(n, s, t)) if s >= t else None
+    conjecture = conjecture_bound(n, s, t) if s >= t - 1 else None
+    q_t2 = _double(lambda: q_bound_t2(n, s))
     return BoundReport(n, s, t, adjacency, edge, q_t2, conjecture, applicability)

@@ -136,19 +136,9 @@ def _open_graph6(path: str):
 
 
 def _read_graphs(path: str) -> list[tuple[str, Graph]]:
-    # iterating the file, as ``verify --stream`` does, ends lines only at
-    # newlines; str.splitlines would also split at form feeds and the like
-    out = []
+    from .graphs import _graph6_lines  # the line reader ``verify --stream`` shares
     with _open_graph6(path) as fh:
-        for i, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                out.append((line, _cli.graph6_decode(line)))
-            except QxError as exc:
-                raise type(exc)(f"{path} line {i}: {exc}") from None
-    return out
+        return [(line, g) for _, line, g in _graph6_lines(fh, path, _cli.graph6_decode)]
 
 
 def _round10(obj):

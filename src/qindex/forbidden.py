@@ -50,10 +50,11 @@ Witness = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 def _walk(adj: Sequence[int], t: int, need: int, anchor: int | None = None, pool: int = -1) -> Witness | None:
-    """First t-set in lexicographic order (among those holding ``anchor``
-    with the rest in the mask ``pool``, when given) with at least ``need``
-    common neighbors outside itself, paired with the ``need`` smallest of
-    them; None when there is none.
+    """First t-set in lexicographic order with at least ``need`` common
+    neighbors outside itself, paired with the ``need`` smallest of them;
+    None when there is none.  With an ``anchor``, only t-sets holding it
+    count: with the rest in the mask ``pool`` when given, else those whose
+    largest member is the anchor.
 
     Masks carry no loops, so an intersection of neighborhoods never meets
     the t-set itself.  Removing the anchor from every t-set keeps their
@@ -61,28 +62,27 @@ def _walk(adj: Sequence[int], t: int, need: int, anchor: int | None = None, pool
     other vertices, starting from the anchor's neighborhood.
     """
     if anchor is None:
-        return _extend(adj, t, need, [], (1 << len(adj)) - 1, pool, 0, -1)
+        return _extend(adj, t, need, [], (1 << len(adj)) - 1, pool, 0, len(adj))
     return _extend(adj, t, need, [anchor], adj[anchor], pool & ~(1 << anchor), 0, anchor)
 
 
 def _extend(adj: Sequence[int], t: int, need: int, chosen: list[int], inter: int, pool: int, start: int,
-            skip: int) -> Witness | None:
+            stop: int) -> Witness | None:
     """``_walk`` below the t-set prefix ``chosen`` with common neighbors
     ``inter``, adding vertices of the mask ``pool`` or, while it is negative
-    (no pool given), of range(start, n) but ``skip``."""
+    (no pool given), of range(start, stop)."""
     if len(chosen) == t:
         return tuple(sorted(chosen)), tuple(islice(_bits(inter), need))
     if pool < 0:
-        for v in range(start, len(adj)):
-            if v != skip:
-                nxt = inter & adj[v]
-                # the intersection only shrinks as the t-set grows
-                if nxt.bit_count() >= need:
-                    chosen.append(v)
-                    found = _extend(adj, t, need, chosen, nxt, pool, v + 1, skip)
-                    chosen.pop()
-                    if found is not None:
-                        return found
+        for v in range(start, stop):
+            nxt = inter & adj[v]
+            # the intersection only shrinks as the t-set grows
+            if nxt.bit_count() >= need:
+                chosen.append(v)
+                found = _extend(adj, t, need, chosen, nxt, pool, v + 1, stop)
+                chosen.pop()
+                if found is not None:
+                    return found
     while pool > 0:
         low = pool & -pool
         pool ^= low
@@ -90,7 +90,7 @@ def _extend(adj: Sequence[int], t: int, need: int, chosen: list[int], inter: int
         nxt = inter & adj[v]
         if nxt.bit_count() >= need:
             chosen.append(v)
-            found = _extend(adj, t, need, chosen, nxt, pool, 0, skip)
+            found = _extend(adj, t, need, chosen, nxt, pool, 0, stop)
             chosen.pop()
             if found is not None:
                 return found

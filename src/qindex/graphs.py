@@ -13,7 +13,7 @@ headers are rejected loudly rather than half-supported.
 from __future__ import annotations
 
 import operator
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InvalidParameter
 
@@ -166,6 +166,18 @@ def graph6_encode(g: Graph) -> str:
 def graph6_decode(text: str) -> Graph:
     """Strict decoder: exact payload length, zero padding, no stray bytes."""
     return Graph(*_graph6_masks(text))
+
+
+def _graph6_lines(lines: Iterable[str], where: str, decode: Callable) -> Iterator[tuple[int, str, object]]:
+    """(number, line, ``decode(line)``) for each non-blank line of ``lines``, stripped and numbered
+    from 1; a line ``decode`` rejects raises the same error kind as "{where} line {i}: {msg}".
+    Iterating a file ends lines only at newlines (str.splitlines would also split at form feeds)."""
+    for i, line in enumerate(lines, start=1):
+        if line := line.strip():
+            try:
+                yield i, line, decode(line)
+            except InvalidParameter as exc:  # from decode: the caller's errors never enter a generator
+                raise type(exc)(f"{where} line {i}: {exc}") from None
 
 
 def _graph6_masks(text: str) -> tuple[int, tuple[int, ...]]:

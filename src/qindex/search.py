@@ -8,8 +8,8 @@ profile are labeled and deduplicated by certificate (canonical adjacency
 masks).  A scan certifies the q of every mask tuple it scores in one
 stacked LAPACK call (``spectral._top``: ``numpy.linalg.eigh`` and a
 residual check), so every argmax, tie and cap comparison is decided by
-certified values; only the argmax classes the report prints (and, in
-``join_cap_scan``, its equality set) are labeled and built as ``Graph``s.
+certified values; only the classes a report prints (the argmax, or in
+``join_cap_scan`` the equality set) are labeled and built as ``Graph``s.
 Scans and hunts end in one report tail, ``_finish_report``.  Its report
 also carries the paper's dominating-vertex split: the best class with a
 vertex of degree n - 1 is K_1 v H, capped by ``join_cap_scan``'s closed
@@ -36,7 +36,7 @@ from .bounds import conjecture_bound, is_extremal_join, q_bound_t2_applicable
 from .canonical import _canonical, _collide, canonical_graph6, canonical_key, degree_cap, enumerate_levels
 from .errors import HypothesisViolated, InvalidParameter, InvariantViolated
 from .forbidden import ForbiddenPattern, _contains_through, _walk, contains_kst
-from .graphs import BUILTIN_MAX_ORDER, MAX_ORDER, Graph, _join_masks, graph6_encode
+from .graphs import BUILTIN_MAX_ORDER, MAX_ORDER, Graph, _graph6_lines, _join_masks, graph6_encode
 from .graphs import _graph6_masks as graph6_decode  # (n, masks), not a Graph; named for bench (ROADMAP item 1)
 from .spectral import DEFAULT_TOL, _matrices, _top, q_index
 # bench/spans.py wraps this name as spectral.full; the rename waits for ROADMAP item 1
@@ -107,13 +107,12 @@ def _at_cap(q: float, bound: float) -> bool:
     return abs(q - bound) <= DEFAULT_TOL
 
 
-def _verdict(max_q: float, pat: ForbiddenPattern, n: int):
-    """Compare a maximum against the conjectured cap, minding its hypothesis."""
+def _cap(n: int, pat: ForbiddenPattern) -> float | None:
+    """The conjectured cap at order n, or None outside its hypothesis s >= t - 1."""
     try:
-        bound = conjecture_bound(n, pat.s, pat.t)
+        return conjecture_bound(n, pat.s, pat.t)
     except HypothesisViolated:
-        return None, "bound_inapplicable"
-    return bound, "bound_violated" if _above(max_q, bound) else "bound_holds"
+        return None
 
 
 def _argmax(scored: list[tuple[float, tuple[int, ...]]]) -> tuple[float, list[tuple[int, ...]]]:
@@ -133,14 +132,13 @@ def _certified_q(masks: list[tuple[int, ...]]) -> list[float]:
             for q in _top(_matrices(masks[i:i + step]))[0].tolist()]
 
 
-def _finish_report(n, pat, graphs, max_q, encode, t0, **fields) -> SearchReport:
-    """Shared tail of scans and hunts: re-verify the argmax ``Graph``s, compare
-    ``max_q`` with the cap and build the report, with ``encode`` printing each
-    argmax and ``fields`` the caller's own report fields."""
+def _finish_report(n, pat, bound, graphs, max_q, encode, t0, **fields) -> SearchReport:
+    """Shared tail of scans and hunts: re-verify the argmax ``Graph``s, compare ``max_q`` with
+    ``bound`` (``_cap``, taken before the work starts, so a cap past a double's range stops it
+    first) and build the report, with ``encode`` printing each argmax and ``fields`` the caller's."""
     for g in graphs:
         if contains_kst(g, pat):
             raise InvariantViolated("argmax is not pattern-free")
-    bound, verdict = _verdict(max_q, pat, n)
     return SearchReport(
         n=n,
         s=pat.s,
@@ -149,14 +147,15 @@ def _finish_report(n, pat, graphs, max_q, encode, t0, **fields) -> SearchReport:
         argmax=sorted({encode(g) for g in graphs}),
         bound_value=bound,
         bound_applicable=pat.t == 2 and q_bound_t2_applicable(n, pat.s),
-        verdict=verdict,
+        verdict=("bound_inapplicable" if bound is None
+                 else "bound_violated" if _above(max_q, bound) else "bound_holds"),
         argmax_is_extremal_join=any(is_extremal_join(g, pat.s, pat.t) for g in graphs),
         runtime_ms=int((time.perf_counter() - t0) * 1000),
         **fields,
     )
 
 
-def _scan_report(n, pat, free, graphs_seen, t0, label) -> SearchReport:
+def _scan_report(n, pat, bound, free, graphs_seen, t0, label) -> SearchReport:
     """Report of a scan over ``free``, one mask tuple per free class: certified q (``_certified_q``),
     the argmax, and the argmax of the classes with no dominating vertex; only those are labeled (by
     ``label``, to their certificates), certified again and built as ``Graph``s."""
@@ -165,7 +164,7 @@ def _scan_report(n, pat, free, graphs_seen, t0, label) -> SearchReport:
     top, rest = ([label(adj) for adj in _argmax(pairs)[1]] for pairs in (scored, no_hub))
     qs = _certified_q(top + rest)  # float rounding may move q with the labeling: report the certificates'
     max_q, rest_q = max(qs[:len(top)], default=0.0), max(qs[len(top):], default=0.0)
-    return _finish_report(n, pat, [Graph(n, cert) for cert in top], max_q, graph6_encode, t0,
+    return _finish_report(n, pat, bound, [Graph(n, cert) for cert in top], max_q, graph6_encode, t0,
                           graphs_seen=graphs_seen, free_graphs=len(free), exhaustive=True,
                           rest_max_q=rest_q, rest_below_n=rest_q < n - DEFAULT_TOL,
                           rest_argmax=sorted(graph6_encode(Graph(n, cert)) for cert in rest))
@@ -180,18 +179,12 @@ def exhaustive_max_q(n: int, pat: ForbiddenPattern, stream=None) -> SearchReport
     stream with no graph line is an error: every order has a graph.
     """
     t0 = time.perf_counter()
+    bound = _cap(n, pat)
     if stream is None:
         *_, (_, kept, classes) = enumerate_levels(n, _free_predicate(pat))
-        return _scan_report(n, pat, kept, classes, t0, lambda adj: _canonical(n, adj)[0])
+        return _scan_report(n, pat, bound, kept, classes, t0, lambda adj: _canonical(n, adj)[0])
     held, seen = {}, set()  # profile -> its line held unlabeled ([] once labeled); labeled certificates
-    for lineno, line in enumerate(stream, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            order, adj = graph6_decode(line)
-        except InvalidParameter as exc:
-            raise InvalidParameter(f"stream line {lineno}: {exc}") from None
+    for lineno, _, (order, adj) in _graph6_lines(stream, "stream", graph6_decode):
         if order != n:
             raise InvalidParameter(f"stream line {lineno}: order {order}, expected {n}")
         seen.update(canonical_key(Graph(n, adj))[1] for adj in _collide(held, adj, adj))
@@ -199,7 +192,8 @@ def exhaustive_max_q(n: int, pat: ForbiddenPattern, stream=None) -> SearchReport
         raise InvalidParameter(f"stream has no graph line, so it enumerates no order-{n} class")
     classes = list(seen) + [adj for pending in held.values() for adj in pending]  # the held lines are alone
     free = [adj for adj in classes if _walk(adj, pat.t, pat.s_plus_1) is None]  # no parent vouches for one
-    return _scan_report(n, pat, free, len(classes), t0, lambda a: a if a in seen else _canonical(n, a)[0])
+    return _scan_report(n, pat, bound, free, len(classes), t0,
+                        lambda a: a if a in seen else _canonical(n, a)[0])
 
 
 # bounded-degree join scan
@@ -238,24 +232,21 @@ def join_cap_scan(m: int, s: int) -> JoinCapReport:
     bound = conjecture_bound(m + 1, s, 2)
     *_, (_, hs, _) = enumerate_levels(m, keep=degree_cap(s))
     qs = _certified_q([_join_masks((0,), h) for h in hs])
-    top = [_join_masks((0,), _canonical(m, h)[0]) for q, h in zip(qs, hs) if q >= max(qs) - EPS]
-    at_cap = [_at_cap(q, bound) for q in qs]
-    regular = [all(a.bit_count() == s for a in h) for h in hs]
+    equal = {i for i, q in enumerate(qs) if _at_cap(q, bound)}
+    regular = {i for i, h in enumerate(hs) if all(a.bit_count() == s for a in h)}
     all_capped = not any(_above(q, bound) for q in qs)
-    eq_all_regular = all(r for e, r in zip(at_cap, regular) if e)
-    reg_all_eq = all(e for e, r in zip(at_cap, regular) if r)
     return JoinCapReport(
         m=m,
         s=s,
         classes=len(hs),
         bound=bound,
-        max_q=max(_certified_q(top)),  # of the argmax certificates, as in ``_scan_report``
+        max_q=max(qs),
         all_capped=all_capped,
-        equality_graph6=sorted(graph6_encode(Graph(m, _canonical(m, h)[0])) for e, h in zip(at_cap, hs) if e),
-        equality_all_regular=eq_all_regular,
-        regular_all_equality=reg_all_eq,
+        equality_graph6=sorted(graph6_encode(Graph(m, _canonical(m, hs[i])[0])) for i in equal),
+        equality_all_regular=equal <= regular,
+        regular_all_equality=regular <= equal,
         runtime_ms=int((time.perf_counter() - t0) * 1000),
-        verdict="bound_holds" if all_capped and eq_all_regular and reg_all_eq else "bound_violated",
+        verdict="bound_holds" if all_capped and equal == regular else "bound_violated",
     )
 
 
@@ -277,6 +268,7 @@ def heuristic_max_q(n: int, pat: ForbiddenPattern, budget: int, seed: int) -> Se
     if budget < 1:
         raise InvalidParameter(f"budget must be >= 1, got {budget}")
     t0 = time.perf_counter()
+    bound = _cap(n, pat)
     rng = random.Random(seed)
     alpha = (T_END / T_START) ** (1.0 / budget)
     temp = T_START
@@ -320,6 +312,6 @@ def heuristic_max_q(n: int, pat: ForbiddenPattern, budget: int, seed: int) -> Se
             m[u, u] -= delta
             m[v, v] -= delta
     best = Graph(n, best_adj)
-    return _finish_report(n, pat, [best], q_index(best).value, canonical_graph6, t0,
+    return _finish_report(n, pat, bound, [best], q_index(best).value, canonical_graph6, t0,
                           graphs_seen=budget, free_graphs=evaluated, exhaustive=False,
                           seed=seed, budget=budget)

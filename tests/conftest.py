@@ -98,7 +98,7 @@ def exhaustive_scan(max_n: int, pat) -> list:
     ``exhaustive_max_q`` builds it, from a single builtin enumeration
     (``search.enumerate_levels``, looked up at call time)."""
     levels = search.enumerate_levels(max_n, search._free_predicate(pat))
-    return [search._scan_report(order, pat, kept, seen, time.perf_counter(),
+    return [search._scan_report(order, pat, search._cap(order, pat), kept, seen, time.perf_counter(),
                                 lambda adj, n=order: canonical._canonical(n, adj)[0])
             for order, kept, seen in levels]
 

@@ -153,6 +153,16 @@ class TestConjectureBound:
         with pytest.raises(HypothesisViolated):
             conjecture_bound(0, 2, 2)
 
+    @pytest.mark.parametrize("n, s, t", [(3, 10 ** 200, 2), (10 ** 400, 1, 2), (13, 10 ** 400, 2)],
+                             ids=["huge-square", "huge-n", "huge-s"])
+    def test_overflow_is_the_bound_report_error(self, n, s, t):
+        # the cap the scans and hunts take at entry fails as ``qx bounds`` does,
+        # never with a bare OverflowError
+        with pytest.raises(InvalidParameter) as info:
+            conjecture_bound(n, s, t)
+        assert type(info.value) is InvalidParameter
+        assert str(info.value) == "n, s and t too large: a bound overflows double precision"
+
     def test_discriminant_stays_positive_on_grid(self):
         for t in range(2, 7):
             for s in range(t - 1, 9):

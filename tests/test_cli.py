@@ -22,6 +22,7 @@ from qindex.graphs import Graph, complete_graph, from_edge_list, graph6_encode, 
 from qindex.search import JoinCapReport, SearchReport
 from conftest import disjoint_union, random_graph, relabeled_lines
 
+HUGE = "1" + "0" * 200  # an --s whose cap overflows a double
 
 @pytest.fixture()
 def g6_file(tmp_path):
@@ -260,6 +261,10 @@ class TestExitCodes:
         # closed forms past the range of a double
         ("bounds", "--n", "1" + "0" * 309, "--s", "1", "--t", "2"),
         ("bounds", "--n", "13", "--s", "1" + "0" * 309, "--t", "2"),
+        # a cap past the range of a double, taken before the scan or walk
+        ("verify", "--n", "3", "--t", "2", "--s", HUGE),
+        ("hunt", "--n", "4", "--t", "2", "--s", HUGE, "--budget", "5"),
+        ("prop4", "--m", "3", "--s", HUGE),
     ])
     def test_bad_input_is_a_computation_error(self, capsys, tmp_path, g6_file, argv):
         empty = tmp_path / "empty.g6"
@@ -292,13 +297,16 @@ class TestExitCodes:
         ("verify", "--n", "5", "--t", "2", "--s", "1", "--stream", "FILE"),
     ])
     def test_non_ascii_graph6_file_is_a_computation_error(self, capsys, tmp_path, argv):
-        # a non-ASCII byte, then a multi-byte (order > 62) header: each names its line
+        # a non-ASCII byte, then a multi-byte (order > 62) header, after a
+        # blank line: each names its line, numbered as in the file, with the
+        # decoder's message after the source name
         path = tmp_path / "bad.g6"
-        for data in (b"DQc\nD\xffw\n", b"DQc\n~??@??\n"):
+        source = "stream" if "--stream" in argv else str(path)
+        for data, msg in ((b"DQc\n\nD\xffw\n", "non-byte characters in graph6 line"),
+                          (b"DQc\n\n~??@??\n", "multi-byte graph6 order header (order > 62) not supported")):
             path.write_bytes(data)
             code, _, err = run(capsys, *[str(path) if a == "FILE" else a for a in argv])
-            assert code == 2
-            assert "line 2" in err
+            assert (code, err) == (2, f"qx: error: {source} line 3: {msg}\n")
 
     @pytest.mark.parametrize("argv", [
         ("qindex", "FILE"),
@@ -332,8 +340,9 @@ class TestRuntime:
         assert payload["results"][0]["runtime_ms"] >= 0
 
 
-def _ints(lo, hi):
-    return lambda rng: str(rng.randint(lo, hi))
+def _ints(lo, hi, huge=0.0):
+    """An integer in lo..hi, or with probability ``huge`` the 200-digit ``HUGE``."""
+    return lambda rng: HUGE if rng.random() < huge else str(rng.randint(lo, hi))
 
 
 def _pick(*values):
@@ -346,7 +355,8 @@ def _grid(lo, hi):
 
 
 # per command: flag -> value drawer, ranges small enough that each call
-# finishes well under a second; "FILE" is the positional graph6 file, a
+# finishes well under a second (a scan's or hunt's --s is sometimes ``HUGE``,
+# whose cap fails before the work); "FILE" is the positional graph6 file, a
 # drawn None leaves the flag out and a drawn list gives the flag several
 # values, so a bounds grid can mix rows with s < t - 1 and s >= t - 1 (seed
 # 1 draws one in CSV, whose header comes from the first row)
@@ -357,10 +367,10 @@ FUZZ_ARGS = {
     "bounds": {"--n": _grid(-2, 40), "--s": _grid(0, 5), "--t": _grid(1, 5),
                "--format": _pick(None, "json", "csv", "text")},
     "construct": {"--n": _ints(0, 20), "--s": _ints(0, 3), "--t": _ints(1, 4)},
-    "verify": {"--n": _ints(-1, 6), "--t": _ints(-1, 3), "--s": _ints(-1, 3),
+    "verify": {"--n": _ints(-1, 6), "--t": _ints(-1, 3), "--s": _ints(-1, 3, huge=0.25),
                "--stream": _pick(None, None, "FILE", "-")},
-    "prop4": {"--m": _ints(-1, 5), "--s": _ints(-1, 3)},
-    "hunt": {"--n": _ints(-1, 14), "--t": _ints(-1, 3), "--s": _ints(-1, 3),
+    "prop4": {"--m": _ints(-1, 5), "--s": _ints(-1, 3, huge=0.25)},
+    "hunt": {"--n": _ints(-1, 14), "--t": _ints(-1, 3), "--s": _ints(-1, 3, huge=0.25),
              "--budget": _ints(-1, 50), "--seed": _ints(-1, 9)},
     "ledger": {"--s": _ints(-1, 6), "--n": _ints(-1, 80)},
 }

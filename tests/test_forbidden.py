@@ -5,7 +5,7 @@ import pytest
 
 import qindex.forbidden as forbidden
 from qindex.errors import InvariantViolated
-from qindex.forbidden import ForbiddenPattern, _contains_through, contains_kst, find_kst
+from qindex.forbidden import ForbiddenPattern, _contains_through, _walk, contains_kst, find_kst
 from qindex.constructions import circulant
 from qindex.graphs import Graph, complete_graph, from_edge_list
 from conftest import empty_graph, random_graph
@@ -48,6 +48,17 @@ def brute_force_uses_edge(g, t, s_plus_1, u, v):
                 if b in right and all(g.has_edge(x, y) for x in left for y in right):
                     return True
     return False
+
+
+def brute_force_first_below(g, t, s_plus_1, a):
+    """Independent oracle: the first t-set in lexicographic order whose
+    largest member is a and whose common neighbors off it number at least
+    s+1, with the s+1 smallest of them; None when there is none."""
+    for rest in itertools.combinations(range(a), t - 1):
+        common = set.intersection(*[neighbors(g, x) for x in rest + (a,)])
+        if len(common) >= s_plus_1:
+            return rest + (a,), tuple(sorted(common)[:s_plus_1])
+    return None
 
 
 class TestPattern:
@@ -114,6 +125,23 @@ class TestOracleEquivalence:
                         hits += got
                         checks += 1
         assert 500 < hits < checks - 500  # both answers are exercised
+
+    def test_walk_below_every_anchor(self):
+        # the pool-less anchored walk: t-sets whose largest member is the
+        # anchor, on the random graphs of the edge walk above
+        rng = random.Random(909)
+        hits = checks = 0
+        for _ in range(150):
+            n = rng.randint(3, 10)
+            g = random_graph(rng, n, rng.choice([0.3, 0.5, 0.7]))
+            for t in (2, 3):
+                for s in (1, 2):
+                    for a in range(n):
+                        got = _walk(g.adj, t, s + 1, a)
+                        assert got == brute_force_first_below(g, t, s + 1, a), (g.adj, t, s, a)
+                        hits += got is not None
+                        checks += 1
+        assert 300 < hits < checks - 300  # both answers are exercised
 
     def test_consistency_with_max_codegree(self):
         rng = random.Random(17)

@@ -437,6 +437,16 @@ class TestJoinCapScan:
                 report = join_cap_scan(m, s)
                 assert report.verdict == "bound_holds", (m, s)
 
+    @pytest.mark.parametrize("m, s", [(4, 1), (5, 1), (7, 2), (8, 3)])
+    def test_labels_only_the_printed_equality_set(self, monkeypatch, m, s):
+        # prop4 prints no argmax, so the only classes it labels are the
+        # equality classes it prints (none at m = 5, s = 1; six at m = 8, s = 3)
+        calls = []
+        label = search._canonical
+        monkeypatch.setattr(search, "_canonical", lambda n, adj: calls.append(adj) or label(n, adj))
+        report = join_cap_scan(m, s)
+        assert len(calls) == len(report.equality_graph6)
+
 
 class TestDominatingScan:
     """The paper's split: a class with a dominating vertex is K_1 v H with
@@ -565,6 +575,24 @@ class TestHeuristic:
         monkeypatch.setattr(search, "_contains_through", walked)
         with pytest.raises(InvalidParameter, match="graph order 63 exceeds the ceiling of 62"):
             heuristic_max_q(63, ForbiddenPattern(2, 2), budget=10 ** 6, seed=0)
+
+
+HUGE = 10 ** 200  # an s whose cap overflows a double
+
+
+@pytest.mark.parametrize("run", [
+    lambda: exhaustive_max_q(9, ForbiddenPattern.from_ts(2, HUGE)),
+    lambda: exhaustive_max_q(12, ForbiddenPattern.from_ts(2, HUGE), stream=iter(["K" + "?" * 11])),
+    lambda: heuristic_max_q(4, ForbiddenPattern.from_ts(2, HUGE), budget=10 ** 6, seed=0),
+], ids=["builtin", "stream", "hunt"])
+def test_cap_past_a_double_fails_before_the_work(monkeypatch, run):
+    def worked(*args, **kwargs):
+        raise AssertionError("the work started before the cap was taken")
+
+    for name in ("enumerate_levels", "_graph6_lines", "_contains_through"):
+        monkeypatch.setattr(search, name, worked)
+    with pytest.raises(InvalidParameter, match="n, s and t too large: a bound overflows double precision"):
+        run()
 
 
 class TestHuntAtProvedThreshold:
@@ -725,11 +753,13 @@ class TestCertifiedScoring:
         monkeypatch.setattr(search, "q_index", q)
         monkeypatch.setattr(search, "_top", counted_top(calls))
         report = scan()
-        # one call scores every class as generated, one more the few argmax
-        # certificates the report prints, since rounding may move q with the
-        # labeling
-        classes = report.classes if isinstance(report, JoinCapReport) else report.free_graphs
-        assert len(calls) == 2 and calls[0] == classes
+        # one call scores every class as generated; verify certifies the few
+        # argmax certificates it prints once more, since rounding may move q
+        # with the labeling, and prop4 prints no argmax
+        if isinstance(report, JoinCapReport):
+            assert calls == [report.classes]
+        else:
+            assert len(calls) == 2 and calls[0] == report.free_graphs
 
     @pytest.mark.parametrize("name", SCORED_SCANS)
     @pytest.mark.parametrize("error", [{"vector": 1e-6}, {"value": 4e-10}], ids=["vector", "value"])
