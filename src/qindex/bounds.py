@@ -20,7 +20,7 @@ from .graphs import Graph, _bits
 
 
 def _double(value) -> float:
-    """``value()``, a closed form, as a finite double; one past that range raises ``InvalidParameter``."""
+    """The closed form ``value()`` as a finite double; past that range it raises ``InvalidParameter``."""
     try:
         result = value()
     except OverflowError:  # an int too large to convert to float
