@@ -20,9 +20,10 @@ Heuristic side: simulated annealing over single edge toggles with a
 geometric cooling schedule.  Toggles that would create the forbidden
 pattern are rejected outright, so the walk never leaves the free region.
 Each evaluated proposal is scored by one LAPACK call
-(``numpy.linalg.eigvalsh``) on the walk's Q matrix; only the best graph
-found is rescored by the certified ``q_index``, so the result is a
-certified lower bound on the true maximum, never claimed optimal.
+(``numpy.linalg.eigvalsh``) on the walk's Q matrix, unless it is a deletion
+that a certified bound on its q (``_drop_bound``) already rejects; only the
+best graph found is rescored by the certified ``q_index``, so the result is
+a certified lower bound on the true maximum, never claimed optimal.
 """
 
 from __future__ import annotations
@@ -62,10 +63,10 @@ class SearchReport(NamedTuple):
     classes and ``argmax`` lists every maximizer (canonical graph6,
     sorted, ties within ``EPS``).  For heuristic runs ``max_q`` is only a
     lower bound on the true maximum, ``graphs_seen`` counts proposals and
-    ``free_graphs`` the ones that were evaluated (pattern-creating toggles
-    are rejected unevaluated).  ``bound_applicable`` says whether the cap
-    is proved for every graph of this order (t = 2 and n >= s^2 + 6s + 6)
-    rather than conjectured.
+    ``free_graphs`` the ones decided by q or by a certified bound on it
+    (pattern-creating toggles are rejected unevaluated).  ``bound_applicable``
+    says whether the cap is proved for every graph of this order (t = 2 and
+    n >= s^2 + 6s + 6) rather than conjectured.
 
     The ``rest_*`` fields cover the free classes with no vertex of degree
     n - 1 (an exhaustive run's argmax convention: 0.0, [] and a vacuous
@@ -252,14 +253,25 @@ def join_cap_scan(m: int, s: int) -> JoinCapReport:
 
 # simulated annealing
 
+def _drop_bound(gap: float, c: float) -> float:
+    """Upper bound, plus slack ``EPS``, on the change in q from deleting an edge uv, from the gap
+    g = lambda1 - lambda2 of Q and c = x_u + x_v for its unit Perron vector x: Q - zz^T, z = e_u + e_v,
+    is below lambda2 I + g xx^T - zz^T, whose top is lambda2 plus the top root of that form on
+    span{x, z} (rank-one interlacing; Horn & Johnson, Matrix Analysis, 4.3).  EPS is a thousand
+    times x's certified residual ``DEFAULT_TOL`` and far above eigenvalue rounding."""
+    b = gap - 2
+    return (b + math.sqrt(b * b + 4 * gap * max(0.0, 2 - c * c))) / 2 - gap + EPS
+
+
 def heuristic_max_q(n: int, pat: ForbiddenPattern, budget: int, seed: int) -> SearchReport:
     """Annealed edge-toggle walk through the pattern-free graphs of order n.
 
     Geometric cooling from ``T_START`` down to ``T_END`` over exactly
     ``budget`` proposals; an edge insertion creating the pattern costs its
     proposal but is never evaluated or accepted; every other proposal is
-    scored by one ``eigvalsh`` call on the walk's Q matrix.  Deterministic
-    per seed.  Returns a lower-bound report (``exhaustive=False``).
+    scored by one ``eigvalsh`` call on the walk's Q matrix, unless
+    ``_drop_bound`` rejects it as that score would.  Deterministic per seed.
+    Returns a lower-bound report (``exhaustive=False``).
     """
     if n < 2:
         raise InvalidParameter(f"an edge-toggle walk needs n >= 2, got {n}")
@@ -267,17 +279,20 @@ def heuristic_max_q(n: int, pat: ForbiddenPattern, budget: int, seed: int) -> Se
         raise InvalidParameter(f"graph order {n} exceeds the ceiling of {MAX_ORDER}")
     if budget < 1:
         raise InvalidParameter(f"budget must be >= 1, got {budget}")
+    alpha = (T_END / T_START) ** (1.0 / min(budget, 1 << 1023))  # 1.0 / budget overflows from 2^1024
+    if alpha == 1.0:  # a walk that never cools
+        raise InvalidParameter(f"budget too large ({len(str(budget))} digits): its cooling factor rounds to 1")
     t0 = time.perf_counter()
     bound = _cap(n, pat)
     rng = random.Random(seed)
-    alpha = (T_END / T_START) ** (1.0 / budget)
     temp = T_START
     adj = [0] * n  # the walk's graph as neighbor masks, toggled in place
     m = _matrices(adj)  # its Q matrix, kept in step with adj
-    q_cur = 0.0
+    q_cur = gap = 0.0  # its q and lambda1 - lambda2, from the eigvalsh call that accepted it
     best_q = -1.0
     best_adj = tuple(adj)
-    evaluated = 0
+    evaluated = rejected = 0  # rejected: evaluated proposals turned down since the last accepted move
+    perron, checked = None, {}  # the walk's graph's Perron vector, once needed; its insertion checks
     for _ in range(budget):
         temp *= alpha
         u = rng.randrange(n)
@@ -285,26 +300,43 @@ def heuristic_max_q(n: int, pat: ForbiddenPattern, budget: int, seed: int) -> Se
         if v >= u:
             v += 1
         adding = not adj[u] >> v & 1
+        r = None  # the acceptance draw, once taken
+        if not adding and rejected >= 2:  # a settled graph: its bound alone rejects most deletions
+            perron = perron or _top(m)[1].tolist()
+            most = _drop_bound(gap, perron[u] + perron[v])
+            if most < 0:  # so the float dq is negative too, and the walk draws r where it would anyway
+                r = rng.random()
+                if r >= math.exp(most / temp):
+                    evaluated, rejected = evaluated + 1, rejected + 1
+                    continue
         adj[u] ^= 1 << v
         adj[v] ^= 1 << u
-        if adding and _contains_through(adj, pat, u, v):
-            adj[u] ^= 1 << v
-            adj[v] ^= 1 << u
-            continue
+        if adding:
+            hit = checked.get(edge := 1 << u | 1 << v)
+            if hit is None:
+                hit = checked[edge] = _contains_through(adj, pat, u, v)
+            if hit:
+                adj[u] ^= 1 << v
+                adj[v] ^= 1 << u
+                continue
         delta = 1.0 if adding else -1.0
         m[u, v] += delta
         m[v, u] += delta
         m[u, u] += delta
         m[v, v] += delta
-        q_new = float(_jacobi(m)[-1])
+        lam2, q_new = _jacobi(m)[-2:].tolist()
         evaluated += 1
         dq = q_new - q_cur
-        if dq >= 0 or rng.random() < math.exp(dq / temp):
-            q_cur = q_new
+        if r is None and dq < 0:
+            r = rng.random()
+        if r is None or r < math.exp(dq / temp):
+            q_cur, gap = q_new, q_new - lam2
+            rejected, perron, checked = 0, None, {}
             if q_new > best_q:
                 best_q = q_new
                 best_adj = tuple(adj)
         else:
+            rejected += 1
             adj[u] ^= 1 << v
             adj[v] ^= 1 << u
             m[u, v] -= delta

@@ -5,9 +5,10 @@ Largest eigenvalue: ``_top`` takes the top eigenpair of each matrix in a
 stack from one ``numpy.linalg.eigh`` call, its vector in absolute value and
 certified by the residual ||Mx - qx|| <= ``DEFAULT_TOL`` (or
 ``InvariantViolated``).  ``q_index`` and ``adjacency_radius`` run it on a
-stack of one, and the exhaustive scans (``search``) on every graph they
-score, so every q a report prints or decides by is certified.  The whole
-spectrum (``numpy.linalg.eigvalsh``) also scores the hunt's proposals.
+stack of one, the exhaustive scans (``search``) on every graph they score,
+so every q a report prints or decides by is certified, and the hunt on the
+graphs whose deletions it bounds.  The whole spectrum
+(``numpy.linalg.eigvalsh``) scores the hunt's other proposals.
 One builder, ``_matrices``, makes every Q and A matrix from neighbor
 bitmasks, for one graph or a stack of same-order graphs alike.
 

@@ -265,6 +265,9 @@ class TestExitCodes:
         ("verify", "--n", "3", "--t", "2", "--s", HUGE),
         ("hunt", "--n", "4", "--t", "2", "--s", HUGE, "--budget", "5"),
         ("prop4", "--m", "3", "--s", HUGE),
+        # a budget whose cooling factor cannot be formed, or rounds to 1
+        ("hunt", "--n", "4", "--t", "2", "--s", "1", "--budget", "1" + "0" * 400),
+        ("hunt", "--n", "4", "--t", "2", "--s", "1", "--budget", HUGE),
     ])
     def test_bad_input_is_a_computation_error(self, capsys, tmp_path, g6_file, argv):
         empty = tmp_path / "empty.g6"
@@ -355,11 +358,12 @@ def _grid(lo, hi):
 
 
 # per command: flag -> value drawer, ranges small enough that each call
-# finishes well under a second (a scan's or hunt's --s is sometimes ``HUGE``,
-# whose cap fails before the work); "FILE" is the positional graph6 file, a
-# drawn None leaves the flag out and a drawn list gives the flag several
-# values, so a bounds grid can mix rows with s < t - 1 and s >= t - 1 (seed
-# 1 draws one in CSV, whose header comes from the first row)
+# finishes well under a second (a scan's or hunt's --s and a hunt's --budget
+# are sometimes ``HUGE``, which fail before the work); "FILE" is the
+# positional graph6 file, a drawn None leaves the flag out and a drawn list
+# gives the flag several values, so a bounds grid can mix rows with
+# s < t - 1 and s >= t - 1 (seed 1 draws one in CSV, whose header comes from
+# the first row)
 FUZZ_ARGS = {
     "qindex": {"FILE": None},
     "spectrum": {"FILE": None, "--matrix": _pick(None, "Q", "A", "L")},
@@ -371,7 +375,7 @@ FUZZ_ARGS = {
                "--stream": _pick(None, None, "FILE", "-")},
     "prop4": {"--m": _ints(-1, 5), "--s": _ints(-1, 3, huge=0.25)},
     "hunt": {"--n": _ints(-1, 14), "--t": _ints(-1, 3), "--s": _ints(-1, 3, huge=0.25),
-             "--budget": _ints(-1, 50), "--seed": _ints(-1, 9)},
+             "--budget": _ints(-1, 50, huge=0.25), "--seed": _ints(-1, 9)},
     "ledger": {"--s": _ints(-1, 6), "--n": _ints(-1, 80)},
 }
 _JUNK = ("--bogus", "-", "7", "x", "--format", "text", "--help")

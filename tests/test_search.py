@@ -2,6 +2,7 @@ import gc
 import itertools
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from qindex.bounds import q_bound_t2
 from qindex.canonical import canonical_graph6, canonical_key, degree_cap, refinement_cells
 from qindex.constructions import circulant
 from qindex.errors import InvalidParameter, InvariantViolated
-from qindex.forbidden import ForbiddenPattern, _walk
+from qindex.forbidden import ForbiddenPattern, _contains_through, _walk
 from qindex.graphs import (
     Graph,
     _bits,
@@ -31,9 +32,10 @@ from qindex.search import (
     is_extremal_join,
     join_cap_scan,
 )
-from qindex.spectral import DEFAULT_TOL, _top, q_index
+from qindex.spectral import DEFAULT_TOL, _matrices, _top, q_index
 from conftest import (
     disjoint_union,
+    edges,
     enumerate_graphs,
     exhaustive_scan,
     path_graph,
@@ -554,8 +556,21 @@ class TestHeuristic:
         with pytest.raises(InvalidParameter, match="budget must be >= 1, got 0"):
             heuristic_max_q(5, ForbiddenPattern(2, 2), budget=0, seed=0)
 
-    def test_one_lapack_call_per_evaluated_proposal(self, monkeypatch):
-        # every evaluated proposal is scored by exactly one eigvalsh call
+    @pytest.mark.parametrize("budget", [10 ** 18, 10 ** 200, 10 ** 400])
+    def test_budget_whose_cooling_factor_rounds_to_one(self, monkeypatch, budget):
+        monkeypatch.setattr(search, "_contains_through", None)  # the walk never starts
+        with pytest.raises(InvalidParameter, match=r"budget too large \(\d+ digits\): its cooling factor rounds to 1"):
+            heuristic_max_q(4, ForbiddenPattern(2, 2), budget=budget, seed=0)
+
+    @pytest.mark.parametrize("t", [2, 3])
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    @pytest.mark.parametrize("n", [5, 9, 16, 22, 30])
+    def test_matches_the_reference_annealer(self, n, s, t):
+        pat = ForbiddenPattern.from_ts(t, s)
+        for seed, budget in [(n + s, 300), (7 * t + s, 1000), (n * s + t, 3000)]:
+            assert same_hunt(n, pat, budget, seed)
+
+    def test_the_bound_saves_most_eigensolves(self, monkeypatch):
         calls = []
 
         def full(m):
@@ -563,10 +578,10 @@ class TestHeuristic:
             return eigvalsh(m)
 
         monkeypatch.setattr(search, "_jacobi", full)
-        pat = ForbiddenPattern.from_ts(2, 1)
-        hunt = heuristic_max_q(5, pat, budget=1000, seed=0)
-        assert len(calls) == hunt.free_graphs > 0
-        assert hunt.max_q == pytest.approx(exhaustive_max_q(5, pat).max_q, abs=1e-8)
+        pat = ForbiddenPattern.from_ts(2, 2)
+        hunt = heuristic_max_q(16, pat, budget=2000, seed=2)
+        assert hunt._replace(runtime_ms=0) == reference_hunt(16, pat, 2000, 2)._replace(runtime_ms=0)
+        assert len(calls) < hunt.free_graphs
 
     def test_order_above_ceiling_fails_before_walking(self, monkeypatch):
         def walked(*args):
@@ -575,6 +590,99 @@ class TestHeuristic:
         monkeypatch.setattr(search, "_contains_through", walked)
         with pytest.raises(InvalidParameter, match="graph order 63 exceeds the ceiling of 62"):
             heuristic_max_q(63, ForbiddenPattern(2, 2), budget=10 ** 6, seed=0)
+
+
+def reference_hunt(n, pat, budget, seed):
+    """The annealer before deletions were decided by ``search._drop_bound``: one
+    eigvalsh call per evaluated proposal and a pattern check per insertion."""
+    t0 = time.perf_counter()
+    rng = random.Random(seed)
+    alpha = (search.T_END / search.T_START) ** (1.0 / budget)
+    temp = search.T_START
+    adj = [0] * n
+    m = _matrices(adj)
+    q_cur, best_q, best_adj, evaluated = 0.0, -1.0, tuple(adj), 0
+    for _ in range(budget):
+        temp *= alpha
+        u = rng.randrange(n)
+        v = rng.randrange(n - 1)
+        if v >= u:
+            v += 1
+        adding = not adj[u] >> v & 1
+        adj[u] ^= 1 << v
+        adj[v] ^= 1 << u
+        if adding and _contains_through(adj, pat, u, v):
+            adj[u] ^= 1 << v
+            adj[v] ^= 1 << u
+            continue
+        delta = 1.0 if adding else -1.0
+        for i, j in ((u, v), (v, u), (u, u), (v, v)):
+            m[i, j] += delta
+        q_new = float(eigvalsh(m)[-1])
+        evaluated += 1
+        dq = q_new - q_cur
+        if dq >= 0 or rng.random() < math.exp(dq / temp):
+            q_cur = q_new
+            if q_new > best_q:
+                best_q, best_adj = q_new, tuple(adj)
+        else:
+            adj[u] ^= 1 << v
+            adj[v] ^= 1 << u
+            for i, j in ((u, v), (v, u), (u, u), (v, v)):
+                m[i, j] -= delta
+    best = Graph(n, best_adj)
+    return search._finish_report(n, pat, search._cap(n, pat), [best], q_index(best).value, canonical_graph6,
+                                 t0, graphs_seen=budget, free_graphs=evaluated, exhaustive=False,
+                                 seed=seed, budget=budget)
+
+
+def same_hunt(n, pat, budget, seed):
+    """Whether the hunt's report equals the reference annealer's, runtime aside."""
+    hunt = heuristic_max_q(n, pat, budget=budget, seed=seed)
+    return hunt._replace(runtime_ms=0) == reference_hunt(n, pat, budget, seed)._replace(runtime_ms=0)
+
+
+class TestDropBound:
+    """``search._drop_bound`` against the true change in q from deleting each edge."""
+
+    @staticmethod
+    def graphs():
+        rng = random.Random(35)
+        for _ in range(60):
+            n = rng.randint(2, 30)
+            yield random_graph(rng, n, rng.uniform(0.05, 0.9))
+        for _ in range(20):  # disconnected, components of unequal q
+            a, b = random_graph(rng, rng.randint(2, 15), 0.5), random_graph(rng, rng.randint(2, 15), 0.3)
+            yield disjoint_union(a, b)
+        for _ in range(10):  # two equal components: lambda1 = lambda2
+            a = random_graph(rng, rng.randint(2, 15), rng.uniform(0.2, 0.8))
+            yield disjoint_union(a, a)
+        yield disjoint_union(complete_graph(2), Graph(3, [0, 0, 0]))  # x on one edge: c^2 = 2
+
+    def test_bounds_every_deletion(self):
+        checked = 0
+        for g in self.graphs():
+            m = _matrices(g.adj)
+            lam = eigvalsh(m)
+            gap = lam[-1] - lam[-2]
+            x = _top(m)[1]
+            for u, v in edges(g):
+                most = search._drop_bound(gap, x[u] + x[v])
+                z = np.zeros(g.n)
+                z[[u, v]] = 1.0
+                dq = eigvalsh(m - np.outer(z, z))[-1] - lam[-1]
+                assert dq <= most
+                assert -gap - 1e-12 <= most - search.EPS <= 1e-12
+                checked += 1
+        assert checked > 3000
+
+    def test_zero_gap_gives_zero(self):
+        for c in [0.0, 0.3, 1.0, 1.2, math.sqrt(2), math.sqrt(2) + 1e-15]:
+            assert search._drop_bound(0.0, c) == search.EPS
+
+    def test_tight_on_a_lone_edge(self):
+        # K_2 and isolated vertices: deleting the edge drops q from 2 to 0, the bound's -gap
+        assert search._drop_bound(2.0, math.sqrt(2)) == pytest.approx(-2 + search.EPS, abs=1e-12)
 
 
 HUGE = 10 ** 200  # an s whose cap overflows a double
@@ -812,6 +920,14 @@ class TestSlowEnumeration:
     def test_k33_free_order_9_class_counts(self):
         *_, (order, kept, seen) = enumerate_levels(9, free_of(3, 2))
         assert (order, len(kept), seen) == (9, 148080, 255320)
+
+
+@pytest.mark.slow
+class TestSlowHuntEquivalence:
+    # hunt --n 30 --t 2 --s 2, then acceptance criterion 09's hunts (s = 1, n = 13-16)
+    @pytest.mark.parametrize("n, s", [(30, 2), (13, 1), (14, 1), (15, 1), (16, 1)])
+    def test_long_hunt_matches_the_reference_annealer(self, n, s):
+        assert same_hunt(n, ForbiddenPattern.from_ts(2, s), 10 ** 5, 1)
 
 
 class TestExtremalJoinRecognition:
