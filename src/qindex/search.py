@@ -301,7 +301,7 @@ def heuristic_max_q(n: int, pat: ForbiddenPattern, budget: int, seed: int) -> Se
             v += 1
         adding = not adj[u] >> v & 1
         r = None  # the acceptance draw, once taken
-        if not adding and rejected >= 2:  # a settled graph: its bound alone rejects most deletions
+        if not adding and rejected >= 2:  # a graph that rejects often: try the bound before an eigensolve
             perron = perron or _top(m)[1].tolist()
             most = _drop_bound(gap, perron[u] + perron[v])
             if most < 0:  # so the float dq is negative too, and the walk draws r where it would anyway

@@ -559,7 +559,7 @@ class TestHeuristic:
     @pytest.mark.parametrize("budget", [10 ** 18, 10 ** 200, 10 ** 400])
     def test_budget_whose_cooling_factor_rounds_to_one(self, monkeypatch, budget):
         monkeypatch.setattr(search, "_contains_through", None)  # the walk never starts
-        with pytest.raises(InvalidParameter, match=r"budget too large \(\d+ digits\): its cooling factor rounds to 1"):
+        with pytest.raises(InvalidParameter, match=r"budget too large \(\d+ digits\): its cooling factor"):
             heuristic_max_q(4, ForbiddenPattern(2, 2), budget=budget, seed=0)
 
     @pytest.mark.parametrize("t", [2, 3])
@@ -593,8 +593,9 @@ class TestHeuristic:
 
 
 def reference_hunt(n, pat, budget, seed):
-    """The annealer before deletions were decided by ``search._drop_bound``: one
-    eigvalsh call per evaluated proposal and a pattern check per insertion."""
+    """Reference annealer for ``heuristic_max_q``, whose reports must equal its own:
+    one eigvalsh call per evaluated proposal and one pattern check per insertion,
+    with no deletion bound and nothing kept between proposals."""
     t0 = time.perf_counter()
     rng = random.Random(seed)
     alpha = (search.T_END / search.T_START) ** (1.0 / budget)
